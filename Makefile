@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race race-fault race-par test-resume test-telemetry test-serve test-dist test-chaos vuln staticcheck bench bench-guard bench-json
+.PHONY: ci fmt vet build test race race-fault race-par test-resume test-telemetry test-serve test-dist test-chaos bench-smoke vuln staticcheck bench bench-guard bench-json
 
-ci: fmt vet build test race-fault race-par test-resume test-telemetry test-serve test-dist test-chaos bench-guard vuln staticcheck
+ci: fmt vet build test race-fault race-par test-resume test-telemetry test-serve test-dist test-chaos bench-smoke bench-guard vuln staticcheck
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -45,8 +45,8 @@ test-resume:
 	$(GO) test -run 'TestQuarantineExitCodeSmoke|TestSigtermResumeByteIdentical' ./cmd/reramsim/
 
 # The live telemetry plane under the race detector — the lock-free
-# /metrics snapshot hammered against running sweeps and Capture windows,
-# the span collector, the /progress export — plus the CLI e2e smoke
+# /metrics snapshot hammered against running sweeps, the span
+# collector, the /progress export — plus the CLI e2e smoke
 # (sweep with -obs-addr: mid-run scrapes, SSE progress advancing, and a
 # Perfetto-loadable -trace-spans file on exit 0).
 test-telemetry:
@@ -86,6 +86,13 @@ test-chaos:
 	$(GO) test -race ./internal/chaos/ ./internal/atomicio/ ./internal/retry/
 	$(GO) test -race -run 'TestComplete|TestDuplicateCompletion|TestAudit|TestHealth|TestLease|TestWorkerShips|TestMangled' ./internal/dist/
 	$(GO) test -run 'TestChaos' ./cmd/reramsim/
+
+# The benchmark is its own module (benchmark/go.mod), so the root
+# build and test never compile it: vet and test it here, so a change
+# that renames or deletes something the benchmark calls fails CI, not
+# the next benchmark run.
+bench-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # govulncheck when installed; advisory otherwise so offline CI passes.
 vuln:

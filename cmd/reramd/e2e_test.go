@@ -358,3 +358,24 @@ func TestDaemonDrainE2E(t *testing.T) {
 		t.Fatalf("journal dir %s is empty — the drained sweep never checkpointed", jdir)
 	}
 }
+
+// TestDaemonSigtermAtReadyE2E: a SIGTERM sent the moment /readyz first
+// answers 200 must drain, not kill, the daemon — the signal handler is
+// installed before readiness is reported. The window is narrow, so this
+// guards the ordering rather than reproducing the race on every run.
+func TestDaemonSigtermAtReadyE2E(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and drives the daemon")
+	}
+	bin := buildDaemon(t)
+	d := startDaemon(t, bin, nil, "-accesses", "300")
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatalf("SIGTERM: %v", err)
+	}
+	if err := d.cmd.Wait(); err != nil {
+		t.Fatalf("daemon exit after SIGTERM at readiness: %v; stderr:\n%s", err, d.stderr.String())
+	}
+	if stderr := d.stderr.String(); !strings.Contains(stderr, "drained cleanly") {
+		t.Fatalf("stderr lacks the drain narrative:\n%s", stderr)
+	}
+}

@@ -67,15 +67,9 @@ func run() int {
 
 		obsAddr    = flag.String("obs-addr", "", "serve the standalone telemetry plane (/metrics, /progress, /debug/pprof/) on this extra address; the API port always serves /metrics itself")
 		traceSpans = flag.String("trace-spans", "", "write hierarchical spans as a Chrome trace-event file (load in ui.perfetto.dev)")
-		pprofAddr  = flag.String("pprof", "", "deprecated alias for -obs-addr")
 	)
 	flag.Parse()
 
-	resolved, err := telemetry.ResolvePprofAlias("reramd", *obsAddr, *pprofAddr, os.Stderr)
-	if err != nil {
-		return fail(err)
-	}
-	*obsAddr = resolved
 	if *auditFrac < 0 || *auditFrac > 1 {
 		return fail(fmt.Errorf("-audit-fraction %g outside [0,1]", *auditFrac))
 	}
@@ -175,12 +169,15 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
+	// The handler must be in place before readiness is reported: a
+	// client that sees /readyz 200 may signal at once, and an uncaught
+	// SIGTERM would kill the daemon instead of draining it.
+	sig := make(chan os.Signal, 2)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	srv.SetReady(true)
 	stack.SetReady(true)
 	fmt.Fprintf(os.Stderr, "reramd: serving on http://%s\n", srv.Addr())
 
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	s := <-sig
 	fmt.Fprintf(os.Stderr, "reramd: %v: draining (in-flight work finishes and checkpoints; new requests get 503)\n", s)
 	stack.SetReady(false)

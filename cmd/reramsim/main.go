@@ -23,7 +23,6 @@
 // telemetry plane (/metrics, /healthz, /readyz, /progress and
 // /debug/pprof/ on one address with graceful shutdown), and -trace-spans
 // records hierarchical spans as a Chrome trace-event file for Perfetto.
-// -pprof is a deprecated alias for -obs-addr.
 package main
 
 import (
@@ -94,7 +93,6 @@ func main() {
 		traceOut   = flag.String("trace-out", "", "write structured trace events as JSONL to this file")
 		obsAddr    = flag.String("obs-addr", "", "serve live telemetry (/metrics, /healthz, /readyz, /progress, /debug/pprof/) on this address (e.g. localhost:6060)")
 		traceSpans = flag.String("trace-spans", "", "write hierarchical spans as a Chrome trace-event file (load in ui.perfetto.dev)")
-		pprofAddr  = flag.String("pprof", "", "deprecated alias for -obs-addr")
 	)
 	flag.Parse()
 
@@ -144,12 +142,6 @@ func main() {
 		chaos.Install(plan)
 		fmt.Fprintf(os.Stderr, "reramsim: chaos plan installed: %s\n", plan)
 	}
-	resolved, err := telemetry.ResolvePprofAlias("reramsim", *obsAddr, *pprofAddr, os.Stderr)
-	if err != nil {
-		fail(err)
-	}
-	*obsAddr = resolved
-
 	par.SetJobs(*jobsFlag)
 	if *solveCacheDir != "" {
 		sc, err := solvecache.Open(*solveCacheDir)

@@ -161,8 +161,9 @@ func TestSchemeCacheByteIdentity(t *testing.T) {
 		t.Fatal("warm scheme has an empty memo before any pricing")
 	}
 	sameLevels(t, "warm levels", warm.Levels(), ref.Levels())
-	var warmCosts []LineCost
-	delta := obs.Capture(func() { warmCosts = priceGrid(t, warm) })
+	before := obs.Default().Snapshot()
+	warmCosts := priceGrid(t, warm)
+	delta := obs.Default().Snapshot().Delta(before)
 	sameCosts(t, "warm", warmCosts, refCosts)
 	if misses := delta.Counters["core.memo.misses"]; misses != 0 {
 		t.Errorf("warm pricing missed the memo %d times, want 0", misses)

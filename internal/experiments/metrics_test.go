@@ -7,8 +7,8 @@ import (
 )
 
 // TestSuiteCapturesMetrics runs one simulation with observability on and
-// checks the per-run registry snapshot is captured and consistent with
-// the Result, so figures can be cross-checked against internal counters.
+// checks the registry delta across the run is consistent with the
+// Result, so figures can be cross-checked against internal counters.
 func TestSuiteCapturesMetrics(t *testing.T) {
 	obs.SetEnabled(true)
 	t.Cleanup(func() {
@@ -20,36 +20,30 @@ func TestSuiteCapturesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Metrics("Base", "mcf_m"); ok {
-		t.Fatal("Metrics reported a snapshot before any simulation ran")
-	}
+	before := obs.Default().Snapshot()
 	res, err := s.Sim("Base", "mcf_m")
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, ok := s.Metrics("Base", "mcf_m")
-	if !ok {
-		t.Fatal("no metrics snapshot captured for Base/mcf_m")
+	delta := obs.Default().Snapshot().Delta(before)
+	if got := delta.Counters["memsys.writes"]; got != res.Writes {
+		t.Errorf("delta memsys.writes = %d, Result.Writes = %d", got, res.Writes)
 	}
-	if got := snap.Counters["memsys.writes"]; got != res.Writes {
-		t.Errorf("snapshot memsys.writes = %d, Result.Writes = %d", got, res.Writes)
+	if got := delta.Counters["memsys.reads"]; got != res.Reads {
+		t.Errorf("delta memsys.reads = %d, Result.Reads = %d", got, res.Reads)
 	}
-	if got := snap.Counters["memsys.reads"]; got != res.Reads {
-		t.Errorf("snapshot memsys.reads = %d, Result.Reads = %d", got, res.Reads)
-	}
-	if h := snap.Histograms["memsys.read.latency_ns"]; h.Count != res.Reads {
+	if h := delta.Histograms["memsys.read.latency_ns"]; h.Count != res.Reads {
 		t.Errorf("read latency histogram count = %d, want %d", h.Count, res.Reads)
 	}
-	if keys := s.MetricsKeys(); len(keys) != 1 || keys[0] != "Base/mcf_m" {
-		t.Errorf("MetricsKeys = %v, want [Base/mcf_m]", keys)
-	}
 
-	// A second Sim of the same point is served from cache: the snapshot
-	// stays attached.
+	// A second Sim of the same point is served from cache: it records
+	// no further memory traffic.
+	before = obs.Default().Snapshot()
 	if _, err := s.Sim("Base", "mcf_m"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Metrics("Base", "mcf_m"); !ok {
-		t.Error("cached re-run lost the metrics snapshot")
+	delta = obs.Default().Snapshot().Delta(before)
+	if got := delta.Counters["memsys.reads"] + delta.Counters["memsys.writes"]; got != 0 {
+		t.Errorf("cached re-run recorded %d memory accesses, want 0", got)
 	}
 }

@@ -86,8 +86,8 @@ func TestSweepDeterministicAcrossJobs(t *testing.T) {
 }
 
 // TestSimSingleflight: many concurrent Sim calls for one key must share a
-// single execution. Verified through the metric registry: the captured
-// reads across the hammer equal one run's worth.
+// single execution. Verified through the metric registry: the reads and
+// writes recorded across the hammer equal one run's worth.
 func TestSimSingleflight(t *testing.T) {
 	obs.SetEnabled(true)
 	t.Cleanup(func() {
@@ -127,18 +127,17 @@ func TestSimSingleflight(t *testing.T) {
 		t.Errorf("registry recorded %d reads across %d concurrent Sim calls, want one run's %d",
 			got, callers, want)
 	}
-	snap, ok := s.Metrics("Base", "mcf_m")
-	if !ok {
-		t.Fatal("no metrics snapshot captured")
-	}
-	if snap.Counters["memsys.reads"] != results[0].Reads {
-		t.Errorf("snapshot attributes %d reads, want %d", snap.Counters["memsys.reads"], results[0].Reads)
+	if got, want := delta.Counters["memsys.writes"], results[0].Writes; got != want {
+		t.Errorf("registry recorded %d writes across %d concurrent Sim calls, want one run's %d",
+			got, callers, want)
 	}
 }
 
-// TestSuiteParallelHammer drives Sim/Metrics/Scheme/Variant from many
-// goroutines at once; run under -race (make race-par) it is the suite's
-// data-race detector.
+// TestSuiteParallelHammer drives Sim/Scheme/Variant from many goroutines
+// at once with observability on; run under -race (make race-par) it is
+// the suite's data-race detector. The registry must neither lose nor
+// double-count the memory traffic of instrumented sims running in
+// parallel.
 func TestSuiteParallelHammer(t *testing.T) {
 	obs.SetEnabled(true)
 	t.Cleanup(func() {
@@ -151,6 +150,7 @@ func TestSuiteParallelHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := crossPairs([]string{"Base", "Hard"}, []string{"mcf_m", "mil_m"})
+	before := obs.Default().Snapshot()
 	var wg sync.WaitGroup
 	for g := 0; g < 12; g++ {
 		wg.Add(1)
@@ -160,8 +160,6 @@ func TestSuiteParallelHammer(t *testing.T) {
 			if _, err := s.Sim(p.Scheme, p.Workload); err != nil {
 				t.Error(err)
 			}
-			s.Metrics(p.Scheme, p.Workload)
-			s.MetricsKeys()
 			if _, err := s.Scheme(p.Scheme); err != nil {
 				t.Error(err)
 			}
@@ -177,22 +175,61 @@ func TestSuiteParallelHammer(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Every pair must have an exactly attributed snapshot despite the
-	// concurrent runs.
+	// Every pair ran exactly once (12 goroutines cover all 4), so the
+	// registry delta must equal the sum over the distinct cells.
+	delta := obs.Default().Snapshot().Delta(before)
+	var reads, writes uint64
 	for _, p := range pairs {
 		r, err := s.Sim(p.Scheme, p.Workload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, ok := s.Metrics(p.Scheme, p.Workload)
-		if !ok {
-			t.Fatalf("%s/%s: no snapshot", p.Scheme, p.Workload)
-		}
-		if snap.Counters["memsys.reads"] != r.Reads || snap.Counters["memsys.writes"] != r.Writes {
-			t.Errorf("%s/%s: snapshot reads/writes %d/%d, result %d/%d — attribution leaked",
-				p.Scheme, p.Workload,
-				snap.Counters["memsys.reads"], snap.Counters["memsys.writes"], r.Reads, r.Writes)
-		}
+		reads += r.Reads
+		writes += r.Writes
+	}
+	if got := delta.Counters["memsys.reads"]; got != reads {
+		t.Errorf("registry recorded %d reads, want %d summed over %d cells", got, reads, len(pairs))
+	}
+	if got := delta.Counters["memsys.writes"]; got != writes {
+		t.Errorf("registry recorded %d writes, want %d summed over %d cells", got, writes, len(pairs))
+	}
+}
+
+// TestInstrumentedSimsOverlap: observability must not serialize
+// simulations. With metrics and spans on and two workers, two cold cells
+// of one scheme must simulate at the same time — their memsys spans
+// overlap — even at GOMAXPROCS=1.
+func TestInstrumentedSimsOverlap(t *testing.T) {
+	obs.SetEnabled(true)
+	sink := &obs.MemorySpanSink{}
+	obs.SetSpanSink(sink)
+	par.SetJobs(2)
+	t.Cleanup(func() {
+		par.SetJobs(0)
+		obs.SetSpanSink(nil)
+		obs.SetEnabled(false)
+		obs.Default().ResetValues()
+	})
+
+	s, err := NewSuite(1200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PrimeSims(crossPairs([]string{"Base"}, []string{"mcf_m", "mil_m"})); err != nil {
+		t.Fatal(err)
+	}
+	byName := make(map[string]obs.Span)
+	for _, sp := range sink.Spans() {
+		byName[sp.Name] = sp
+	}
+	a, okA := byName["memsys.sim:Base/mcf_m"]
+	b, okB := byName["memsys.sim:Base/mil_m"]
+	if !okA || !okB {
+		t.Fatalf("memsys.sim span recorded for Base/mcf_m: %v, Base/mil_m: %v", okA, okB)
+	}
+	if a.Start >= b.Start+b.Dur || b.Start >= a.Start+a.Dur {
+		t.Errorf("instrumented sims ran one after the other: mcf_m [%v, %v], mil_m [%v, %v]",
+			a.Start, a.Start+a.Dur, b.Start, b.Start+b.Dur)
 	}
 }
 

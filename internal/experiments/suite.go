@@ -6,7 +6,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -42,15 +41,6 @@ type Suite struct {
 	// solverKids caches the ForSolver sub-suites; their caches must stay
 	// separate from the parent's (same keys, different pricing).
 	solverKids map[core.SolverMode]*Suite
-
-	// metrics holds the per-simulation observability snapshot (registry
-	// delta across the run) keyed scheme/workload, captured while
-	// obs.Enabled() so paper tables can be cross-checked against the
-	// internal distributions that produced them. Captured runs serialize
-	// through obs.Capture, so each snapshot is exact — it contains that
-	// simulation's activity and nothing else, even when other sims run
-	// concurrently.
-	metrics map[string]obs.Snapshot
 
 	// variant suites for the sweep figures (array size, node, Kr).
 	variants map[string]*Suite
@@ -101,7 +91,6 @@ func newSuitePrecalibrated(cfg xpoint.Config, accessesPerCore int) *Suite {
 		MemCfg:   mc,
 		schemes:  make(map[string]*core.Scheme),
 		sims:     make(map[string]*memsys.Result),
-		metrics:  make(map[string]obs.Snapshot),
 		variants: make(map[string]*Suite),
 	}
 }
@@ -225,10 +214,10 @@ func (s *Suite) SimContext(ctx context.Context, scheme, workload string) (*memsy
 	return r, err
 }
 
-// runSim executes one simulation and stores its result (plus, with
-// observability on, its exact metric snapshot). It re-checks the cache
-// first: a caller that missed the cache may enter a fresh flight only
-// after the previous flight for the same key already stored its result.
+// runSim executes one simulation and stores its result. It re-checks
+// the cache first: a caller that missed the cache may enter a fresh
+// flight only after the previous flight for the same key already stored
+// its result.
 func (s *Suite) runSim(ctx context.Context, key, scheme, workload string) (*memsys.Result, error) {
 	s.mu.Lock()
 	r, ok := s.sims[key]
@@ -260,25 +249,12 @@ func (s *Suite) runSim(ctx context.Context, key, scheme, workload string) (*mems
 	// an engine cell; Heartbeat never influences results.
 	mc.Heartbeat = jobs.HeartbeatFunc(ctx)
 
-	var snap obs.Snapshot
-	capture := obs.Enabled()
-	if capture {
-		// Exact attribution: obs.Capture serializes captured windows
-		// process-wide, so the delta holds this run's counts and nothing
-		// else. The price is that instrumented simulations run one at a
-		// time; without -metrics (the fast path) sims stay fully parallel.
-		snap = obs.Capture(func() { r, err = memsys.Simulate(sc, b, mc) })
-	} else {
-		r, err = memsys.Simulate(sc, b, mc)
-	}
+	r, err = memsys.Simulate(sc, b, mc)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s on %s: %w", scheme, workload, err)
 	}
 	s.mu.Lock()
 	s.sims[key] = r
-	if capture {
-		s.metrics[key] = snap
-	}
 	s.mu.Unlock()
 	return r, nil
 }
@@ -347,29 +323,6 @@ func (s *Suite) SetEngine(eng *jobs.Engine) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.engine = eng
-}
-
-// Metrics returns the observability snapshot captured for a cached
-// simulation (the registry delta across exactly that run). The second
-// result is false when the simulation has not run, or ran with
-// observability off.
-func (s *Suite) Metrics(scheme, workload string) (obs.Snapshot, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	snap, ok := s.metrics[scheme+"/"+workload]
-	return snap, ok
-}
-
-// MetricsKeys lists the scheme/workload keys with captured snapshots.
-func (s *Suite) MetricsKeys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.metrics))
-	for k := range s.metrics {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // ForSolver returns a suite pricing writes through the given solver mode:

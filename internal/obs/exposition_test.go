@@ -56,8 +56,8 @@ memsys_read_latency_ns_count 4
 }
 
 // TestSnapshotLockFreeUnderMutation hammers the lock-free snapshot path
-// while writers mutate and register metrics and Capture windows run —
-// the -race gate for scrape-during-sweep.
+// while writers mutate and register metrics — the -race gate for
+// scrape-during-sweep.
 func TestSnapshotLockFreeUnderMutation(t *testing.T) {
 	SetEnabled(true)
 	defer SetEnabled(false)
@@ -81,15 +81,6 @@ func TestSnapshotLockFreeUnderMutation(t *testing.T) {
 			}
 		}(w)
 	}
-	// Capture windows on the default registry in parallel with scrapes:
-	// the scrape path must never need the capture lock.
-	writers.Add(1)
-	go func() {
-		defer writers.Done()
-		for i := 0; i < 50; i++ {
-			Capture(func() { C("hammer.capture").Inc() })
-		}
-	}()
 	// Scrapers.
 	for s := 0; s < 4; s++ {
 		scrapers.Add(1)

@@ -8,7 +8,8 @@
 // one atomic flag and performs no allocation, so instrumented hot paths
 // (line-write pricing, the discrete-event loop) run at seed speed when
 // observability is off. Enable it with SetEnabled(true) — cmd/reramsim
-// does this when -metrics, -trace-out or -pprof is given.
+// does this when -metrics, -trace-out, -obs-addr or -trace-spans is
+// given.
 //
 // Metric names follow the layer.subsystem.name convention, e.g.
 // "core.reset.section.3" or "memsys.read.latency_ns". Histogram names
@@ -198,8 +199,8 @@ func VoltageBounds() []float64 { return LinearBounds(0.1, 4.0, 40) }
 // immutable, name-sorted slice of every handle, swapped atomically on
 // each registration. Snapshot reads the view and the metrics' own
 // atomics, so scraping (the telemetry server's /metrics) never takes
-// the registry mutex and can never contend with obs.Capture's
-// process-wide capture lock or with registrations on hot paths.
+// the registry mutex and never contends with registrations on hot
+// paths.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter

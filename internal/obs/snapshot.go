@@ -78,10 +78,11 @@ type Snapshot struct {
 // Snapshot freezes the registry's current values. It is lock-free: the
 // handle set comes from the registry's copy-on-write view and the
 // values from each metric's own atomics, so a concurrent scrape (the
-// telemetry /metrics endpoint) never blocks metric mutation, metric
-// registration, or an obs.Capture window — and vice versa. Values read
-// while writers run are per-metric atomic reads, not a consistent
-// cross-metric cut; Capture remains the tool for exact attribution.
+// telemetry /metrics endpoint) never blocks metric mutation or metric
+// registration — and vice versa. Values read while writers run are
+// per-metric atomic reads, not a consistent cross-metric cut: the delta
+// between two snapshots attributes a run exactly only when nothing else
+// ran in between.
 func (r *Registry) Snapshot() Snapshot {
 	v := r.view.Load()
 	if v == nil {

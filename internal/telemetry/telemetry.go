@@ -7,7 +7,7 @@
 //
 //	/metrics       Prometheus text exposition, rendered from a fresh
 //	               registry snapshot per scrape (lock-free: scrapes
-//	               never contend with obs.Capture or metric mutation).
+//	               never contend with metric mutation).
 //	               The runtime.* series are refreshed on every scrape.
 //	/healthz       liveness: 200 as soon as the server is up.
 //	/readyz        readiness: 503 until the host marks the process
@@ -175,7 +175,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 
 // handleMetrics renders a fresh capture of the default registry per
 // scrape. The snapshot path is lock-free, so scraping mid-sweep never
-// stalls simulations (and never touches the obs.Capture lock).
+// stalls simulations.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	obs.CollectRuntime() // scrapes always see current runtime.* values
 	// WriteText renders into a pooled buffer and issues one Write, so it

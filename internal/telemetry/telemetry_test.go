@@ -203,9 +203,8 @@ func TestProgressJSONAndSSE(t *testing.T) {
 }
 
 // TestScrapeDuringSweepRace hammers /metrics from several clients while
-// an engine grid runs with instrumented cells mutating metrics and
-// Capture windows active — the -race gate for the lock-free scrape
-// path against live sweeps.
+// an engine grid runs with instrumented cells mutating metrics — the
+// -race gate for the lock-free scrape path against live sweeps.
 func TestScrapeDuringSweepRace(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
@@ -222,14 +221,13 @@ func TestScrapeDuringSweepRace(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		key := fmt.Sprintf("cell-%d", i)
 		cells = append(cells, jobs.Cell{Key: key, Run: func(ctx context.Context) ([]byte, error) {
-			// Instrumented cell body: counters, histograms and a
-			// capture window, as a real simulation produces.
+			// Instrumented cell body: counters and histograms, as a
+			// real simulation produces.
 			h := obs.H("telemetry.race.lat_ns", obs.LatencyBoundsNS())
 			for j := 0; j < 200; j++ {
 				obs.C("telemetry.race.ops").Inc()
 				h.Observe(float64(j))
 			}
-			obs.Capture(func() { obs.C("telemetry.race.captured").Inc() })
 			return []byte(key), nil
 		}})
 	}
