@@ -246,7 +246,9 @@ func benchArray(b *testing.B) *Array {
 	return arr
 }
 
-// BenchmarkResetOp1Bit measures one worst-case 1-bit array solve.
+// BenchmarkResetOp1Bit measures one worst-case 1-bit array solve. After
+// the first iteration the op's opening bit-line solve is an Array memo
+// hit, so later iterations time the solve without it.
 func BenchmarkResetOp1Bit(b *testing.B) {
 	arr := benchArray(b)
 	op := ResetOp{Row: 511, Cols: []int{511}, Volts: []float64{3.0}}
@@ -259,6 +261,8 @@ func BenchmarkResetOp1Bit(b *testing.B) {
 }
 
 // BenchmarkResetOp4Bit measures a PR-style 4-bit partitioned solve.
+// After the first iteration every piece's opening bit-line solve is an
+// Array memo hit (the four equal-voltage pieces share one key).
 func BenchmarkResetOp4Bit(b *testing.B) {
 	arr := benchArray(b)
 	op := ResetOp{
@@ -277,8 +281,10 @@ func BenchmarkResetOp4Bit(b *testing.B) {
 // BenchmarkResetOpSteadyState guards the zero-allocation solver hot
 // path: once the Array's context pool is warm, SimulateResetInto with a
 // caller-owned result must not allocate at all — the ladders, scratch
-// slices and result slices are all reused. The guard fails the benchmark
-// (and make ci) if an allocation sneaks back in.
+// slices and result slices are all reused, and the opening bit-line
+// solve, a memo hit after the warm-up, is copied under the memo's lock.
+// The guard fails the benchmark (and make ci) if an allocation sneaks
+// back in.
 func BenchmarkResetOpSteadyState(b *testing.B) {
 	arr := benchArray(b)
 	op := ResetOp{Row: 511, Cols: []int{511}, Volts: []float64{3.0}}

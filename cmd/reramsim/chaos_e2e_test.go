@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // chaosPlanArg is the seeded fault plan both chaos e2e tests run under.
@@ -60,14 +61,24 @@ func TestChaosDistByteIdentity(t *testing.T) {
 		"-chaos", chaosPlanArg,
 		"-metrics", "-metrics-format", "json",
 	)
-	for i := 0; i < 3; i++ {
-		startWorkerProc(t, bin, addr, "RERAM_CHAOS="+chaosPlanArg)
-	}
 	// The vandal: every segment it ships has a byte flipped in transit.
+	// It joins alone, and the honest workers join only once the
+	// coordinator has refused its first segment: started together, the
+	// honest three could drain the grid before it ever held a lease.
 	startWorkerProc(t, bin, addr,
 		"RERAM_CHAOS="+chaosPlanArg,
 		"RERAMSIM_DIST_CORRUPT_CELL=*",
 	)
+	deadline := time.Now().Add(30 * time.Second)
+	for !strings.Contains(stderr.String(), "bad segment from") {
+		if time.Now().After(deadline) {
+			t.Fatalf("the corrupt worker's first segment was never refused; stderr:\n%s", stderr.String())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	for i := 0; i < 3; i++ {
+		startWorkerProc(t, bin, addr, "RERAM_CHAOS="+chaosPlanArg)
+	}
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("coordinator exit: %v\nstderr:\n%s", err, stderr.String())
 	}

@@ -2,6 +2,7 @@ package xpoint
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"reramsim/internal/device"
@@ -13,6 +14,9 @@ import (
 // immutable after New, and each solve checks a private solve context
 // (ladders + scratch) out of an internal pool, so independent solves on
 // one Array may run in parallel and steady-state solves do not allocate.
+// The one thing solves share is a bounded memo of opening bit-line
+// solves (blMemo); each vector in it is a function of its key alone, so
+// a hit returns the bits the solve it skips would compute.
 type Array struct {
 	cfg Config
 
@@ -26,6 +30,8 @@ type Array struct {
 	// overridden, so per-op setup is a copy() instead of Size setLoad
 	// calls. Never mutated after New.
 	protoLoads []*device.Tabulated
+
+	blMemo blMemo
 
 	ctxs      sync.Pool // *solveCtx
 	batchCtxs sync.Pool // *batchCtx (lazy: Get may return nil)
@@ -49,6 +55,7 @@ func New(cfg Config) (*Array, error) {
 	for i := range a.protoLoads {
 		a.protoLoads[i] = a.half
 	}
+	a.blMemo.slot = make(map[blKey]int, blMemoCap)
 	a.ctxs.New = func() any { return &solveCtx{} }
 	return a, nil
 }
@@ -64,3 +71,63 @@ func MustNew(cfg Config) *Array {
 
 // Config returns the array's configuration.
 func (a *Array) Config() Config { return a.cfg }
+
+// blMemoCap bounds the opening bit-line solves one Array keeps: 128
+// vectors of Size float64s, 512 KiB at Size 512.
+const blMemoCap = 128
+
+// blKey names a piece's opening bit-line solve (see solvePiece). The
+// voltages are keyed by their bits, so only an identical input hits.
+type blKey struct {
+	row       int
+	va, vaMax uint64 // math.Float64bits of the piece and op maximum voltages
+}
+
+func newBLKey(row int, va, vaMax float64) blKey {
+	return blKey{row: row, va: math.Float64bits(va), vaMax: math.Float64bits(vaMax)}
+}
+
+// blMemo is a bounded FIFO memo of opening bit-line solves: a map from
+// key to ring slot, and a ring whose oldest slot (and its vector) is
+// reused once all blMemoCap slots are filled. Vectors are copied in and
+// out under the lock, so a hit allocates nothing and never aliases a
+// ladder.
+type blMemo struct {
+	mu   sync.Mutex
+	slot map[blKey]int
+	keys [blMemoCap]blKey
+	vecs [][]float64 // grows to blMemoCap, then slots are reused
+	next int         // slot the next store fills (the oldest once full)
+}
+
+// load copies the vector stored under k into v and reports whether there
+// was one.
+func (m *blMemo) load(k blKey, v []float64) bool {
+	m.mu.Lock()
+	i, ok := m.slot[k]
+	if ok {
+		copy(v, m.vecs[i])
+	}
+	m.mu.Unlock()
+	return ok
+}
+
+// store records v under k, evicting the oldest entry when full. A key a
+// concurrent miss already stored keeps its (identical) vector.
+func (m *blMemo) store(k blKey, v []float64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.slot[k]; ok {
+		return
+	}
+	i := m.next
+	if i == len(m.vecs) {
+		m.vecs = append(m.vecs, make([]float64, len(v)))
+	} else {
+		delete(m.slot, m.keys[i])
+	}
+	copy(m.vecs[i], v)
+	m.keys[i] = k
+	m.slot[k] = i
+	m.next = (i + 1) % blMemoCap
+}

@@ -176,15 +176,15 @@ func (l *ladder) sweep(relax float64) float64 {
 // solve iterates sweeps until the residual falls below tol, damping the
 // relaxation if the secant fixed point oscillates. It returns the final
 // residual (callers treat exceeding tol as a soft warning: the warm-started
-// outer iterations re-enter this ladder anyway).
-func (l *ladder) solve(tol float64, maxIter int) float64 {
+// outer iterations re-enter this ladder anyway) and the sweeps it ran.
+func (l *ladder) solve(tol float64, maxIter int) (res float64, sweeps int) {
 	relax := 1.0
 	prev := math.Inf(1)
-	res := math.Inf(1)
+	res = math.Inf(1)
 	for it := 0; it < maxIter; it++ {
 		res = l.sweep(relax)
 		if res < tol {
-			return res
+			return res, it + 1
 		}
 		// Damp when the residual stops shrinking decisively — a perfect
 		// 2-cycle keeps it constant, which "res > prev" alone would miss.
@@ -193,7 +193,7 @@ func (l *ladder) solve(tol float64, maxIter int) float64 {
 		}
 		prev = res
 	}
-	return res
+	return res, maxIter
 }
 
 // loadCurrent returns the current flowing out of node i into its device

@@ -15,14 +15,25 @@ var (
 	obsVeff      = obs.H("xpoint.reset.veff_v", obs.VoltageBounds())
 	obsLatency   = obs.H("xpoint.reset.latency_ns", obs.LatencyBoundsNS())
 	obsWorstDrop = obs.G("xpoint.reset.worst_drop_v")
+	obsSweeps    = obs.C("xpoint.reset.sweeps")
+	obsMemoHits  = obs.C("xpoint.reset.bl_memo_hits")
 )
 
-// recordReset publishes one solved RESET op's electrical outcome.
-func recordReset(op ResetOp, res *ResetResult) {
+// recordReset publishes one RESET op solved by the batch kernel, whose
+// ladder work is not counted.
+func recordReset(op ResetOp, res *ResetResult) { recordSolve(op, res, solveWork{}) }
+
+// recordSolve publishes one solved RESET op's electrical outcome and the
+// ladder work the per-op solver spent on it: sweeps run and opening
+// bit-line solves served from the memo. Sweeps count work independent of
+// the host, so they sit next to wall time as a solver cost.
+func recordSolve(op ResetOp, res *ResetResult, w solveWork) {
 	if !obs.Enabled() {
 		return
 	}
 	obsSolves.Inc()
+	obsSweeps.Add(uint64(w.sweeps))
+	obsMemoHits.Add(uint64(w.memoHits))
 	if res.Failed {
 		obsFailed.Inc()
 	}

@@ -60,7 +60,7 @@ func (a *Array) SimulateRead(row int, cols []int) (*ReadResult, error) {
 			l.setLoad(c, dev, 0)
 		}
 		l.init(p.Vread)
-		if res := l.solve(1e-9, 600); res > 1e-6 {
+		if res, _ := l.solve(1e-9, 600); res > 1e-6 {
 			return nil, 0, fmt.Errorf("xpoint: read ladder did not settle (residual %g)", res)
 		}
 		outs := make([]float64, len(cols))

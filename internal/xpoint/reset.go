@@ -251,6 +251,7 @@ func (a *Array) simulateInto(op ResetOp, res *ResetResult) {
 		ctx.ipiece[k] = 0
 	}
 
+	var work solveWork
 	itotal := 0.0
 	for outer := 0; outer < outerMaxIter; outer++ {
 		prevTotal := itotal
@@ -282,7 +283,7 @@ func (a *Array) simulateInto(op ResetOp, res *ResetResult) {
 			if t := ctx.tie1[k]; t >= 0 {
 				wlk.srcV[t] = vg
 			}
-			iv, ic := a.solvePiece(ctx.bl[k], wlk, op, k, lo[k])
+			iv, ic := a.solvePiece(ctx.bl[k], wlk, op, k, lo[k], vaMax, outer == 0, &work)
 			res.Veff[k], res.Icell[k] = iv, ic
 
 			// Piece ground current: everything the local ladder hands to
@@ -307,7 +308,19 @@ func (a *Array) simulateInto(op ResetOp, res *ResetResult) {
 			res.Latency = lat
 		}
 	}
-	recordReset(op, res)
+	recordSolve(op, res, work)
+}
+
+// solveWork is the ladder work one op's solve did: the sweeps it ran and
+// the opening bit-line solves the Array's memo served instead.
+type solveWork struct {
+	sweeps, memoHits int
+}
+
+// solve converges one piece ladder, counting its sweeps.
+func (w *solveWork) solve(l *ladder) {
+	_, n := l.solve(innerTol/4, ladderIter)
+	w.sweeps += n
 }
 
 // simulateOracleInto evaluates a multi-bit RESET on an oracle-tapped
@@ -425,8 +438,16 @@ func (a *Array) configureWL(l *ladder, lo, hi int, op ResetOp, k, n int, vhalf, 
 
 // solvePiece alternates the piece's coupled bit-line and word-line
 // ladders until the selected cell's terminal voltages settle, returning
-// the cell's effective voltage and current.
-func (a *Array) solvePiece(bl, wl *ladder, op ResetOp, k, lo int) (veff, icell float64) {
+// the cell's effective voltage and current and adding its ladder work to
+// w.
+//
+// On the op's first outer iteration (opening), the first bit-line solve
+// is a function of (row, va, vaMax) alone: resetBL has just rewritten
+// every bit-line input (driver taps at va, background loads toward
+// vaMax - Vrst/2, bounds [0, vaMax], seed va) and the selected cell sees
+// the word-line seed of exactly 0 V. That solve is served from, or
+// stored to, the Array's memo. bHat is read before it, as the seed va.
+func (a *Array) solvePiece(bl, wl *ladder, op ResetOp, k, lo int, vaMax float64, opening bool, w *solveWork) (veff, icell float64) {
 	row := op.Row
 	sel := op.Cols[k] - lo
 	// The exchanged terminal potentials are under-relaxed with adaptive
@@ -439,10 +460,20 @@ func (a *Array) solvePiece(bl, wl *ladder, op ResetOp, k, lo int) (veff, icell f
 	sinceBest := 0
 	for inner := 0; inner < innerMaxIter; inner++ {
 		bl.setLoad(row, a.cell, wHat)
-		bl.solve(innerTol/4, ladderIter)
+		if inner == 0 && opening {
+			key := newBLKey(row, op.Volts[k], vaMax)
+			if a.blMemo.load(key, bl.v) {
+				w.memoHits++
+			} else {
+				w.solve(bl)
+				a.blMemo.store(key, bl.v)
+			}
+		} else {
+			w.solve(bl)
+		}
 
 		wl.setLoad(sel, a.cell, bHat)
-		wl.solve(innerTol/4, ladderIter)
+		w.solve(wl)
 
 		dw := wl.v[sel] - wHat
 		db := bl.v[row] - bHat
