@@ -121,15 +121,13 @@ bench-guard:
 # the PR4 solver/cost baselines (steady-state ResetOp regressions show
 # up against BENCH_PR4.json), the PR6 telemetry overheads (span on/off,
 # /metrics scrape render), the PR7 served-request latency (full HTTP
-# round trip through admission + deadline setup), the PR8 solver modes
-# (per-op vs SoA-batched solves, cold-path pricing), the PR9 sweep
+# round trip through admission + deadline setup), the sweep
 # backends (serial vs parallel-4/8 vs a standing distributed-4 fleet —
 # the fleet must beat the serial cold-start wall clock), and the PR10
 # chaos plane (the disabled path must stay at 0 allocs/op).
 bench-json:
-	{ $(GO) test -run xxx -bench 'BenchmarkResetOp1Bit|BenchmarkResetOp4Bit|BenchmarkResetOpSteadyState|BenchmarkCostWriteMemoized|BenchmarkSweepParallel|BenchmarkSpanDisabled|BenchmarkSpanEnabled|BenchmarkMetricsScrape|BenchmarkResetBatchSolver|BenchmarkChaosDisabled' \
+	{ $(GO) test -run xxx -bench 'BenchmarkResetOp1Bit|BenchmarkResetOp4Bit|BenchmarkResetOpSteadyState|BenchmarkCostWriteMemoized|BenchmarkSweepParallel|BenchmarkSpanDisabled|BenchmarkSpanEnabled|BenchmarkMetricsScrape|BenchmarkChaosDisabled' \
 		-benchmem . ; \
-	  $(GO) test -run xxx -bench 'BenchmarkServedSolve' -benchtime 500x -benchmem ./internal/serve/ ; \
-	  $(GO) test -run xxx -bench 'BenchmarkSolverModesCold' -benchtime 10x -benchmem ./internal/core/ ; } \
+	  $(GO) test -run xxx -bench 'BenchmarkServedSolve' -benchtime 500x -benchmem ./internal/serve/ ; } \
 		| $(GO) run ./cmd/bench2json > BENCH_PR10.json
 	@echo "wrote BENCH_PR10.json"

@@ -198,7 +198,6 @@ func benchDistributedSweep(b *testing.B, pairs []experiments.SimPair, workers in
 		_, err = coord.RunSweep(ctx, dist.GridSpec{
 			Array:  base.Cfg,
 			Mem:    mem,
-			Solver: ws.Solver().String(),
 			Digest: digest,
 			Pairs:  distPairs,
 		}, eng)
@@ -223,7 +222,7 @@ func benchDistRunner() func(dist.GridSpec) (dist.CellFunc, error) {
 	var mu sync.Mutex
 	var prev *experiments.Suite
 	return func(spec dist.GridSpec) (dist.CellFunc, error) {
-		suite, err := experiments.NewWorkerSuite(spec.Array, spec.Mem, spec.Solver)
+		suite, err := experiments.NewWorkerSuite(spec.Array, spec.Mem, "")
 		if err != nil {
 			return nil, err
 		}
@@ -306,41 +305,6 @@ func BenchmarkResetOpSteadyState(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkResetBatchSolver compares one gather of eight independent
-// 1-bit solves run per-op against the SoA batch kernel. The batch result
-// is bit-identical (xpoint's differential tests enforce it); the win is
-// the shared node-major sweep over all lanes.
-func BenchmarkResetBatchSolver(b *testing.B) {
-	arr := benchArray(b)
-	var ops []ResetOp
-	for i := 0; i < 8; i++ {
-		ops = append(ops, ResetOp{
-			Row:   64*i + 63,
-			Cols:  []int{64*i + 32},
-			Volts: []float64{3.0},
-		})
-	}
-	out := make([]ResetResult, len(ops))
-	b.Run("perop", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for j := range ops {
-				if err := arr.SimulateResetInto(ops[j], &out[j]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("batched", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := arr.SimulateResetBatch(ops, out); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkCostWriteMemoized measures the steady-state (table-hit) cost

@@ -39,9 +39,7 @@ func main() {
 		accesses = flag.Int("accesses", 5000, "memory accesses simulated per core")
 		skipMaps = flag.Bool("skip-maps", false, "skip the surface-map experiments (fig4, fig6, fig11, fig13)")
 		jobsFlag = flag.Int("jobs", 0, "max parallel simulations/solves (0 = GOMAXPROCS); output is identical at any setting")
-
-		solverFlag = flag.String("solver", "exact", "cold RESET-op pricing: exact (reference), batched (bit-identical SoA batch solves) or surrogate (calibrated table, bounded error)")
-		list       = flag.Bool("list", false, "list experiment ids and exit")
+		list     = flag.Bool("list", false, "list experiment ids and exit")
 
 		checkpointDir = flag.String("checkpoint-dir", "", "journal sweep cells to this directory (crash-safe; cold start)")
 		resumeDir     = flag.String("resume", "", "resume journaled sweeps from this checkpoint directory, skipping finished cells")
@@ -105,11 +103,6 @@ func main() {
 		fail(err)
 	}
 	suite.SetContext(ctx)
-	solverMode, err := core.ParseSolverMode(*solverFlag)
-	if err != nil {
-		fail(err)
-	}
-	suite = suite.ForSolver(solverMode)
 
 	if *checkpointDir != "" || *resumeDir != "" {
 		// One journal covers every figure: the digest pins the array and

@@ -43,8 +43,6 @@ func run() int {
 		accesses = flag.Int("accesses", 20000, "memory accesses simulated per core")
 		jobsFlag = flag.Int("jobs", 0, "max parallel solves (0 = GOMAXPROCS)")
 
-		solverFlag = flag.String("solver", "exact", "default cold RESET-op pricing for requests that name none: exact (reference), batched (bit-identical SoA batch solves) or surrogate (calibrated table, bounded error)")
-
 		checkpointRoot = flag.String("checkpoint-root", "", "journal each sweep under <root>/<digest>/ (crash-safe; identical re-requested sweeps resume)")
 		cellTimeout    = flag.Duration("cell-timeout", 0, "per-cell deadline inside a sweep (0 = none); an exceeded cell is quarantined, not fatal")
 		solveCacheDir  = flag.String("solve-cache", "", "directory for the persistent solve cache (default: disabled)")
@@ -106,11 +104,6 @@ func run() int {
 		return fail(fmt.Errorf("calibration: %w", err))
 	}
 
-	defaultSolver, err := core.ParseSolverMode(*solverFlag)
-	if err != nil {
-		return fail(err)
-	}
-
 	// The distributed plane is opt-in: -workers (or an explicit
 	// -dist-addr) starts a persistent coordinator, and every /v1/sweep
 	// with live workers fans out to the fleet; admission, deadlines and
@@ -150,7 +143,6 @@ func run() int {
 			Suite:          suite,
 			CheckpointRoot: *checkpointRoot,
 			CellTimeout:    *cellTimeout,
-			DefaultSolver:  defaultSolver,
 			Dist:           coord,
 		},
 		Admission: serve.AdmissionConfig{

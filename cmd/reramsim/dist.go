@@ -34,7 +34,7 @@ func distRunnerFactory() func(dist.GridSpec) (dist.CellFunc, error) {
 	var mu sync.Mutex
 	var prev *experiments.Suite
 	return func(spec dist.GridSpec) (dist.CellFunc, error) {
-		suite, err := experiments.NewWorkerSuite(spec.Array, spec.Mem, spec.Solver)
+		suite, err := experiments.NewWorkerSuite(spec.Array, spec.Mem, "")
 		if err != nil {
 			return nil, err
 		}
@@ -121,7 +121,6 @@ func runCoordinated(suite *experiments.Suite, eng *jobs.Engine, pairs []experime
 	spec := dist.GridSpec{
 		Array:  suite.Cfg,
 		Mem:    suite.MemCfg,
-		Solver: suite.Solver().String(),
 		Digest: digest,
 		Pairs:  make([]dist.Pair, len(pairs)),
 	}

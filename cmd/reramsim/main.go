@@ -72,8 +72,6 @@ func main() {
 
 		jobsFlag = flag.Int("jobs", 0, "max parallel simulations/solves (0 = GOMAXPROCS); output is identical at any setting")
 
-		solverFlag = flag.String("solver", "exact", "cold RESET-op pricing: exact (reference), batched (bit-identical SoA batch solves) or surrogate (calibrated table, bounded error)")
-
 		coordinator = flag.String("coordinator", "", "run the sweep as a distributed coordinator on this address (e.g. localhost:0), leasing cells to -worker processes; output is identical to a local run")
 		auditFrac   = flag.Float64("audit-fraction", 0, "coordinator: fraction of completed cells re-leased to a second worker for digest cross-checks (0 = off, 1 = every cell); divergence quarantines the cell and flags both workers")
 		chaosPlan   = flag.String("chaos", os.Getenv("RERAM_CHAOS"), "seeded fault-injection plan for chaos testing, e.g. seed=42,latency=20ms,drop=0.1,flip=0.05,enospc=1 (default $RERAM_CHAOS; results must stay byte-identical)")
@@ -213,13 +211,6 @@ func main() {
 	suite.MemCfg.FaultProfile = *faultProfile
 	suite.MemCfg.FaultSeed = *faultSeed
 	suite.MemCfg.MaxWriteRetries = *maxRetries
-	// After the MemCfg edits: the solver sub-suite snapshots the memory
-	// config at creation (it still follows the parent's context live).
-	solverMode, err := core.ParseSolverMode(*solverFlag)
-	if err != nil {
-		fail(err)
-	}
-	suite = suite.ForSolver(solverMode)
 	stack.SetReady(true) // suite calibrated: work can be admitted
 
 	if len(schemes) > 1 || len(workloads) > 1 || *checkpointDir != "" || *resumeDir != "" || *coordinator != "" {

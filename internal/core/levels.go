@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
+	"reramsim/internal/par"
 	"reramsim/internal/xpoint"
 )
 
@@ -192,44 +194,25 @@ func CalibrateUDRVR(arr *xpoint.Array, drvr *LevelTable, minV, maxV float64, prC
 	}
 
 	// Sections are independent: section s reads and writes only its own
-	// row t.V[s] (seeded from drvr above). The calibration therefore runs
-	// them in lockstep — each step solves all sections' context ops as one
-	// SoA batch. Every section sees exactly the serial op sequence and
-	// level updates (the batch solver is bit-identical per op), so the
-	// resulting table matches the per-op calibration bit for bit.
-	rows := make([]int, t.Sections)
-	for s := range rows {
-		rows[s] = sectionMidRow(s, t.Sections, cfg.Size)
-	}
-	ops := make([]xpoint.ResetOp, t.Sections)
-	idxs := make([]int, t.Sections)
-	res := make([]xpoint.ResetResult, t.Sections)
-	solveAll := func(m int) error {
-		for s := 0; s < t.Sections; s++ {
-			ops[s], idxs[s] = contextOp(cfg, t, s, rows[s], m, prContext)
+	// row t.V[s] (seeded from drvr above), so they run one per task and
+	// the table is bit-identical at any worker count.
+	err := par.ForEach(context.Background(), t.Sections, func(s int) error {
+		row := sectionMidRow(s, t.Sections, cfg.Size)
+		// The array latency determinant: the far mux inside its own
+		// operation context at the DRVR level.
+		target, err := effInContext(arr, t, s, row, muxes-1, prContext)
+		if err != nil {
+			return fmt.Errorf("core: UDRVR section %d reference: %w", s, err)
 		}
-		return arr.SimulateResetBatch(ops, res)
-	}
-
-	// The array latency determinant: the far mux inside its own operation
-	// context at the DRVR level.
-	if err := solveAll(muxes - 1); err != nil {
-		return nil, fmt.Errorf("core: UDRVR reference: %w", err)
-	}
-	target := make([]float64, t.Sections)
-	for s := range target {
-		target[s] = res[s].Veff[idxs[s]]
-	}
-
-	// The contexts couple the muxes (level changes shift the shared
-	// trunk current), so sweep the table a few times.
-	for pass := 0; pass < 3; pass++ {
-		for m := muxes - 2; m >= 0; m-- {
-			if err := solveAll(m); err != nil {
-				return nil, fmt.Errorf("core: UDRVR mux %d: %w", m, err)
-			}
-			for s := 0; s < t.Sections; s++ {
-				level := t.V[s][m] + (target[s] - res[s].Veff[idxs[s]])
+		// The contexts couple the muxes (level changes shift the shared
+		// trunk current), so sweep the row a few times.
+		for pass := 0; pass < 3; pass++ {
+			for m := muxes - 2; m >= 0; m-- {
+				eff, err := effInContext(arr, t, s, row, m, prContext)
+				if err != nil {
+					return fmt.Errorf("core: UDRVR section %d mux %d: %w", s, m, err)
+				}
+				level := t.V[s][m] + (target - eff)
 				if level < minV {
 					level = minV
 				}
@@ -239,35 +222,33 @@ func CalibrateUDRVR(arr *xpoint.Array, drvr *LevelTable, minV, maxV float64, prC
 				t.V[s][m] = level
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
 
-// contextOp builds the canonical operation of the mux-m cell under the
-// current level table, returning the op and the cell's index within it.
-func contextOp(cfg xpoint.Config, t *LevelTable, s, row, m int, prContext bool) (xpoint.ResetOp, int) {
-	muxW := cfg.MuxWidth()
+// effInContext measures the effective Vrst of the mux-m cell in its
+// canonical operation under the current level table: the cell alone, or
+// with prContext the multi-bit operation partition RESET issues for it.
+func effInContext(arr *xpoint.Array, t *LevelTable, s, row, m int, prContext bool) (float64, error) {
+	muxW := arr.Config().MuxWidth()
 	participants := []int{m}
 	if prContext {
 		participants = prContextMuxes(m)
 	}
-	cols := make([]int, len(participants))
-	volts := make([]float64, len(participants))
+	n := len(participants)
+	op := xpoint.ResetOp{Row: row, Cols: make([]int, n), Volts: make([]float64, n)}
 	idx := -1
 	for i, pm := range participants {
-		cols[i] = pm*muxW + muxW/2
-		volts[i] = t.V[s][pm]
+		op.Cols[i] = pm*muxW + muxW/2
+		op.Volts[i] = t.V[s][pm]
 		if pm == m {
 			idx = i
 		}
 	}
-	return xpoint.ResetOp{Row: row, Cols: cols, Volts: volts}, idx
-}
-
-// effInContext measures the effective Vrst of the mux-m cell in its
-// canonical operation under the current level table.
-func effInContext(arr *xpoint.Array, t *LevelTable, s, row, m int, prContext bool) (float64, error) {
-	op, idx := contextOp(arr.Config(), t, s, row, m, prContext)
 	res, err := arr.SimulateReset(op)
 	if err != nil {
 		return 0, err
@@ -284,67 +265,26 @@ func CalibrateTargetEff(arr *xpoint.Array, targetEff, minV, maxV float64) (*Leve
 	muxes := cfg.DataWidth
 	muxW := cfg.MuxWidth()
 	t := FlatLevels(Sections, muxes, cfg.Params.Vrst)
-	// Sections are independent (the warm-start chain runs within a
-	// section's own mux loop, never across sections), so the secant solves
-	// run in lockstep: per mux, each iteration batches every section still
-	// converging. A converged section drops out of the batch exactly where
-	// solveLevel's serial loop breaks (before updating), so every section's
-	// iterate sequence — and the final table — is bit-identical to the
-	// per-section serial calibration.
-	rows := make([]int, Sections)
-	for s := range rows {
-		rows[s] = sectionMidRow(s, Sections, cfg.Size)
-	}
-	va := make([]float64, Sections)
-	active := make([]bool, Sections)
-	cols := make([][1]int, Sections)
-	volts := make([][1]float64, Sections)
-	ops := make([]xpoint.ResetOp, 0, Sections)
-	lanes := make([]int, 0, Sections)
-	res := make([]xpoint.ResetResult, Sections)
-	for m := muxes - 1; m >= 0; m-- {
-		col := m*muxW + muxW/2
-		for s := 0; s < Sections; s++ {
-			va[s] = cfg.Params.Vrst
+	// Sections are independent (mux m's secant warm-starts from mux m+1's
+	// level in the same section, never across sections), so they run one
+	// per task and the table is bit-identical at any worker count.
+	err := par.ForEach(context.Background(), Sections, func(s int) error {
+		row := sectionMidRow(s, Sections, cfg.Size)
+		for m := muxes - 1; m >= 0; m-- {
+			start := cfg.Params.Vrst
 			if m < muxes-1 {
-				va[s] = t.V[s][m+1]
+				start = t.V[s][m+1]
 			}
-			active[s] = true
+			level, err := solveLevel(arr, row, m*muxW+muxW/2, targetEff, start, minV, maxV)
+			if err != nil {
+				return fmt.Errorf("core: target calibration section %d mux %d: %w", s, m, err)
+			}
+			t.V[s][m] = level
 		}
-		for iter := 0; iter < 8; iter++ {
-			ops, lanes = ops[:0], lanes[:0]
-			for s := 0; s < Sections; s++ {
-				if !active[s] {
-					continue
-				}
-				cols[s][0], volts[s][0] = col, va[s]
-				ops = append(ops, xpoint.ResetOp{Row: rows[s], Cols: cols[s][:], Volts: volts[s][:]})
-				lanes = append(lanes, s)
-			}
-			if len(ops) == 0 {
-				break
-			}
-			if err := arr.SimulateResetBatch(ops, res[:len(ops)]); err != nil {
-				return nil, fmt.Errorf("core: target calibration mux %d: %w", m, err)
-			}
-			for i, s := range lanes {
-				diff := targetEff - res[i].Veff[0]
-				if diff < 1e-3 && diff > -1e-3 {
-					active[s] = false
-					continue
-				}
-				va[s] += diff // near-unit sensitivity of Veff to Va
-				if va[s] < minV {
-					va[s] = minV
-				}
-				if va[s] > maxV {
-					va[s] = maxV
-				}
-			}
-		}
-		for s := 0; s < Sections; s++ {
-			t.V[s][m] = va[s]
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }

@@ -199,9 +199,7 @@ func (s *Scheme) preloadMemo(b []byte) {
 // concurrent cold misses do not interleave temp files; each flush is a
 // full sorted dump, so the last writer always leaves a complete table.
 func (s *Scheme) flushMemo() {
-	// memoKey == "" disables flushing: surrogate mode must never write
-	// its approximate prices under the exact solver's memo digest.
-	if s.cache == nil || s.memoKey == "" {
+	if s.cache == nil {
 		return
 	}
 	s.flushMu.Lock()

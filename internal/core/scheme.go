@@ -10,7 +10,6 @@ import (
 	"reramsim/internal/obs"
 	"reramsim/internal/par"
 	"reramsim/internal/solvecache"
-	"reramsim/internal/surrogate"
 	"reramsim/internal/write"
 	"reramsim/internal/xpoint"
 )
@@ -74,19 +73,10 @@ type Scheme struct {
 
 	// Persistent solve cache (nil when disabled). Captured from the
 	// process-wide handle at construction; memoKey addresses this
-	// scheme's memo dump ("" disables flushing) and flushMu serialises
-	// its rewrites.
-	cache         *solvecache.Cache
-	memoKey       string
-	persistDigest string
-	flushMu       sync.Mutex
-
-	// Solver mode state (EnableSolver). The zero value is SolverExact:
-	// every cold op prices through its own SimulateReset, the Tier-1
-	// reference behavior.
-	solver SolverMode
-	bat    *opBatcher
-	sur    *surrogate.Table
+	// scheme's memo dump and flushMu serialises its rewrites.
+	cache   *solvecache.Cache
+	memoKey string
+	flushMu sync.Mutex
 }
 
 // memoShards is the number of independent memo partitions (power of two).
@@ -237,8 +227,7 @@ func NewScheme(name string, opt Options) (*Scheme, error) {
 		// the options digest; a warm directory seeds the whole cost table
 		// here, so a repeat sweep prices every op without touching the
 		// array solver.
-		s.persistDigest = memoDigest(optDigest, levels)
-		s.memoKey = "memo-" + s.persistDigest
+		s.memoKey = "memo-" + memoDigest(optDigest, levels)
 		if payload, ok := cache.Get(s.memoKey); ok {
 			s.preloadMemo(payload)
 		}
@@ -456,7 +445,7 @@ func (s *Scheme) opCost(k opKey) (opCost, error) {
 		if ok {
 			return c, nil
 		}
-		c, err := s.priceOp(k)
+		c, err := s.solveOp(k)
 		if err != nil {
 			return opCost{}, err
 		}

@@ -232,42 +232,3 @@ func (t *Tabulated) SecantConductance(v float64) float64 {
 	}
 	return t.Current(v) / v
 }
-
-// SecantConductanceInto fills dst[k] with SecantConductance(v[k]-shift)
-// for every k. It is the hot-loop form used by the batched crossbar
-// solver: the table lookup is inlined into a single pass, so the
-// per-element call overhead disappears and the I(v)/v divisions of
-// neighbouring elements pipeline in the divider. The sign handling is
-// branchless — math.Abs clears the sign bit exactly like the scalar
-// path's negation branch, and xor-ing the argument's sign bit back in
-// IS float64 negation (the x == 0 case, where the two would differ on
-// -0, is handled before) — so the loop carries no data-dependent
-// branches to mispredict. Each element's arithmetic repeats
-// Current/SecantConductance exactly, so dst[k] is bit-identical to
-// calling SecantConductance(v[k]-shift). dst and v may be the same
-// slice.
-func (t *Tabulated) SecantConductanceInto(dst, v []float64, shift float64) {
-	dst = dst[:len(v)]
-	n := len(t.i) - 1
-	for k := range v {
-		x := v[k] - shift
-		if x == 0 {
-			dst[k] = t.g0
-			continue
-		}
-		a := math.Abs(x)
-		sx := math.Float64bits(x) & (1 << 63)
-		var cur float64
-		if a >= t.VMax {
-			slope := (t.i[n] - t.i[n-1]) / t.step
-			cur = t.i[n] + slope*(a-t.VMax)
-		} else {
-			pos := a / t.step
-			kk := int(pos)
-			frac := pos - float64(kk)
-			cur = t.i[kk] + (t.i[kk+1]-t.i[kk])*frac
-		}
-		cur = math.Float64frombits(math.Float64bits(cur) ^ sx)
-		dst[k] = cur / x
-	}
-}

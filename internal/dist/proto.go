@@ -48,14 +48,13 @@ func (p Pair) Key() string { return p.Scheme + "/" + p.Workload }
 // GridSpec ships everything a worker needs to rebuild the sweep's suite
 // bit-exactly: the coordinator's calibrated array config (Eq. 1
 // constants already fitted — workers never recalibrate), the full
-// memory-system config, the solver mode and the cell list. Digest is
-// the coordinator's experiments GridDigest; a worker recomputes it from
-// the spec and refuses a mismatch, so a worker never runs cells under a
+// memory-system config and the cell list. Digest is the coordinator's
+// experiments GridDigest; a worker recomputes it from the spec and
+// refuses a mismatch, so a worker never runs cells under a
 // configuration that differs from the journal's pin.
 type GridSpec struct {
 	Array  xpoint.Config `json:"array"`
 	Mem    memsys.Config `json:"mem"` // Heartbeat carries json:"-": hooks never cross the wire
-	Solver string        `json:"solver,omitempty"`
 	Digest string        `json:"digest"`
 	Pairs  []Pair        `json:"pairs"`
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"reramsim/internal/core"
 	"reramsim/internal/jobs"
 	"reramsim/internal/memsys"
 	"reramsim/internal/xpoint"
@@ -24,21 +23,12 @@ const gridDigestVersion = 1
 // journal of a different sweep cold-starts instead of serving stale
 // payloads.
 func (s *Suite) GridDigest(pairs []SimPair) (string, error) {
-	// Solver is empty for the exact reference, so exact digests are
-	// byte-identical to those written before solver modes existed; a
-	// non-exact mode prices (surrogate) or schedules (batched) writes
-	// differently and must not replay an exact journal.
-	var solver string
-	if s.solver != core.SolverExact {
-		solver = s.solver.String()
-	}
 	doc := struct {
 		Version int
 		Array   xpoint.Config
 		Mem     memsys.Config // Heartbeat carries json:"-": hooks never enter the digest
-		Solver  string        `json:",omitempty"`
 		Pairs   []SimPair
-	}{gridDigestVersion, s.Cfg, s.MemCfg, solver, pairs}
+	}{gridDigestVersion, s.Cfg, s.MemCfg, pairs}
 	blob, err := json.Marshal(doc)
 	if err != nil {
 		return "", fmt.Errorf("experiments: grid digest: %w", err)

@@ -11,6 +11,7 @@ import (
 	"reramsim/internal/jobs"
 	"reramsim/internal/obs"
 	"reramsim/internal/par"
+	"reramsim/internal/xpoint"
 )
 
 var (
@@ -235,5 +236,13 @@ func TestGridDigestPinsConfig(t *testing.T) {
 	b.MemCfg.Heartbeat = func() {}
 	if d, err := b.GridDigest(pairs); err != nil || d != da {
 		t.Errorf("digest with heartbeat hook: %q (err %v), want %q", d, err, da)
+	}
+	// A literal digest: journals and dist leases written by earlier
+	// builds must keep matching. The uncalibrated default config keeps
+	// fitted floats out of the value.
+	const pinned = "grid-v1-4fbe3f924503459db1fac94a023e3b9a3a7f91f71224da6d9409acc26d6cf8c1"
+	lit := []SimPair{{Scheme: "Base", Workload: "mcf_m"}, {Scheme: "UDRVR+PR", Workload: "mil_m"}}
+	if d, err := newSuitePrecalibrated(xpoint.DefaultConfig(), 1200).GridDigest(lit); err != nil || d != pinned {
+		t.Errorf("default-config digest = %q (err %v), want %q", d, err, pinned)
 	}
 }

@@ -34,14 +34,6 @@ type Suite struct {
 	schemes map[string]*core.Scheme
 	sims    map[string]*memsys.Result
 
-	// solver is the cold-op pricing mode every scheme this suite builds
-	// enables (ForSolver). The zero value is the exact Tier-1 reference.
-	solver core.SolverMode
-
-	// solverKids caches the ForSolver sub-suites; their caches must stay
-	// separate from the parent's (same keys, different pricing).
-	solverKids map[core.SolverMode]*Suite
-
 	// variant suites for the sweep figures (array size, node, Kr).
 	variants map[string]*Suite
 
@@ -173,11 +165,6 @@ func (s *Suite) Scheme(name string) (*core.Scheme, error) {
 		sc, err := build(s.Cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: building %s: %w", name, err)
-		}
-		if s.solver != core.SolverExact {
-			if err := sc.EnableSolver(s.solver); err != nil {
-				return nil, fmt.Errorf("experiments: %s solver for %s: %w", s.solver, name, err)
-			}
 		}
 		s.mu.Lock()
 		s.schemes[name] = sc
@@ -325,35 +312,6 @@ func (s *Suite) SetEngine(eng *jobs.Engine) {
 	s.engine = eng
 }
 
-// ForSolver returns a suite pricing writes through the given solver mode:
-// the receiver itself when the mode already matches (so the exact default
-// costs nothing), otherwise a cached sub-suite sharing the calibrated
-// configuration but none of the scheme/simulation caches — the modes may
-// price differently (surrogate) and must not serve one another's results.
-// The sub-suite follows the parent's cancellation context live.
-func (s *Suite) ForSolver(mode core.SolverMode) *Suite {
-	if mode == s.solver {
-		return s
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if v, ok := s.solverKids[mode]; ok {
-		return v
-	}
-	v := newSuitePrecalibrated(s.Cfg, 0)
-	v.MemCfg = s.MemCfg
-	v.parent = s
-	v.solver = mode
-	if s.solverKids == nil {
-		s.solverKids = make(map[core.SolverMode]*Suite)
-	}
-	s.solverKids[mode] = v
-	return v
-}
-
-// Solver reports the pricing mode this suite's schemes enable.
-func (s *Suite) Solver() core.SolverMode { return s.solver }
-
 // Variant returns a cached sub-suite with a modified array configuration
 // (used by the Fig. 18-20 sweeps). The key must uniquely identify the
 // modification. The sub-suite simulates the same system as its parent —
@@ -383,7 +341,6 @@ func (s *Suite) Variant(key string, mod func(*xpoint.Config)) (*Suite, error) {
 		v = newSuitePrecalibrated(cfg, 0)
 		v.MemCfg = s.MemCfg
 		v.parent = s // sub-suite sweeps honour the parent's cancellation
-		v.solver = s.solver
 		s.mu.Lock()
 		s.variants[key] = v
 		s.mu.Unlock()

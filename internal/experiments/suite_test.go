@@ -162,3 +162,15 @@ func TestVariantCaching(t *testing.T) {
 		t.Errorf("variant config size = %d", v1.Cfg.Size)
 	}
 }
+
+// TestNewWorkerSuiteRejectsSolver: the exact solver is the only one, so a
+// worker suite refuses any solver name, "exact" included.
+func TestNewWorkerSuiteRejectsSolver(t *testing.T) {
+	s := suite()
+	if _, err := NewWorkerSuite(s.Cfg, s.MemCfg, ""); err != nil {
+		t.Fatalf("empty solver: %v", err)
+	}
+	if _, err := NewWorkerSuite(s.Cfg, s.MemCfg, "exact"); err == nil {
+		t.Error(`solver "exact" accepted`)
+	}
+}

@@ -23,25 +23,21 @@ import (
 // ones.
 
 // NewWorkerSuite rebuilds the suite for a distributed sweep from its
-// wire configuration: a calibrated array config, the full memory-system
-// config and the solver mode name ("" selects the exact reference). No
-// calibration runs — the configs are used as shipped.
+// wire configuration: a calibrated array config and the full
+// memory-system config. No calibration runs — the configs are used as
+// shipped. The exact solver is the only one, so solver must be empty;
+// the parameter remains only because the benchmark module still passes
+// "" for it.
 func NewWorkerSuite(cfg xpoint.Config, mem memsys.Config, solver string) (*Suite, error) {
+	if solver != "" {
+		return nil, fmt.Errorf("experiments: worker suite: solver %q: the exact solver is the only one", solver)
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("experiments: worker suite: %w", err)
 	}
 	s := newSuitePrecalibrated(cfg, 0)
 	s.MemCfg = mem
 	s.MemCfg.Heartbeat = nil // local hook never crosses the wire
-	if solver != "" {
-		mode, err := core.ParseSolverMode(solver)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: worker suite: %w", err)
-		}
-		// ForSolver after the MemCfg assignment: the sub-suite snapshots
-		// the memory config at creation.
-		s = s.ForSolver(mode)
-	}
 	return s, nil
 }
 
@@ -62,16 +58,15 @@ func (s *Suite) RunCell(ctx context.Context, key string) ([]byte, error) {
 }
 
 // AdoptSchemes copies prev's built scheme cache into s when both suites
-// share the identical array configuration and solver mode. Schemes are
-// immutable after construction and depend only on (Cfg, solver) — their
-// memo tables are concurrency-safe caches — so the copy is safe and
-// skips rebuilding identical level tables. A standing worker fleet uses
-// this to serve back-to-back sweeps that differ only in memory-system
-// settings (seed, access budget) without paying scheme construction
-// each time. Suites with a different array config or solver adopt
-// nothing.
+// share the identical array configuration. Schemes are immutable after
+// construction and depend only on Cfg — their memo tables are
+// concurrency-safe caches — so the copy is safe and skips rebuilding
+// identical level tables. A standing worker fleet uses this to serve
+// back-to-back sweeps that differ only in memory-system settings (seed,
+// access budget) without paying scheme construction each time. Suites
+// with a different array config adopt nothing.
 func (s *Suite) AdoptSchemes(prev *Suite) {
-	if prev == nil || s == prev || s.Cfg != prev.Cfg || s.solver != prev.solver {
+	if prev == nil || s == prev || s.Cfg != prev.Cfg {
 		return
 	}
 	prev.mu.Lock()

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"reramsim/internal/core"
 	"reramsim/internal/dist"
 	"reramsim/internal/experiments"
 	"reramsim/internal/jobs"
@@ -18,22 +17,19 @@ import (
 // production implementation is SuiteBackend; tests substitute doubles
 // with controllable latency, failures and panics.
 type Backend interface {
-	// Validate rejects an unknown scheme, workload or solver mode with a
-	// descriptive error (mapped to 400). The empty solver selects the
-	// backend's default.
-	Validate(scheme, workload, solver string) error
+	// Validate rejects an unknown scheme or workload with a descriptive
+	// error (mapped to 400).
+	Validate(scheme, workload string) error
 	// Digest derives the content-addressed identity of a sweep grid:
 	// two requests with equal digests are the same question and share
-	// one execution. The solver mode is part of the identity — modes may
-	// price writes differently and must not share results.
-	Digest(pairs []experiments.SimPair, solver string) (string, error)
-	// Solve runs one (scheme, workload) simulation under ctx through the
-	// requested solver mode.
-	Solve(ctx context.Context, scheme, workload, solver string) (json.RawMessage, error)
+	// one execution.
+	Digest(pairs []experiments.SimPair) (string, error)
+	// Solve runs one (scheme, workload) simulation under ctx.
+	Solve(ctx context.Context, scheme, workload string) (json.RawMessage, error)
 	// Sweep runs a grid under ctx as crash-safe jobs. onProgress, when
 	// non-nil, receives a live progress source once the engine exists
 	// (feeding the /v1/jobs SSE stream).
-	Sweep(ctx context.Context, digest string, pairs []experiments.SimPair, solver string,
+	Sweep(ctx context.Context, digest string, pairs []experiments.SimPair,
 		onProgress func(func() jobs.Progress)) (*jobs.Report, error)
 }
 
@@ -49,9 +45,6 @@ type SuiteBackend struct {
 	CheckpointRoot string
 	// CellTimeout bounds each grid cell (jobs.Options.CellTimeout).
 	CellTimeout time.Duration
-	// DefaultSolver handles requests that leave the solver field empty
-	// (the -solver flag of reramd). The zero value is the exact solver.
-	DefaultSolver core.SolverMode
 	// Dist, when set, fans sweeps out to the coordinator's worker fleet
 	// whenever live workers are joined; with none the sweep runs
 	// in-process. Either way the journal, progress view and report are
@@ -59,32 +52,11 @@ type SuiteBackend struct {
 	Dist *dist.Coordinator
 }
 
-func (b *SuiteBackend) Validate(scheme, workload, solver string) error {
+func (b *SuiteBackend) Validate(scheme, workload string) error {
 	if err := validateName("scheme", scheme, experiments.SchemeNames()); err != nil {
 		return err
 	}
-	if err := validateName("workload", workload, experiments.Workloads()); err != nil {
-		return err
-	}
-	if solver != "" {
-		if _, err := core.ParseSolverMode(solver); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// suiteFor resolves the request's solver mode (empty = the backend
-// default) to its suite.
-func (b *SuiteBackend) suiteFor(solver string) (*experiments.Suite, error) {
-	mode := b.DefaultSolver
-	if solver != "" {
-		var err error
-		if mode, err = core.ParseSolverMode(solver); err != nil {
-			return nil, err
-		}
-	}
-	return b.Suite.ForSolver(mode), nil
+	return validateName("workload", workload, experiments.Workloads())
 }
 
 // validateName mirrors the CLIs' did-you-mean behaviour for the API.
@@ -100,32 +72,20 @@ func validateName(kind, name string, valid []string) error {
 	return fmt.Errorf("unknown %s %q (valid: %s)", kind, name, strings.Join(valid, ", "))
 }
 
-func (b *SuiteBackend) Digest(pairs []experiments.SimPair, solver string) (string, error) {
-	suite, err := b.suiteFor(solver)
-	if err != nil {
-		return "", err
-	}
-	return suite.GridDigest(pairs)
+func (b *SuiteBackend) Digest(pairs []experiments.SimPair) (string, error) {
+	return b.Suite.GridDigest(pairs)
 }
 
-func (b *SuiteBackend) Solve(ctx context.Context, scheme, workload, solver string) (json.RawMessage, error) {
-	suite, err := b.suiteFor(solver)
-	if err != nil {
-		return nil, err
-	}
-	r, err := suite.SimContext(ctx, scheme, workload)
+func (b *SuiteBackend) Solve(ctx context.Context, scheme, workload string) (json.RawMessage, error) {
+	r, err := b.Suite.SimContext(ctx, scheme, workload)
 	if err != nil {
 		return nil, err
 	}
 	return json.Marshal(r)
 }
 
-func (b *SuiteBackend) Sweep(ctx context.Context, digest string, pairs []experiments.SimPair, solver string,
+func (b *SuiteBackend) Sweep(ctx context.Context, digest string, pairs []experiments.SimPair,
 	onProgress func(func() jobs.Progress)) (*jobs.Report, error) {
-	suite, err := b.suiteFor(solver)
-	if err != nil {
-		return nil, err
-	}
 	opts := jobs.Options{CellTimeout: b.CellTimeout}
 	if b.CheckpointRoot != "" {
 		// One journal directory per grid digest: different grids never
@@ -144,9 +104,8 @@ func (b *SuiteBackend) Sweep(ctx context.Context, digest string, pairs []experim
 	}
 	if b.Dist != nil && b.Dist.LiveWorkers() > 0 {
 		spec := dist.GridSpec{
-			Array:  suite.Cfg,
-			Mem:    suite.MemCfg,
-			Solver: suite.Solver().String(),
+			Array:  b.Suite.Cfg,
+			Mem:    b.Suite.MemCfg,
 			Digest: digest,
 			Pairs:  make([]dist.Pair, len(pairs)),
 		}
@@ -155,5 +114,5 @@ func (b *SuiteBackend) Sweep(ctx context.Context, digest string, pairs []experim
 		}
 		return b.Dist.RunSweep(ctx, spec, eng)
 	}
-	return suite.RunGridContext(ctx, eng, pairs)
+	return b.Suite.RunGridContext(ctx, eng, pairs)
 }

@@ -392,11 +392,8 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, into any) bool {
 }
 
 type solveRequest struct {
-	Scheme   string `json:"scheme"`
-	Workload string `json:"workload"`
-	// Solver selects the cold-op pricing mode (exact, batched or
-	// surrogate); empty uses the backend default.
-	Solver     string `json:"solver,omitempty"`
+	Scheme     string `json:"scheme"`
+	Workload   string `json:"workload"`
 	DeadlineMs int64  `json:"deadline_ms,omitempty"`
 }
 
@@ -411,7 +408,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if err := s.opts.Backend.Validate(req.Scheme, req.Workload, req.Solver); err != nil {
+	if err := s.opts.Backend.Validate(req.Scheme, req.Workload); err != nil {
 		writeError(w, http.StatusBadRequest, 0, "%v", err)
 		return
 	}
@@ -428,7 +425,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	obsSolves.Inc()
-	result, err := s.opts.Backend.Solve(ctx, req.Scheme, req.Workload, req.Solver)
+	result, err := s.opts.Backend.Solve(ctx, req.Scheme, req.Workload)
 	if err != nil {
 		s.writeComputeErr(w, err)
 		return
@@ -437,13 +434,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 }
 
 type sweepRequest struct {
-	Schemes   []string `json:"schemes"`
-	Workloads []string `json:"workloads"`
-	// Solver selects the cold-op pricing mode (exact, batched or
-	// surrogate); empty uses the backend default. Part of the sweep's
-	// digest, so different modes never share a job or its checkpoints.
-	Solver     string `json:"solver,omitempty"`
-	DeadlineMs int64  `json:"deadline_ms,omitempty"`
+	Schemes    []string `json:"schemes"`
+	Workloads  []string `json:"workloads"`
+	DeadlineMs int64    `json:"deadline_ms,omitempty"`
 	// Wait blocks the response until the job finishes (bounded by the
 	// request deadline) instead of returning 202 immediately.
 	Wait bool `json:"wait,omitempty"`
@@ -460,7 +453,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, sc := range req.Schemes {
 		for _, wl := range req.Workloads {
-			if err := s.opts.Backend.Validate(sc, wl, req.Solver); err != nil {
+			if err := s.opts.Backend.Validate(sc, wl); err != nil {
 				writeError(w, http.StatusBadRequest, 0, "%v", err)
 				return
 			}
@@ -475,7 +468,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			pairs = append(pairs, experiments.SimPair{Scheme: sc, Workload: wl})
 		}
 	}
-	digest, err := s.opts.Backend.Digest(pairs, req.Solver)
+	digest, err := s.opts.Backend.Digest(pairs)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, 0, "digest: %v", err)
 		return
@@ -500,7 +493,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		defer release()
 		obsJobsRun.Inc()
-		rep, err := s.opts.Backend.Sweep(ctx, digest, pairs, req.Solver, j.setProgress)
+		rep, err := s.opts.Backend.Sweep(ctx, digest, pairs, j.setProgress)
 		j.finish(rep, err)
 	})
 	if attached {

@@ -37,27 +37,22 @@ type stubBackend struct {
 	sweeps atomic.Int64
 }
 
-func (b *stubBackend) Validate(scheme, workload, solver string) error {
+func (b *stubBackend) Validate(scheme, workload string) error {
 	if scheme == "nope" || workload == "nope" {
 		return fmt.Errorf("unknown name %q", "nope")
 	}
-	switch solver {
-	case "", "exact", "batched", "surrogate":
-		return nil
-	}
-	return fmt.Errorf("unknown solver %q", solver)
+	return nil
 }
 
-func (b *stubBackend) Digest(pairs []experiments.SimPair, solver string) (string, error) {
+func (b *stubBackend) Digest(pairs []experiments.SimPair) (string, error) {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00", solver)
 	for _, p := range pairs {
 		fmt.Fprintf(h, "%s\x00%s\x00", p.Scheme, p.Workload)
 	}
 	return "stub-" + hex.EncodeToString(h.Sum(nil)), nil
 }
 
-func (b *stubBackend) Solve(ctx context.Context, scheme, workload, solver string) (json.RawMessage, error) {
+func (b *stubBackend) Solve(ctx context.Context, scheme, workload string) (json.RawMessage, error) {
 	b.solves.Add(1)
 	if b.solveDelay > 0 {
 		t := time.NewTimer(b.solveDelay)
@@ -71,7 +66,7 @@ func (b *stubBackend) Solve(ctx context.Context, scheme, workload, solver string
 	return json.Marshal(map[string]string{"scheme": scheme, "workload": workload})
 }
 
-func (b *stubBackend) Sweep(ctx context.Context, digest string, pairs []experiments.SimPair, solver string,
+func (b *stubBackend) Sweep(ctx context.Context, digest string, pairs []experiments.SimPair,
 	onProgress func(func() jobs.Progress)) (*jobs.Report, error) {
 	b.sweeps.Add(1)
 	if b.sweepStarted != nil {
@@ -186,47 +181,6 @@ func TestSolveOK(t *testing.T) {
 	}
 }
 
-// TestSolverField: the optional solver request field flows through
-// validation (400 on an unknown mode) and into the sweep digest, so the
-// same grid under different solvers never dedups onto one job.
-func TestSolverField(t *testing.T) {
-	b := &stubBackend{}
-	s := startTestServer(t, b, nil)
-	solveURL := "http://" + s.Addr() + "/v1/solve"
-	if resp, body := postJSON(t, solveURL, "",
-		map[string]any{"scheme": "A", "workload": "w", "solver": "batched"}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("solver=batched: status = %d, body %s", resp.StatusCode, body)
-	}
-	if resp, body := postJSON(t, solveURL, "",
-		map[string]any{"scheme": "A", "workload": "w", "solver": "magic"}); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("solver=magic: status = %d, body %s", resp.StatusCode, body)
-	}
-
-	sweepURL := "http://" + s.Addr() + "/v1/sweep"
-	digests := map[string]bool{}
-	for _, solver := range []string{"", "surrogate"} {
-		resp, body := postJSON(t, sweepURL, "", map[string]any{
-			"schemes": []string{"A"}, "workloads": []string{"w"}, "solver": solver, "wait": true,
-		})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("sweep solver=%q: status = %d, body %s", solver, resp.StatusCode, body)
-		}
-		var doc struct {
-			Digest string `json:"digest"`
-		}
-		if err := json.Unmarshal(body, &doc); err != nil {
-			t.Fatalf("unmarshal: %v", err)
-		}
-		digests[doc.Digest] = true
-	}
-	if len(digests) != 2 {
-		t.Errorf("solver modes share a sweep digest: %v", digests)
-	}
-	if got := b.sweeps.Load(); got != 2 {
-		t.Errorf("sweeps = %d, want 2 (one per solver mode)", got)
-	}
-}
-
 func TestValidationRejects(t *testing.T) {
 	s := startTestServer(t, &stubBackend{}, nil)
 	resp, body := postJSON(t, "http://"+s.Addr()+"/v1/solve", "",
@@ -243,6 +197,15 @@ func TestValidationRejects(t *testing.T) {
 	}
 	if resp2, body2 := postJSON(t, "http://"+s.Addr()+"/v1/solve", "", "not an object"); resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed body: status = %d, want 400 (%s)", resp2.StatusCode, body2)
+	}
+	// The removed solver field is an unknown field like any other.
+	resp3, body3 := postJSON(t, "http://"+s.Addr()+"/v1/solve", "",
+		map[string]any{"scheme": "A", "workload": "w", "solver": "exact"})
+	if resp3.StatusCode != http.StatusBadRequest {
+		t.Fatalf("solver field: status = %d, want 400 (%s)", resp3.StatusCode, body3)
+	}
+	if err := json.Unmarshal(body3, &apiErr); err != nil || !strings.Contains(apiErr.Error, `"solver"`) {
+		t.Fatalf("solver field: error %q (%v) does not name the field", apiErr.Error, err)
 	}
 }
 

@@ -33,8 +33,7 @@ type Array struct {
 
 	blMemo blMemo
 
-	ctxs      sync.Pool // *solveCtx
-	batchCtxs sync.Pool // *batchCtx (lazy: Get may return nil)
+	ctxs sync.Pool // *solveCtx
 }
 
 // New builds an Array from cfg. It returns an error rather than panicking

@@ -19,10 +19,6 @@ var (
 	obsMemoHits  = obs.C("xpoint.reset.bl_memo_hits")
 )
 
-// recordReset publishes one RESET op solved by the batch kernel, whose
-// ladder work is not counted.
-func recordReset(op ResetOp, res *ResetResult) { recordSolve(op, res, solveWork{}) }
-
 // recordSolve publishes one solved RESET op's electrical outcome and the
 // ladder work the per-op solver spent on it: sweeps run and opening
 // bit-line solves served from the memo. Sweeps count work independent of

@@ -197,6 +197,63 @@ func TestResetSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestWideSolveDoesNotPinPooledLadders is the regression test for the
+// pooled-context retention fix: after an op wider than pooledPieceCap,
+// the pool must hand out a fresh small context, not the max-size one
+// (before the fix, one wide op left every pooled context pinning
+// Size-scale ladders for the process lifetime).
+func TestWideSolveDoesNotPinPooledLadders(t *testing.T) {
+	cfg := DefaultConfig()
+	arr := MustNew(cfg)
+	n := pooledPieceCap + 8
+	op := ResetOp{Row: 5, Cols: make([]int, n), Volts: make([]float64, n)}
+	for i := 0; i < n; i++ {
+		op.Cols[i] = i * (cfg.Size / n)
+		op.Volts[i] = cfg.Params.Vrst
+	}
+	var res ResetResult
+	if err := arr.SimulateResetInto(op, &res); err != nil {
+		t.Fatal(err)
+	}
+	c := arr.getCtx(1)
+	if len(c.bl) > pooledPieceCap {
+		t.Fatalf("pool returned a %d-piece context after a wide solve; oversized contexts must be discarded", len(c.bl))
+	}
+	arr.putCtx(c)
+
+	// Small ops must still pool: the steady state stays allocation-free
+	// after the large→small transition.
+	small := oneBit(cfg.Size-1, cfg.Size-1, cfg.Params.Vrst)
+	if err := arr.SimulateResetInto(small, &res); err != nil {
+		t.Fatal(err)
+	}
+	if raceEnabled {
+		return // sync.Pool drops Puts at random under the race detector
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := arr.SimulateResetInto(small, &res); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("steady-state small solve allocates %.1f/op after wide workload", allocs)
+	}
+}
+
+// TestPutCtxDiscardsOversized pins the putCtx size-class bound directly.
+func TestPutCtxDiscardsOversized(t *testing.T) {
+	arr := MustNew(smallConfig())
+	big := &solveCtx{}
+	big.grow(arr, pooledPieceCap+1)
+	arr.putCtx(big)
+	if got := arr.getCtx(1); got == big {
+		t.Error("context above pooledPieceCap returned to the pool")
+	}
+	ok := &solveCtx{}
+	ok.grow(arr, pooledPieceCap)
+	arr.putCtx(ok) // at the bound: must remain poolable
+}
+
 // TestResetWorkCounters: with obs on, re-solving an op on the same Array
 // serves each piece's opening bit-line solve from the memo, which the
 // bl_memo_hits counter shows and the sweeps counter shows as less work.
