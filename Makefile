@@ -28,9 +28,9 @@ race-fault:
 	$(GO) test -race ./internal/fault/ ./internal/memsys/ ./internal/ecp/ ./internal/wear/
 
 # The parallel-execution layer under the race detector: the worker pool,
-# the singleflighted Suite caches, the sharded scheme memo and the pooled
-# array solve contexts are where fan-out contention lives (make race
-# covers everything).
+# the singleflighted Suite caches, the lock-free scheme cost table and
+# the pooled array solve contexts are where fan-out contention lives
+# (make race covers everything).
 race-par:
 	$(GO) test -race ./internal/par/ ./internal/experiments/ ./internal/core/ ./internal/xpoint/
 
@@ -111,11 +111,12 @@ staticcheck:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# The allocation guards: steady-state SimulateResetInto, disabled spans
+# The allocation guards: steady-state SimulateResetInto, a memoized line
+# write priced bare and inside a disabled timing scope, disabled spans
 # and the disabled chaos plane must all stay at 0 allocs/op (the
 # benchmarks themselves fail otherwise), run briefly as part of ci.
 bench-guard:
-	$(GO) test -run xxx -bench 'BenchmarkResetOpSteadyState|BenchmarkSpanDisabled|BenchmarkChaosDisabled' -benchtime 100x -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkResetOpSteadyState|BenchmarkCostWriteMemoized|BenchmarkObsDisabled|BenchmarkSpanDisabled|BenchmarkChaosDisabled' -benchtime 100x -benchmem .
 
 # Machine-readable micro-benchmark snapshot for the perf trajectory:
 # the PR4 solver/cost baselines (steady-state ResetOp regressions show

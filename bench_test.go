@@ -307,68 +307,83 @@ func BenchmarkResetOpSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkCostWriteMemoized measures the steady-state (table-hit) cost
-// of pricing a line write — the hot path of the system simulator.
-func BenchmarkCostWriteMemoized(b *testing.B) {
+// memoizedLineWrite builds the line-write hot path shared by the pricing
+// and observability benchmarks: a scheme whose cost table already holds
+// every op of lw, so each CostWrite is a table hit.
+func memoizedLineWrite(tb testing.TB) (*Scheme, write.LineWrite) {
+	tb.Helper()
 	s, err := UDRVRPR(CalibratedConfig())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var lw write.LineWrite
 	for i := range lw.Arrays {
 		lw.Arrays[i] = write.ArrayWrite{Reset: 1 << uint(i%8), Set: 1}
 	}
 	if _, err := s.CostWrite(300, 40, lw); err != nil { // warm the table
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.CostWrite(300, 40, lw); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// obsBenchScheme builds the instrumented line-write hot path shared by
-// the observability benchmarks: a memoized CostWrite wrapped in a timing
-// scope, exactly as memsys.submitWrite runs it.
-func obsBenchScheme(b *testing.B) (*Scheme, write.LineWrite) {
-	b.Helper()
-	s, err := UDRVRPR(CalibratedConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	var lw write.LineWrite
-	for i := range lw.Arrays {
-		lw.Arrays[i] = write.ArrayWrite{Reset: 1 << uint(i%8), Set: 1}
-	}
-	if _, err := s.CostWrite(300, 40, lw); err != nil { // warm the table
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return s, lw
 }
 
-// BenchmarkObsDisabled guards the observability off switch: with the
-// registry disabled the instrumented line-write hot path must add zero
-// allocations per op (each metric touch is a single atomic load).
-func BenchmarkObsDisabled(b *testing.B) {
-	s, lw := obsBenchScheme(b)
-	obs.SetEnabled(false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stop := obs.Time("memsys.line_write")
+// obsBenchLineWrite is the histogram memsys times each line write into;
+// the registry hands back the simulator's own handle.
+var obsBenchLineWrite = obs.H("memsys.line_write_ns", obs.LatencyBoundsNS())
+
+// timedCostWrite is one line write as memsys.submitWrite runs it: a
+// memoized CostWrite inside a timing scope.
+func timedCostWrite(tb testing.TB, s *Scheme, lw write.LineWrite) {
+	stop := obs.Time(obsBenchLineWrite)
+	if _, err := s.CostWrite(300, 40, lw); err != nil {
+		tb.Fatal(err)
+	}
+	stop()
+}
+
+// BenchmarkCostWriteMemoized measures the steady-state (table-hit) cost
+// of pricing a line write — the hot path of the system simulator. A hit
+// is two atomic loads and an index per array op, so the guard fails the
+// benchmark (and make ci) if pricing a hit allocates.
+func BenchmarkCostWriteMemoized(b *testing.B) {
+	s, lw := memoizedLineWrite(b)
+	if avg := testing.AllocsPerRun(100, func() {
 		if _, err := s.CostWrite(300, 40, lw); err != nil {
 			b.Fatal(err)
 		}
-		stop()
+	}); avg > 0 {
+		b.Fatalf("memoized CostWrite allocates %.1f times/op, want 0", avg)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.CostWrite(300, 40, lw); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkObsDisabled guards the observability off switch: with the
+// registry disabled the instrumented line-write hot path must add zero
+// allocations per op (each metric touch is a single atomic load). The
+// guard fails the benchmark (and make ci) if the disabled path
+// regresses.
+func BenchmarkObsDisabled(b *testing.B) {
+	s, lw := memoizedLineWrite(b)
+	obs.SetEnabled(false)
+	if avg := testing.AllocsPerRun(100, func() { timedCostWrite(b, s, lw) }); avg > 0 {
+		b.Fatalf("disabled observability allocates %.1f times/op, want 0", avg)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		timedCostWrite(b, s, lw)
 	}
 }
 
 // BenchmarkObsEnabled is the companion measurement with metrics on (no
 // trace sink), quantifying the cost of live counters and histograms.
 func BenchmarkObsEnabled(b *testing.B) {
-	s, lw := obsBenchScheme(b)
+	s, lw := memoizedLineWrite(b)
 	obs.SetEnabled(true)
 	defer func() {
 		obs.SetEnabled(false)
@@ -377,11 +392,23 @@ func BenchmarkObsEnabled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stop := obs.Time("memsys.line_write")
-		if _, err := s.CostWrite(300, 40, lw); err != nil {
-			b.Fatal(err)
-		}
-		stop()
+		timedCostWrite(b, s, lw)
+	}
+}
+
+// TestTimedCostWriteAllocs: with observability on, a timed memoized line
+// write allocates only the timing scope's stop closure. Resolving the
+// histogram by name on every write (name concatenation, a fresh bounds
+// slice, the registry mutex) would fail here.
+func TestTimedCostWriteAllocs(t *testing.T) {
+	s, lw := memoizedLineWrite(t)
+	obs.SetEnabled(true)
+	defer func() {
+		obs.SetEnabled(false)
+		obs.Default().ResetValues()
+	}()
+	if avg := testing.AllocsPerRun(100, func() { timedCostWrite(t, s, lw) }); avg > 1 {
+		t.Fatalf("timed memoized CostWrite allocates %.1f times/op with obs on, want <= 1", avg)
 	}
 }
 
@@ -484,7 +511,7 @@ func BenchmarkMetricsScrape(b *testing.B) {
 // line-write hot path must stay a branch — zero allocations per op, no
 // overhead beyond the instrumented CostWrite itself.
 func BenchmarkFaultDisabled(b *testing.B) {
-	s, lw := obsBenchScheme(b)
+	s, lw := memoizedLineWrite(b)
 	var inj *fault.Injector // the disabled injector is nil
 	obs.SetEnabled(false)
 	b.ReportAllocs()

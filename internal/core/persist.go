@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"reramsim/internal/solvecache"
@@ -121,53 +120,30 @@ const memoEntrySize = 4 + 4*8 + 1
 // encodeMemo dumps the scheme's memo table sorted by key, so identical
 // tables encode to identical bytes regardless of insertion order.
 func (s *Scheme) encodeMemo() []byte {
-	type entry struct {
-		k opKey
-		c opCost
-	}
-	var entries []entry
-	for i := range s.memo {
-		sh := &s.memo[i]
-		sh.mu.Lock()
-		for k, c := range sh.m {
-			entries = append(entries, entry{k, c})
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i].k, entries[j].k
-		if a.section != b.section {
-			return a.section < b.section
-		}
-		if a.offB != b.offB {
-			return a.offB < b.offB
-		}
-		if a.mask != b.mask {
-			return a.mask < b.mask
-		}
-		return a.esc < b.esc
-	})
-	buf := make([]byte, 0, 4+memoEntrySize*len(entries))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
-	for _, e := range entries {
-		buf = append(buf, e.k.section, e.k.offB, e.k.mask, e.k.esc)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.c.latency))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.c.energy))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.c.itotal))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.c.vmin))
+	buf := make([]byte, 4) // entry count, filled in below
+	n := 0
+	s.memo.each(func(k opKey, c opCost) {
+		n++
+		buf = append(buf, k.section, k.offB, k.mask, k.esc)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.latency))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.energy))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.itotal))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.vmin))
 		failed := byte(0)
-		if e.c.failed {
+		if c.failed {
 			failed = 1
 		}
 		buf = append(buf, failed)
-	}
+	})
+	binary.LittleEndian.PutUint32(buf[:4], uint32(n))
 	return buf
 }
 
-// preloadMemo seeds the memo shards from an encoded dump. Malformed
-// payloads load nothing (the checksum layer below makes this unreachable
-// short of a version bug, and a partial table would still be correct —
-// every entry is independently keyed).
+// preloadMemo seeds the memo table from an encoded dump. Malformed
+// payloads, including any key outside the scheme's table, load nothing
+// (the checksum layer below makes this unreachable short of a version
+// bug, and a partial table would still be correct — every entry is
+// independently keyed).
 func (s *Scheme) preloadMemo(b []byte) {
 	if len(b) < 4 {
 		return
@@ -176,22 +152,23 @@ func (s *Scheme) preloadMemo(b []byte) {
 	if n < 0 || len(b) != 4+memoEntrySize*n {
 		return
 	}
-	off := 4
+	entries := b[4:]
 	for i := 0; i < n; i++ {
-		k := opKey{section: b[off], offB: b[off+1], mask: b[off+2], esc: b[off+3]}
-		off += 4
-		var c opCost
-		c.latency = math.Float64frombits(binary.LittleEndian.Uint64(b[off : off+8]))
-		c.energy = math.Float64frombits(binary.LittleEndian.Uint64(b[off+8 : off+16]))
-		c.itotal = math.Float64frombits(binary.LittleEndian.Uint64(b[off+16 : off+24]))
-		c.vmin = math.Float64frombits(binary.LittleEndian.Uint64(b[off+24 : off+32]))
-		off += 32
-		c.failed = b[off] == 1
-		off++
-		sh := &s.memo[shardOf(k)]
-		sh.mu.Lock()
-		sh.m[k] = c
-		sh.mu.Unlock()
+		e := entries[i*memoEntrySize:]
+		if !s.memo.inRange(opKey{section: e[0], offB: e[1]}) {
+			return
+		}
+	}
+	for i := 0; i < n; i++ {
+		e := entries[i*memoEntrySize:]
+		k := opKey{section: e[0], offB: e[1], mask: e[2], esc: e[3]}
+		s.memo.store(k, opCost{
+			latency: math.Float64frombits(binary.LittleEndian.Uint64(e[4:12])),
+			energy:  math.Float64frombits(binary.LittleEndian.Uint64(e[12:20])),
+			itotal:  math.Float64frombits(binary.LittleEndian.Uint64(e[20:28])),
+			vmin:    math.Float64frombits(binary.LittleEndian.Uint64(e[28:36])),
+			failed:  e[36] == 1,
+		})
 	}
 }
 

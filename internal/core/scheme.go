@@ -65,11 +65,11 @@ type Scheme struct {
 	levels *LevelTable
 
 	// The RESET cost memo is the hot shared structure when simulations
-	// fan out: every write prices its ops here. Sharding the table by key
-	// hash keeps concurrent lookups of different ops off one another's
-	// lock; a per-shard singleflight collapses concurrent cold misses of
-	// the same key onto one solve.
-	memo [memoShards]memoShard
+	// fan out: every write prices its ops here. Hits read the lock-free
+	// table; flight collapses concurrent cold misses of the same key onto
+	// one solve.
+	memo   costTable
+	flight par.Group[opKey, opCost]
 
 	// Persistent solve cache (nil when disabled). Captured from the
 	// process-wide handle at construction; memoKey addresses this
@@ -77,23 +77,6 @@ type Scheme struct {
 	cache   *solvecache.Cache
 	memoKey string
 	flushMu sync.Mutex
-}
-
-// memoShards is the number of independent memo partitions (power of two).
-const memoShards = 16
-
-type memoShard struct {
-	mu     sync.Mutex
-	m      map[opKey]opCost
-	flight par.Group[opKey, opCost]
-}
-
-// shardOf maps an op key to its memo partition.
-func shardOf(k opKey) int {
-	h := uint(k.section)*31 + uint(k.offB)
-	h = h*31 + uint(k.mask)
-	h = h*31 + uint(k.esc)
-	return int(h % memoShards)
 }
 
 type opKey struct {
@@ -217,11 +200,9 @@ func NewScheme(name string, opt Options) (*Scheme, error) {
 		arr:    arr,
 		pump:   pump,
 		levels: levels,
+		memo:   costTable{sections: levels.Sections},
+		cache:  cache,
 	}
-	for i := range s.memo {
-		s.memo[i].m = make(map[opKey]opCost)
-	}
-	s.cache = cache
 	if cache != nil {
 		// The memo dump is keyed by the level table's exact bits on top of
 		// the options digest; a warm directory seeds the whole cost table
@@ -420,38 +401,29 @@ const (
 
 // opCost returns the memoized cost of one array RESET operation.
 // Concurrent cold misses of the same key collapse onto one solve via the
-// shard's singleflight; with a persistent cache installed, each newly
+// scheme's singleflight; with a persistent cache installed, each newly
 // solved entry triggers a full (sorted, atomic) memo flush so the next
 // process starts warm.
 func (s *Scheme) opCost(k opKey) (opCost, error) {
 	if !s.opt.ExactMasks {
-		k.mask = canonicalMask(k.mask)
+		k.mask = canonicalMasks[k.mask]
 	}
-	sh := &s.memo[shardOf(k)]
-	sh.mu.Lock()
-	c, ok := sh.m[k]
-	sh.mu.Unlock()
-	if ok {
+	if c := s.memo.load(k); c != nil {
 		obsMemoHits.Inc()
-		return c, nil
+		return *c, nil
 	}
 	obsMemoMisses.Inc()
-	c, _, err := sh.flight.Do(k, func() (opCost, error) {
+	c, _, err := s.flight.Do(k, func() (opCost, error) {
 		// Re-check under the flight: a solve that completed between our
-		// miss and this call has already stored the value.
-		sh.mu.Lock()
-		c, ok := sh.m[k]
-		sh.mu.Unlock()
-		if ok {
-			return c, nil
+		// miss and this call has already published the value.
+		if c := s.memo.load(k); c != nil {
+			return *c, nil
 		}
 		c, err := s.solveOp(k)
 		if err != nil {
 			return opCost{}, err
 		}
-		sh.mu.Lock()
-		sh.m[k] = c
-		sh.mu.Unlock()
+		s.memo.store(k, c)
 		s.flushMemo()
 		return c, nil
 	})
@@ -459,24 +431,6 @@ func (s *Scheme) opCost(k opKey) (opCost, error) {
 		return opCost{}, err
 	}
 	return c, nil
-}
-
-// canonicalMask collapses a RESET mask to its latency class: the same
-// number of bits, spread evenly up to the same right-most multiplexer —
-// the pattern PR itself produces. This trades a small cost-model error
-// for a 4-8x smaller lookup table (see the LUT ablation bench).
-func canonicalMask(m uint8) uint8 {
-	n := bits.OnesCount8(m)
-	if n == 0 {
-		return 0
-	}
-	top := bits.Len8(m) - 1
-	out := uint8(0)
-	for i := 0; i < n; i++ {
-		pos := top - i*(top+1)/n
-		out |= 1 << pos
-	}
-	return out
 }
 
 // opForKey builds the representative (pessimistic) operation of key k:
@@ -559,10 +513,6 @@ func (s *Scheme) solveOp(k opKey) (opCost, error) {
 // (exported for the LUT ablation bench).
 func (s *Scheme) MemoSize() int {
 	n := 0
-	for i := range s.memo {
-		s.memo[i].mu.Lock()
-		n += len(s.memo[i].m)
-		s.memo[i].mu.Unlock()
-	}
+	s.memo.each(func(opKey, opCost) { n++ })
 	return n
 }

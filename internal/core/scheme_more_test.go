@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"sync"
 	"testing"
 
 	"reramsim/internal/write"
@@ -122,24 +124,94 @@ func TestDRVRSectionsOption(t *testing.T) {
 	}
 }
 
-// TestSchemeConcurrentCosting: the memoized cost table must be safe under
-// concurrent writers (the simulator costs from one goroutine today, but
-// the type documents concurrency safety).
+// TestSchemeConcurrentCosting: the lock-free cost table must hand every
+// concurrent pricer exactly what a serial scheme computes. Eight
+// goroutines price overlapping keys — first writes and retries escalated
+// 1-3 steps, each goroutine in its own order — so cold misses race on
+// one key and on creating one escalation page. Afterwards the table must
+// hold the serial scheme's entries, byte for byte.
 func TestSchemeConcurrentCosting(t *testing.T) {
-	s := mustScheme(t, UDRVRPR)
-	var lw write.LineWrite
-	lw.Arrays[3] = write.ArrayWrite{Reset: 0b10000001}
-	done := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		go func(row int) {
-			_, err := s.CostWrite(row*60, row*7, lw)
-			done <- err
-		}(g)
+	var lws [3]write.LineWrite
+	lws[0].Arrays[3] = write.ArrayWrite{Reset: 0b10000001}
+	for i := range lws[1].Arrays {
+		lws[1].Arrays[i] = write.ArrayWrite{Reset: 1 << uint(i%8), Set: 2}
 	}
-	for g := 0; g < 8; g++ {
-		if err := <-done; err != nil {
+	lws[2].Arrays[10] = write.ArrayWrite{Reset: 0b01101100}
+	lws[2].Arrays[40] = write.ArrayWrite{Reset: 0b11111111}
+	type job struct {
+		row, offset, esc int
+		lw               write.LineWrite
+	}
+	var jobs []job
+	for _, row := range []int{0, 200, 511} {
+		for _, offset := range []int{0, 40} {
+			for esc := 0; esc <= 3; esc++ {
+				for _, lw := range lws {
+					jobs = append(jobs, job{row, offset, esc, lw})
+				}
+			}
+		}
+	}
+	price := func(s *Scheme, j job) (LineCost, error) {
+		if j.esc == 0 {
+			return s.CostWrite(j.row, j.offset, j.lw)
+		}
+		return s.CostWriteRetry(j.row, j.offset, j.lw, j.esc)
+	}
+
+	serial := mustScheme(t, UDRVRPR)
+	want := make([]LineCost, len(jobs))
+	for i, j := range jobs {
+		c, err := price(serial, j)
+		if err != nil {
 			t.Fatal(err)
 		}
+		want[i] = c
+	}
+
+	conc := mustScheme(t, UDRVRPR)
+	const workers = 8
+	got := make([][]LineCost, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		got[g] = make([]LineCost, len(jobs))
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := range jobs {
+				// Each goroutine starts at its own rotation; odd ones walk
+				// backwards, so every key is contended from both sides.
+				i := (n + g*len(jobs)/workers) % len(jobs)
+				if g%2 == 1 {
+					i = len(jobs) - 1 - i
+				}
+				c, err := price(conc, jobs[i])
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				got[g][i] = c
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := 0; g < workers; g++ {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		for i := range jobs {
+			if got[g][i] != want[i] {
+				t.Fatalf("goroutine %d, job %d (row %d, offset %d, esc %d): concurrent cost\n %+v\nserial cost\n %+v",
+					g, i, jobs[i].row, jobs[i].offset, jobs[i].esc, got[g][i], want[i])
+			}
+		}
+	}
+	if g, w := conc.MemoSize(), serial.MemoSize(); g != w {
+		t.Errorf("concurrent memo holds %d ops, serial %d", g, w)
+	}
+	if !bytes.Equal(conc.encodeMemo(), serial.encodeMemo()) {
+		t.Error("concurrent memo dump differs from the serial scheme's")
 	}
 }
 

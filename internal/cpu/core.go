@@ -64,10 +64,13 @@ func (c *Core) IssueRead() {
 }
 
 // CompleteOldest retires the oldest outstanding read (the ROB drains from
-// its head). Completing with nothing outstanding is a no-op.
+// its head). Completing with nothing outstanding is a no-op. The at most
+// MSHRs survivors are copied down rather than re-sliced, so the FIFO keeps
+// its backing array and IssueRead never reallocates it.
 func (c *Core) CompleteOldest() {
-	if len(c.inflight) > 0 {
-		c.inflight = c.inflight[1:]
+	if n := len(c.inflight); n > 0 {
+		copy(c.inflight, c.inflight[1:])
+		c.inflight = c.inflight[:n-1]
 	}
 }
 

@@ -17,6 +17,7 @@ var (
 	obsWriteWait   = obs.H("memsys.write.wait_ns", obs.LatencyBoundsNS())
 	obsReadQDepth  = obs.H("memsys.read_queue.depth", obs.LinearBounds(1, 32, 32))
 	obsWriteQDepth = obs.H("memsys.write_queue.depth", obs.LinearBounds(1, 32, 32))
+	obsLineWrite   = obs.H("memsys.line_write_ns", obs.LatencyBoundsNS())
 )
 
 // newBankCounters resolves the per-bank issue counters for a simulation's

@@ -1,7 +1,6 @@
 package memsys
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -70,23 +69,54 @@ type event struct {
 	bank int
 }
 
+// eventHeap is a binary min-heap of events ordered by (t, seq). Every
+// event carries a unique seq, so the order is total and the pop sequence
+// is fixed whatever the heap's layout. push and pop sift exactly as the
+// standard library's heap package does, without boxing each event in an
+// interface.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].t != h[j].t {
 		return h[i].t < h[j].t
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-func (h eventHeap) Peek() (event, bool) { // read-only helper
-	if len(h) == 0 {
-		return event{}, false
+
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
 	}
-	return h[0], true
+}
+
+// pop removes and returns the earliest event; the heap must be non-empty.
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q.less(r, j) {
+			j = r
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }
 
 type readReq struct {
@@ -123,8 +153,12 @@ type coreState struct {
 	// budget; it resumes when an outstanding read returns.
 	blockedRead bool
 
-	waitRead  *readReq
-	waitWrite *writeReq
+	// A request turned away by a full controller queue parks here, held
+	// by value, until admitWaiters moves it in.
+	waitRead     readReq
+	waitWrite    writeReq
+	hasWaitRead  bool
+	hasWaitWrite bool
 }
 
 // sim bundles the mutable simulation state.
@@ -182,6 +216,8 @@ func Simulate(s *core.Scheme, bench trace.Benchmark, cfg Config) (*Result, error
 		cfg:        cfg,
 		scheme:     s,
 		cores:      make([]coreState, cfg.Cores),
+		readQ:      make([]readReq, 0, cfg.ReadQueue),
+		writeQ:     make([]writeReq, 0, cfg.WriteQueue),
 		bankFreeAt: make([]float64, cfg.Banks()),
 		pumpFreeAt: make([]float64, cfg.Ranks),
 		lineWrites: make(map[uint64]uint64),
@@ -232,7 +268,7 @@ func Simulate(s *core.Scheme, bench trace.Benchmark, cfg Config) (*Result, error
 func (s *sim) push(e event) {
 	s.seq++
 	e.seq = s.seq
-	heap.Push(&s.events, e)
+	s.events.push(e)
 }
 
 // scheduleNextAccess generates core i's next access and schedules its
@@ -299,11 +335,11 @@ const heartbeatEvery = 4096
 
 func (s *sim) run() error {
 	var processed int
-	for s.events.Len() > 0 {
+	for len(s.events) > 0 {
 		if processed++; processed%heartbeatEvery == 0 && s.cfg.Heartbeat != nil {
 			s.cfg.Heartbeat()
 		}
-		e := heap.Pop(&s.events).(event)
+		e := s.events.pop()
 		if e.t > s.endTime {
 			s.endTime = e.t
 		}
@@ -357,7 +393,7 @@ func (s *sim) issueCoreRead(now float64, i int, line uint64) {
 func (s *sim) onReadDone(now float64, i int) {
 	c := &s.cores[i]
 	c.cpu.CompleteOldest()
-	if c.blockedRead && !c.cpu.Blocked() && c.waitRead == nil {
+	if c.blockedRead && !c.cpu.Blocked() && !c.hasWaitRead {
 		c.blockedRead = false
 		s.scheduleNextAccess(i, now)
 	}
@@ -396,7 +432,8 @@ func (s *sim) submitRead(now float64, i int, line uint64) bool {
 	bank, _, _, _, _ := s.mapLine(line, false)
 	req := readReq{core: i, bank: bank, arrival: now}
 	if len(s.readQ) >= s.cfg.ReadQueue {
-		s.cores[i].waitRead = &req
+		c := &s.cores[i]
+		c.waitRead, c.hasWaitRead = req, true
 		return false
 	}
 	s.readQ = append(s.readQ, req)
@@ -405,7 +442,7 @@ func (s *sim) submitRead(now float64, i int, line uint64) bool {
 }
 
 func (s *sim) submitWrite(now float64, i int, a trace.Access) error {
-	defer obs.Time("memsys.line_write")()
+	defer obs.Time(obsLineWrite)()
 	lw, _, err := write.FlipNWrite(a.Old[:], a.New[:])
 	if err != nil {
 		return err
@@ -420,7 +457,8 @@ func (s *sim) submitWrite(now float64, i int, a trace.Access) error {
 		req.row, req.offset, req.phys, req.lw = row, offset, phys, lw
 	}
 	if len(s.writeQ) >= s.cfg.WriteQueue {
-		s.cores[i].waitWrite = &req
+		c := &s.cores[i]
+		c.waitWrite, c.hasWaitWrite = req, true
 		return nil
 	}
 	s.writeQ = append(s.writeQ, req)
@@ -464,7 +502,7 @@ func (s *sim) tryIssue(now float64) error {
 func (s *sim) issueReads(now float64) bool {
 	issued := false
 	for qi := 0; qi < len(s.readQ); {
-		req := s.readQ[qi]
+		req := &s.readQ[qi]
 		if s.bankFreeAt[req.bank] > now {
 			qi++
 			continue
@@ -496,7 +534,7 @@ func (s *sim) issueReads(now float64) bool {
 func (s *sim) issueWrites(now float64) (bool, error) {
 	issued := false
 	for qi := 0; qi < len(s.writeQ); {
-		req := s.writeQ[qi]
+		req := &s.writeQ[qi]
 		if s.bankFreeAt[req.bank] > now || s.pumpFreeAt[req.rank] > now {
 			qi++
 			continue
@@ -506,7 +544,7 @@ func (s *sim) issueWrites(now float64) (bool, error) {
 		cells := req.cost.CellsWritten() + req.cost.DummyResets
 		if s.inj != nil {
 			var err error
-			busy, energyJ, cells, err = s.writeWithVerify(&req)
+			busy, energyJ, cells, err = s.writeWithVerify(req)
 			if err != nil {
 				return false, err
 			}
@@ -543,9 +581,9 @@ func (s *sim) issueWrites(now float64) (bool, error) {
 func (s *sim) admitWaiters(now float64) {
 	for i := range s.cores {
 		c := &s.cores[i]
-		if c.waitRead != nil && len(s.readQ) < s.cfg.ReadQueue {
-			s.readQ = append(s.readQ, *c.waitRead)
-			c.waitRead = nil
+		if c.hasWaitRead && len(s.readQ) < s.cfg.ReadQueue {
+			s.readQ = append(s.readQ, c.waitRead)
+			c.hasWaitRead = false
 			// The parked request is in flight now; the core may run ahead
 			// again if its window allows.
 			if c.blockedRead && !c.cpu.Blocked() {
@@ -553,9 +591,9 @@ func (s *sim) admitWaiters(now float64) {
 				s.scheduleNextAccess(i, now)
 			}
 		}
-		if c.waitWrite != nil && len(s.writeQ) < s.cfg.WriteQueue {
-			s.writeQ = append(s.writeQ, *c.waitWrite)
-			c.waitWrite = nil
+		if c.hasWaitWrite && len(s.writeQ) < s.cfg.WriteQueue {
+			s.writeQ = append(s.writeQ, c.waitWrite)
+			c.hasWaitWrite = false
 			s.scheduleNextAccess(i, now)
 		}
 	}

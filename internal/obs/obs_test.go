@@ -213,7 +213,7 @@ func TestJSONLSink(t *testing.T) {
 
 func TestTimeScope(t *testing.T) {
 	withObs(t)
-	stop := Time("test.scope")
+	stop := Time(H("test.scope_ns", LatencyBoundsNS()))
 	stop()
 	h := Default().Snapshot().Histograms["test.scope_ns"]
 	if h.Count != 1 {
@@ -237,7 +237,7 @@ func TestDisabledPathAllocationFree(t *testing.T) {
 		g.SetMax(2)
 		h.Observe(3)
 		Emit("test.alloc", 4)
-		Time("test.alloc.scope")()
+		Time(h)()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled path allocates %.1f allocs/op, want 0", allocs)

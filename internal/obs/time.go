@@ -6,18 +6,19 @@ import "time"
 // Time allocation-free when observability is off.
 var nopStop = func() {}
 
-// Time starts a wall-clock timing scope recording into the histogram
-// name+"_ns" of the default registry. Use as
+// Time starts a wall-clock timing scope recording nanoseconds into h, a
+// handle resolved once at package init like every other metric. Use as
 //
-//	defer obs.Time("memsys.line_write")()
+//	var obsLineWrite = obs.H("memsys.line_write_ns", obs.LatencyBoundsNS())
+//	defer obs.Time(obsLineWrite)()
 //
 // When observability is disabled it returns a shared no-op, so the scope
-// costs one atomic load and no allocation.
-func Time(name string) func() {
+// costs one atomic load and no allocation; enabled, the stop closure is
+// its only allocation.
+func Time(h *Histogram) func() {
 	if !enabled.Load() {
 		return nopStop
 	}
-	h := H(name+"_ns", LatencyBoundsNS())
 	start := time.Now()
 	return func() {
 		h.Observe(float64(time.Since(start).Nanoseconds()))
