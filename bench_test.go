@@ -13,14 +13,9 @@ import (
 	"io"
 	"sync"
 	"testing"
-	"time"
 
-	"reramsim/internal/atomicio"
-	"reramsim/internal/chaos"
-	"reramsim/internal/dist"
 	"reramsim/internal/experiments"
 	"reramsim/internal/fault"
-	"reramsim/internal/jobs"
 	"reramsim/internal/obs"
 	"reramsim/internal/par"
 	"reramsim/internal/trace"
@@ -92,19 +87,12 @@ func BenchmarkExtEq1Kinetics(b *testing.B)  { benchExperiment(b, "ext-eq1") }
 func BenchmarkExtPROptimality(b *testing.B) { benchExperiment(b, "ext-propt") }
 func BenchmarkExtFault(b *testing.B)        { benchExperiment(b, "ext-fault") }
 
-// BenchmarkSweepParallel tracks end-to-end sweep wall clock across the
-// execution backends: the same scheme x workload grid run serial
-// (-jobs=1), through the in-process worker pool at 4 and 8 jobs, and
-// fanned to a standing 4-worker distributed fleet. Each in-process
-// iteration builds a fresh suite (calibration + schemes + sims), which
-// is what one cold CLI invocation pays; the distributed variant is the
-// standing-fleet shape instead — coordinator and workers stay up across
-// iterations, each iteration registers a new sweep (fresh seed, fresh
-// engine) and the fleet amortizes calibration, scheme construction and
-// the RESET-cost memo across sweeps via Suite.AdoptSchemes. On a
-// multi-core runner parallel-N also wins on CPU fan-out; on a single
-// core the distributed win is purely the warm-state amortization, which
-// is the honest story for back-to-back daemon sweeps.
+// BenchmarkSweepParallel tracks end-to-end sweep wall clock for the
+// same scheme x workload grid run serial (-jobs=1) and through the
+// worker pool at 4 and 8 jobs. Each iteration builds a fresh suite
+// (calibration + schemes + sims), which is what one cold CLI invocation
+// pays, so parallel-N against serial is the pool's fan-out win and
+// nothing else; on a single core it is ~1.
 func BenchmarkSweepParallel(b *testing.B) {
 	schemes := []string{"Base", "Hard+Sys", "UDRVR+PR"}
 	workloads := []string{"ast_m", "mcf_m", "mil_m", "zeu_m"}
@@ -130,108 +118,6 @@ func BenchmarkSweepParallel(b *testing.B) {
 	b.Run("serial", func(b *testing.B) { run(b, 1) })
 	b.Run("parallel-4", func(b *testing.B) { run(b, 4) })
 	b.Run("parallel-8", func(b *testing.B) { run(b, 8) })
-	b.Run("distributed-4", func(b *testing.B) { benchDistributedSweep(b, pairs, 4) })
-}
-
-// benchDistributedSweep drives one sweep per iteration through a
-// standing coordinator + worker fleet, all in-process over loopback
-// HTTP. Workers share one runner factory so every rebuilt worker suite
-// adopts the previous one's schemes — the amortization a long-lived
-// fleet provides. The warm-up sweep (runner build, scheme construction,
-// memo priming) runs before the timer; timed iterations vary the
-// workload seed so each registers a genuinely new sweep under a new
-// digest.
-func benchDistributedSweep(b *testing.B, pairs []experiments.SimPair, workers int) {
-	base, err := experiments.NewSuite(benchAccesses)
-	if err != nil {
-		b.Fatal(err)
-	}
-	coord, err := dist.StartCoordinator(dist.CoordinatorOptions{
-		Addr:       "localhost:0",
-		Persistent: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var fleet sync.WaitGroup
-	factory := benchDistRunner()
-	for i := 0; i < workers; i++ {
-		fleet.Add(1)
-		go func(id int) {
-			defer fleet.Done()
-			_ = dist.RunWorker(ctx, dist.WorkerOptions{
-				Join:      coord.Addr(),
-				ID:        fmt.Sprintf("bench-w%d", id),
-				Max:       3,
-				Poll:      2 * time.Millisecond,
-				NewRunner: factory,
-			})
-		}(i)
-	}
-	defer func() {
-		b.StopTimer()
-		cancel()
-		coord.Close()
-		fleet.Wait()
-	}()
-
-	distPairs := make([]dist.Pair, len(pairs))
-	for i, p := range pairs {
-		distPairs[i] = dist.Pair{Scheme: p.Scheme, Workload: p.Workload}
-	}
-	sweep := func(seed int64) error {
-		mem := base.MemCfg
-		mem.Seed = seed
-		ws, err := experiments.NewWorkerSuite(base.Cfg, mem, "")
-		if err != nil {
-			return err
-		}
-		digest, err := ws.GridDigest(pairs)
-		if err != nil {
-			return err
-		}
-		eng, err := jobs.Open(jobs.Options{})
-		if err != nil {
-			return err
-		}
-		_, err = coord.RunSweep(ctx, dist.GridSpec{
-			Array:  base.Cfg,
-			Mem:    mem,
-			Digest: digest,
-			Pairs:  distPairs,
-		}, eng)
-		return err
-	}
-	if err := sweep(1 << 32); err != nil { // warm the fleet outside the timer
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sweep(int64(i + 1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchDistRunner mirrors the CLI's worker runner factory: rebuild the
-// suite from the wire config without recalibrating, and adopt the
-// previous suite's scheme cache so back-to-back sweeps skip scheme
-// construction and keep their RESET-cost memos warm.
-func benchDistRunner() func(dist.GridSpec) (dist.CellFunc, error) {
-	var mu sync.Mutex
-	var prev *experiments.Suite
-	return func(spec dist.GridSpec) (dist.CellFunc, error) {
-		suite, err := experiments.NewWorkerSuite(spec.Array, spec.Mem, "")
-		if err != nil {
-			return nil, err
-		}
-		mu.Lock()
-		suite.AdoptSchemes(prev)
-		prev = suite
-		mu.Unlock()
-		return suite.RunCell, nil
-	}
 }
 
 // --- Micro benchmarks -------------------------------------------------
@@ -433,33 +319,6 @@ func BenchmarkSpanDisabled(b *testing.B) {
 		_, stop := obs.StartSpan(ctx, "bench.span")
 		obs.SpanScope("bench.scope")()
 		stop()
-	}
-}
-
-// BenchmarkChaosDisabled guards the fault-injection off switch: with no
-// plan installed, the three hooks a production run crosses — the
-// transport wrap in every worker HTTP client, the Active gate, and the
-// atomicio stage-fault check on every journal write — must be a single
-// atomic load each, zero allocations per op. The guard fails the
-// benchmark (and make ci) if the disabled path regresses.
-func BenchmarkChaosDisabled(b *testing.B) {
-	chaos.Uninstall()
-	if chaos.Active() || atomicio.HookEnabled() {
-		b.Fatal("chaos plan or atomicio hook unexpectedly installed")
-	}
-	if avg := testing.AllocsPerRun(100, func() {
-		_ = chaos.Active()
-		_ = chaos.WrapTransport(nil)
-		_ = atomicio.HookEnabled()
-	}); avg > 0 {
-		b.Fatalf("disabled chaos path allocates %.1f times/op, want 0", avg)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = chaos.Active()
-		_ = chaos.WrapTransport(nil)
-		_ = atomicio.HookEnabled()
 	}
 }
 

@@ -18,13 +18,10 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"reramsim/internal/chaos"
 	"reramsim/internal/core"
-	"reramsim/internal/dist"
 	"reramsim/internal/experiments"
 	"reramsim/internal/obs"
 	"reramsim/internal/par"
@@ -57,28 +54,10 @@ func run() int {
 		maxDeadline     = flag.Duration("max-deadline", 10*time.Minute, "cap on client-requested deadlines")
 		drainTimeout    = flag.Duration("drain-timeout", 30*time.Second, "max time a signal-initiated drain waits for in-flight work before cancelling it")
 
-		distAddr  = flag.String("dist-addr", "", "serve the distributed-sweep lease protocol on this address (default localhost:0 when -workers is set)")
-		workers   = flag.String("workers", "", "comma-separated worker agent addresses (reramsim -worker -listen <addr>) to attach at boot; sweeps fan out to joined workers")
-		leaseTTL  = flag.Duration("lease-ttl", 10*time.Second, "distributed lease time-to-live; a worker missing renewals this long forfeits its cells for re-lease")
-		auditFrac = flag.Float64("audit-fraction", 0, "fraction of completed distributed cells re-leased to a second worker for digest cross-checks (0 = off, 1 = every cell)")
-		chaosPlan = flag.String("chaos", os.Getenv("RERAM_CHAOS"), "seeded fault-injection plan for chaos testing, e.g. seed=42,latency=20ms,drop=0.1,flip=0.05,enospc=1 (default $RERAM_CHAOS)")
-
 		obsAddr    = flag.String("obs-addr", "", "serve the standalone telemetry plane (/metrics, /progress, /debug/pprof/) on this extra address; the API port always serves /metrics itself")
 		traceSpans = flag.String("trace-spans", "", "write hierarchical spans as a Chrome trace-event file (load in ui.perfetto.dev)")
 	)
 	flag.Parse()
-
-	if *auditFrac < 0 || *auditFrac > 1 {
-		return fail(fmt.Errorf("-audit-fraction %g outside [0,1]", *auditFrac))
-	}
-	if *chaosPlan != "" {
-		plan, err := chaos.ParsePlan(*chaosPlan)
-		if err != nil {
-			return fail(fmt.Errorf("-chaos: %w", err))
-		}
-		chaos.Install(plan)
-		fmt.Fprintf(os.Stderr, "reramd: chaos plan installed: %s\n", plan)
-	}
 
 	// The daemon always serves /metrics on its API port, so the metric
 	// plane is always on.
@@ -104,46 +83,12 @@ func run() int {
 		return fail(fmt.Errorf("calibration: %w", err))
 	}
 
-	// The distributed plane is opt-in: -workers (or an explicit
-	// -dist-addr) starts a persistent coordinator, and every /v1/sweep
-	// with live workers fans out to the fleet; admission, deadlines and
-	// drain are untouched because the coordinator runs inside the same
-	// request lifecycle a local sweep does.
-	var coord *dist.Coordinator
-	if *workers != "" || *distAddr != "" {
-		coord, err = dist.StartCoordinator(dist.CoordinatorOptions{
-			Addr:          *distAddr,
-			LeaseTTL:      *leaseTTL,
-			AuditFraction: *auditFrac,
-			Persistent:    true,
-			Log:           os.Stderr,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		defer coord.Close()
-		fmt.Fprintf(os.Stderr, "reramd: distributed coordinator on %s\n", coord.Addr())
-		if *workers != "" {
-			addrs := strings.Split(*workers, ",")
-			for i := range addrs {
-				addrs[i] = strings.TrimSpace(addrs[i])
-			}
-			attachCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			err := coord.AttachWorkers(attachCtx, addrs)
-			cancel()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "reramd: attaching workers: %v\n", err)
-			}
-		}
-	}
-
 	srv, err := serve.Start(serve.Options{
 		Addr: *addr,
 		Backend: &serve.SuiteBackend{
 			Suite:          suite,
 			CheckpointRoot: *checkpointRoot,
 			CellTimeout:    *cellTimeout,
-			Dist:           coord,
 		},
 		Admission: serve.AdmissionConfig{
 			MaxInflight: *maxInflight,

@@ -37,7 +37,6 @@ import (
 	"syscall"
 	"time"
 
-	"reramsim/internal/chaos"
 	"reramsim/internal/core"
 	"reramsim/internal/experiments"
 	"reramsim/internal/fault"
@@ -72,14 +71,6 @@ func main() {
 
 		jobsFlag = flag.Int("jobs", 0, "max parallel simulations/solves (0 = GOMAXPROCS); output is identical at any setting")
 
-		coordinator = flag.String("coordinator", "", "run the sweep as a distributed coordinator on this address (e.g. localhost:0), leasing cells to -worker processes; output is identical to a local run")
-		auditFrac   = flag.Float64("audit-fraction", 0, "coordinator: fraction of completed cells re-leased to a second worker for digest cross-checks (0 = off, 1 = every cell); divergence quarantines the cell and flags both workers")
-		chaosPlan   = flag.String("chaos", os.Getenv("RERAM_CHAOS"), "seeded fault-injection plan for chaos testing, e.g. seed=42,latency=20ms,drop=0.1,flip=0.05,enospc=1 (default $RERAM_CHAOS; results must stay byte-identical)")
-		workerMode  = flag.Bool("worker", false, "run as a distributed sweep worker (with -join <addr>, or -listen <addr> for a standing agent)")
-		joinAddr    = flag.String("join", "", "worker: coordinator address to join")
-		listenAddr  = flag.String("listen", "", "worker: run a standing agent on this address; reramd -workers attaches coordinators to it")
-		leaseTTL    = flag.Duration("lease-ttl", 10*time.Second, "coordinator: lease time-to-live; a worker missing renewals this long forfeits its cells for re-lease")
-
 		checkpointDir = flag.String("checkpoint-dir", "", "journal sweep cells to this directory (crash-safe; cold start)")
 		resumeDir     = flag.String("resume", "", "resume a journaled sweep from this checkpoint directory, skipping finished cells")
 		cellTimeout   = flag.Duration("cell-timeout", 0, "per-cell deadline in a sweep (0 = none); an exceeded cell is quarantined, not fatal")
@@ -111,15 +102,6 @@ func main() {
 		validateName("workload", w, experiments.Workloads())
 	}
 	validateName("fault-profile", *faultProfile, fault.Profiles())
-	if *workerMode && *joinAddr == "" && *listenAddr == "" {
-		fail(fmt.Errorf("-worker needs -join <addr> or -listen <addr>"))
-	}
-	if !*workerMode && (*joinAddr != "" || *listenAddr != "") {
-		fail(fmt.Errorf("-join/-listen require -worker"))
-	}
-	if *workerMode && *coordinator != "" {
-		fail(fmt.Errorf("-worker and -coordinator are mutually exclusive"))
-	}
 	if *checkpointDir != "" && *resumeDir != "" {
 		fail(fmt.Errorf("-checkpoint-dir and -resume are mutually exclusive (resume implies the checkpoint dir)"))
 	}
@@ -128,17 +110,6 @@ func main() {
 	}
 	if *metricsFmt != "text" && *metricsFmt != "json" {
 		fail(fmt.Errorf("unknown -metrics-format %q (want text or json)", *metricsFmt))
-	}
-	if *auditFrac < 0 || *auditFrac > 1 {
-		fail(fmt.Errorf("-audit-fraction %g outside [0,1]", *auditFrac))
-	}
-	if *chaosPlan != "" {
-		plan, err := chaos.ParsePlan(*chaosPlan)
-		if err != nil {
-			fail(fmt.Errorf("-chaos: %w", err))
-		}
-		chaos.Install(plan)
-		fmt.Fprintf(os.Stderr, "reramsim: chaos plan installed: %s\n", plan)
 	}
 	par.SetJobs(*jobsFlag)
 	if *solveCacheDir != "" {
@@ -191,16 +162,6 @@ func main() {
 		}
 	}()
 
-	// Worker mode never calibrates locally: suites are rebuilt from each
-	// coordinator's wire config, so it branches before NewSuite.
-	if *workerMode {
-		stack.SetReady(true)
-		code := runWorkerMode(ctx, *joinAddr, *listenAddr, *jobsFlag)
-		dumpMetrics(*metrics, *metricsFmt)
-		cleanup()
-		os.Exit(code)
-	}
-
 	suite, err := experiments.NewSuite(*accesses)
 	if err != nil {
 		fail(err)
@@ -213,16 +174,13 @@ func main() {
 	suite.MemCfg.MaxWriteRetries = *maxRetries
 	stack.SetReady(true) // suite calibrated: work can be admitted
 
-	if len(schemes) > 1 || len(workloads) > 1 || *checkpointDir != "" || *resumeDir != "" || *coordinator != "" {
+	if len(schemes) > 1 || len(workloads) > 1 || *checkpointDir != "" || *resumeDir != "" {
 		code := runSweep(suite, schemes, workloads, sweepOptions{
 			checkpointDir: *checkpointDir,
 			resumeDir:     *resumeDir,
 			cellTimeout:   *cellTimeout,
 			jsonOut:       *jsonOut,
 			stack:         stack,
-			coordinator:   *coordinator,
-			leaseTTL:      *leaseTTL,
-			auditFraction: *auditFrac,
 		})
 		dumpMetrics(*metrics, *metricsFmt)
 		cleanup()
@@ -326,9 +284,6 @@ type sweepOptions struct {
 	cellTimeout   time.Duration
 	jsonOut       bool
 	stack         *telemetry.Stack
-	coordinator   string // non-empty: lease cells to workers instead of running locally
-	leaseTTL      time.Duration
-	auditFraction float64
 }
 
 // runSweep executes the schemes x workloads grid through the crash-safe
@@ -363,13 +318,7 @@ func runSweep(suite *experiments.Suite, schemes, workloads []string, o sweepOpti
 	}
 	suite.SetEngine(eng)
 	o.stack.SetProgress(eng.Progress)
-	var rep *jobs.Report
-	var runErr error
-	if o.coordinator != "" {
-		rep, runErr = runCoordinated(suite, eng, pairs, digest, o.coordinator, o.leaseTTL, o.auditFraction)
-	} else {
-		rep, runErr = suite.RunGrid(eng, pairs)
-	}
+	rep, runErr := suite.RunGrid(eng, pairs)
 	if runErr != nil {
 		fmt.Fprintln(os.Stderr, "reramsim:", runErr)
 		if rep == nil {

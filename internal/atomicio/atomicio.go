@@ -92,8 +92,8 @@ func SetHook(h func(dest, stage string) error) (prev func(dest, stage string) er
 }
 
 // HookEnabled reports whether a stage-fault hook is installed. It is the
-// exact check every write performs per stage, exported so the ci bench
-// guard can pin its cost at 0 allocs.
+// exact check every write performs per stage, exported so the chaos
+// tests can pin its cost at 0 allocs.
 func HookEnabled() bool { return hook.Load() != nil }
 
 // stageFault runs the installed hook, if any, for one stage.

@@ -1,15 +1,14 @@
-// Package chaos is the deterministic fault-injection harness for the
-// distributed sweep plane: a seeded plan of network faults (latency,
-// drops, connection resets, response truncation, bit-flip corruption of
-// uploaded segment blobs) and disk faults (ENOSPC episodes on journal
-// fsync), applied by wrapping the dist HTTP transport and the atomicio
-// write path. Every fault decision is a pure function of (seed, site,
-// sequence number) — no clocks, no global RNG — so a failing chaos run
-// replays with the same plan string.
+// Package chaos is a deterministic fault-injection harness: a seeded
+// plan of network faults (latency, drops, connection resets, response
+// truncation, bit-flip corruption of uploaded request bodies) and disk
+// faults (ENOSPC episodes on fsync), applied by wrapping an HTTP
+// transport and the atomicio write path. Every fault decision is a pure
+// function of (seed, site, sequence number) — no clocks, no global RNG —
+// so a failing chaos run replays with the same plan string.
 //
-// Chaos is strictly opt-in (the RERAM_CHAOS environment variable or the
-// -chaos flag) and free when off: the guards on the hot paths are one
-// atomic pointer load each, pinned at 0 allocs/op by the ci bench guard.
+// Nothing outside this package's tests installs a plan. Chaos is free
+// when off: the guards are one atomic pointer load each, pinned at 0
+// allocs/op by TestDisabledGuardsAllocFree.
 package chaos
 
 import (
@@ -71,8 +70,8 @@ func (p Plan) String() string {
 	return strings.Join(parts, ",")
 }
 
-// ParsePlan parses the RERAM_CHAOS / -chaos plan syntax: a comma-joined
-// list of key=value pairs, e.g.
+// ParsePlan parses the plan syntax: a comma-joined list of key=value
+// pairs, e.g.
 //
 //	seed=42,latency=20ms,latency-p=0.3,drop=0.1,reset=0.1,truncate=0.1,flip=0.05,enospc=1
 //
@@ -221,7 +220,7 @@ func (e *engine) roll(site string, p float64) bool {
 
 // writeHook is the atomicio stage hook: while ENOSPC episodes remain,
 // each fsync of a journal/cache write fails with ENOSPC, exercising the
-// disk-full path end to end (temp cleanup, typed error, retry/re-lease).
+// disk-full path end to end (temp cleanup, typed error, retry).
 func (e *engine) writeHook(dest, stage string) error {
 	if stage != atomicio.StageSync {
 		return nil

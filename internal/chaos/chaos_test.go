@@ -231,8 +231,7 @@ func TestTransportFaults(t *testing.T) {
 }
 
 // TestDisabledGuardsAllocFree pins the disabled-path cost of every hot
-// guard at zero allocations — the same property the ci bench guard
-// (BenchmarkChaosDisabled) enforces continuously.
+// guard at zero allocations.
 func TestDisabledGuardsAllocFree(t *testing.T) {
 	Uninstall()
 	base := http.DefaultTransport

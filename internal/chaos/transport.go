@@ -55,9 +55,9 @@ func (t *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		obsDrops.Inc()
 		return nil, fmt.Errorf("chaos: request to %s dropped before send", site)
 	}
-	// Bit-flip corruption targets segment uploads: the bytes arrive, the
-	// request parses, but the blob inside is damaged — exactly the fault
-	// the coordinator's checksum/digest verification exists to catch.
+	// Bit-flip corruption targets /complete uploads: the bytes arrive,
+	// the request parses, but the payload inside is damaged — exactly the
+	// fault a receiver's checksum verification exists to catch.
 	if p.FlipP > 0 && req.Body != nil && strings.HasSuffix(site, "/complete") &&
 		e.roll(site+"|flip", p.FlipP) {
 		body, err := io.ReadAll(req.Body)

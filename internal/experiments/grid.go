@@ -73,9 +73,7 @@ func (s *Suite) runGrid(ctx context.Context, eng *jobs.Engine, pairs []SimPair) 
 		seen[key] = true
 		cells = append(cells, jobs.Cell{
 			Key: key,
-			// RunCell is the one producer of cell payload bytes — shared
-			// with distributed workers, so records from either source are
-			// byte-identical.
+			// RunCell is the one producer of cell payload bytes.
 			Run: func(ctx context.Context) ([]byte, error) { return s.RunCell(ctx, key) },
 		})
 	}

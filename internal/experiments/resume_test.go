@@ -237,8 +237,8 @@ func TestGridDigestPinsConfig(t *testing.T) {
 	if d, err := b.GridDigest(pairs); err != nil || d != da {
 		t.Errorf("digest with heartbeat hook: %q (err %v), want %q", d, err, da)
 	}
-	// A literal digest: journals and dist leases written by earlier
-	// builds must keep matching. The uncalibrated default config keeps
+	// A literal digest: journals written by earlier builds must keep
+	// matching. The uncalibrated default config keeps
 	// fitted floats out of the value.
 	const pinned = "grid-v1-4fbe3f924503459db1fac94a023e3b9a3a7f91f71224da6d9409acc26d6cf8c1"
 	lit := []SimPair{{Scheme: "Base", Workload: "mcf_m"}, {Scheme: "UDRVR+PR", Workload: "mil_m"}}

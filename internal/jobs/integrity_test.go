@@ -1,141 +1,154 @@
 package jobs
 
 import (
-	"strings"
+	"context"
+	"sync/atomic"
+	"syscall"
 	"testing"
+	"time"
+
+	"reramsim/internal/atomicio"
 )
 
-// TestResultDigestPinsGridKeyPayload: the digest must change when any of
-// its three inputs changes, and must be stable for identical inputs —
-// that is the whole integrity contract the dist plane builds on.
-func TestResultDigestPinsGridKeyPayload(t *testing.T) {
-	base := ResultDigest("grid-a", "Base/mcf_m", []byte("payload"))
-	if len(base) != 64 || strings.ToLower(base) != base {
-		t.Fatalf("digest %q is not lowercase hex sha-256", base)
-	}
-	if again := ResultDigest("grid-a", "Base/mcf_m", []byte("payload")); again != base {
-		t.Fatalf("digest not deterministic: %s vs %s", base, again)
-	}
-	variants := []string{
-		ResultDigest("grid-b", "Base/mcf_m", []byte("payload")),
-		ResultDigest("grid-a", "Base/zeu_m", []byte("payload")),
-		ResultDigest("grid-a", "Base/mcf_m", []byte("payload2")),
-	}
-	for i, v := range variants {
-		if v == base {
-			t.Errorf("variant %d collides with base digest; input is not pinned", i)
+// appendRecords journals recs through the engine's own journal, one
+// segment per record, as a live run would.
+func appendRecords(t *testing.T, e *Engine, recs ...record) {
+	t.Helper()
+	for _, r := range recs {
+		if err := e.j.append(r); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// NUL-delimited fields must not be shiftable across the boundary.
-	a := ResultDigest("g", "ab", []byte("c"))
-	b := ResultDigest("g", "a", []byte("bc"))
-	if a == b {
-		t.Error("field boundary between key and payload is ambiguous")
 	}
 }
 
-// TestRetractReplaysAsNotDone: a retraction must strike the completion
-// both live and — the crash-safety half — on journal replay, while other
-// completions survive.
+// retraction is a kind-3 record as earlier builds wrote it.
+func retraction(key string) record {
+	data, err := marshalQuarantine(quarantineData{Reason: "audit", Error: "divergent results for " + key})
+	if err != nil {
+		panic(err)
+	}
+	return record{kind: recRetracted, key: key, data: data}
+}
+
+// TestRetractReplaysAsNotDone: a legacy retraction record must strike
+// the earlier completion on journal replay — the retracted cell re-runs
+// and is never served from disk — while other completions survive.
 func TestRetractReplaysAsNotDone(t *testing.T) {
 	dir := t.TempDir()
-	eng, err := Open(Options{Dir: dir, Digest: "d1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := []Record{
-		{Kind: RecordCompleted, Key: "a", Data: []byte("pa")},
-		{Kind: RecordCompleted, Key: "b", Data: []byte("pb")},
-	}
-	if _, _, err := eng.ImportRecords("w1", recs); err != nil {
-		t.Fatal(err)
-	}
-	ok, err := eng.Retract("w2", "a", "audit", "divergent digests from w1 and w2")
-	if err != nil || !ok {
-		t.Fatalf("Retract = (%v, %v), want (true, nil)", ok, err)
-	}
-	if _, done := eng.Completed("a"); done {
-		t.Fatal("retracted cell still reported completed live")
-	}
-	if _, done := eng.Completed("b"); !done {
-		t.Fatal("unrelated cell lost its completion")
-	}
-	// Retracting again (or a never-completed key) is a no-op.
-	if ok, err := eng.Retract("w2", "a", "audit", "again"); err != nil || ok {
-		t.Fatalf("second Retract = (%v, %v), want (false, nil)", ok, err)
-	}
+	eng := mustOpen(t, Options{Dir: dir, Digest: "d1"})
+	appendRecords(t, eng,
+		record{kind: recCompleted, key: "a", data: []byte("pa")},
+		record{kind: recCompleted, key: "b", data: []byte("pb")},
+		retraction("a"),
+	)
 
 	// Replay: a resumed engine must not hold the retracted cell.
-	eng2, err := Open(Options{Dir: dir, Resume: true, Digest: "d1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done, resumed := eng2.Prepare([]string{"a", "b"})
-	if _, ok := done["a"]; ok {
+	eng2 := mustOpen(t, Options{Dir: dir, Resume: true, Digest: "d1"})
+	if _, ok := eng2.Resumed("a"); ok {
 		t.Fatal("journal replay resurrected the retracted cell")
 	}
-	if string(done["b"]) != "pb" {
-		t.Fatalf("replay lost the surviving completion: %q", done["b"])
+	if p, _ := eng2.Resumed("b"); string(p) != "pb" {
+		t.Fatalf("replay lost the surviving completion: %q", p)
 	}
-	if len(resumed) != 1 || resumed[0] != "b" {
-		t.Fatalf("resumed = %v, want [b]", resumed)
+	runs := map[string]int{}
+	var states map[string]CellState
+	cells := []Cell{
+		{Key: "a", Run: func(context.Context) ([]byte, error) {
+			runs["a"]++
+			// While the retracted cell re-runs, the surviving one shows
+			// as resumed and the retracted one as running, not resumed.
+			states = map[string]CellState{}
+			for _, c := range eng2.Progress().Cells {
+				states[c.Key] = c.State
+			}
+			return []byte("pa2"), nil
+		}},
+		{Key: "b", Run: func(context.Context) ([]byte, error) { runs["b"]++; return []byte("pb"), nil }},
 	}
-	// The retracted cell shows as quarantined in progress after replay.
-	var st CellState
-	for _, c := range eng2.Progress().Cells {
-		if c.Key == "a" {
-			st = c.State
-		}
+	rep, err := eng2.Run(context.Background(), cells)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st != CellPending {
-		t.Fatalf("retracted cell state after replay = %q, want pending (it re-runs)", st)
+	if runs["a"] != 1 || runs["b"] != 0 {
+		t.Fatalf("runs = %v, want the retracted cell re-run once and the other served from disk", runs)
+	}
+	if len(rep.Resumed) != 1 || rep.Resumed[0] != "b" {
+		t.Fatalf("resumed = %v, want [b]", rep.Resumed)
+	}
+	if len(rep.Executed) != 1 || rep.Executed[0] != "a" || string(rep.Done["a"]) != "pa2" {
+		t.Fatalf("executed = %v, done[a] = %q, want the re-run payload", rep.Executed, rep.Done["a"])
+	}
+	if states["a"] != CellRunning || states["b"] != CellResumed {
+		t.Fatalf("progress during the re-run = %v, want a running and b resumed", states)
 	}
 }
 
-// TestCompletionSupersedesRetraction: a later trustworthy completion
-// (e.g. a third worker re-ran the cell) replays over the retraction,
-// mirroring the completion-supersedes-quarantine rule.
+// TestCompletionSupersedesRetraction: a later completion (a cell re-run
+// after its retraction) replays over the retraction, mirroring the
+// completion-supersedes-quarantine rule.
 func TestCompletionSupersedesRetraction(t *testing.T) {
 	dir := t.TempDir()
-	eng, err := Open(Options{Dir: dir, Digest: "d1"})
+	eng := mustOpen(t, Options{Dir: dir, Digest: "d1"})
+	appendRecords(t, eng,
+		record{kind: recCompleted, key: "a", data: []byte("v1")},
+		retraction("a"),
+		record{kind: recCompleted, key: "a", data: []byte("v2")},
+	)
+	eng2 := mustOpen(t, Options{Dir: dir, Resume: true, Digest: "d1"})
+	if p, _ := eng2.Resumed("a"); string(p) != "v2" {
+		t.Fatalf("replayed payload = %q, want the post-retraction completion v2", p)
+	}
+	rep, err := eng2.Run(context.Background(), []Cell{{Key: "a", Run: func(context.Context) ([]byte, error) {
+		t.Error("a cell completed after its retraction was re-run")
+		return nil, nil
+	}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := eng.ImportRecords("w1", []Record{{Kind: RecordCompleted, Key: "a", Data: []byte("v1")}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Retract("", "a", "audit", "divergence"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := eng.ImportRecords("w3", []Record{{Kind: RecordCompleted, Key: "a", Data: []byte("v2")}}); err != nil {
-		t.Fatal(err)
-	}
-	eng2, err := Open(Options{Dir: dir, Resume: true, Digest: "d1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done, _ := eng2.Prepare([]string{"a"})
-	if string(done["a"]) != "v2" {
-		t.Fatalf("replayed payload = %q, want the post-retraction completion v2", done["a"])
+	if len(rep.Resumed) != 1 || string(rep.Done["a"]) != "v2" {
+		t.Fatalf("resumed = %v, done[a] = %q, want a served from disk as v2", rep.Resumed, rep.Done["a"])
 	}
 }
 
-// TestSetHealthSourceFoldsIntoProgress: an attached health provider's
-// snapshot rides along on Progress; detaching removes it.
-func TestSetHealthSourceFoldsIntoProgress(t *testing.T) {
-	eng, err := Open(Options{})
+// TestJournalDiskFullRetries: a journal fsync failing with ENOSPC in
+// the middle of a run is a transient error. With retries allowed the
+// cell re-runs, every cell finishes, nothing is quarantined, and the
+// journal ends up complete: a resumed engine serves every cell from
+// disk. The hook goes in after Open, so the manifest write is spared.
+func TestJournalDiskFullRetries(t *testing.T) {
+	dir := t.TempDir()
+	eng := mustOpen(t, Options{Dir: dir, Digest: "d1", MaxRetries: 3, sleep: func(context.Context, time.Duration) {}})
+	par1(t)
+	var fails atomic.Int64
+	fails.Store(2)
+	prev := atomicio.SetHook(func(dest, stage string) error {
+		if stage == atomicio.StageSync && fails.Add(-1) >= 0 {
+			return syscall.ENOSPC
+		}
+		return nil
+	})
+	t.Cleanup(func() { atomicio.SetHook(prev) })
+
+	rep, err := eng.Run(context.Background(), grid(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.SetHealthSource(func() []WorkerHealth {
-		return []WorkerHealth{{Worker: "w1", State: "banned", Score: 0.2, Rejects: 4}}
-	})
-	p := eng.Progress()
-	if len(p.Health) != 1 || p.Health[0].Worker != "w1" || p.Health[0].State != "banned" {
-		t.Fatalf("Progress().Health = %+v, want the attached source's snapshot", p.Health)
+	if len(rep.Done) != 4 || rep.Retries != 2 || len(rep.Quarantined) != 0 {
+		t.Fatalf("done=%d retries=%d quarantined=%v, want 4, 2, none", len(rep.Done), rep.Retries, rep.Quarantined)
 	}
-	eng.SetHealthSource(nil)
-	if h := eng.Progress().Health; h != nil {
-		t.Fatalf("Health after detach = %+v, want nil", h)
+
+	atomicio.SetHook(prev)
+	eng2 := mustOpen(t, Options{Dir: dir, Digest: "d1", Resume: true})
+	rep2, err := eng2.Run(context.Background(), grid(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep2.Resumed) != 4 || len(rep2.Executed) != 0 {
+		t.Fatalf("resumed=%v executed=%v, want all 4 cells from disk", rep2.Resumed, rep2.Executed)
+	}
+	for _, c := range grid(4) {
+		if want := "payload for " + c.Key; string(rep2.Done[c.Key]) != want {
+			t.Fatalf("resumed %s = %q, want %q", c.Key, rep2.Done[c.Key], want)
+		}
 	}
 }

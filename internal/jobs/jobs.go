@@ -175,10 +175,6 @@ type Engine struct {
 	done     map[string][]byte // key -> payload (disk-resumed + completed here)
 	fromDisk map[string]bool   // keys loaded from the journal, not yet re-reported
 
-	// healthFn, when set (SetHealthSource), contributes per-worker trust
-	// scores to Progress snapshots.
-	healthFn func() []WorkerHealth
-
 	// prog tracks per-cell live state for the telemetry /progress
 	// endpoint (own lock; never contends with execution).
 	prog progressTracker

@@ -29,11 +29,15 @@ var segMagic = [4]byte{'R', 'S', 'J', 'L'}
 // a truncated tail loses only the torn record, not the whole segment.
 const segHeaderSize = 4 + 4 + 8 + sha256.Size
 
-// Record kinds.
+// Record kinds. Nothing writes kind 3 any more: it is the retraction
+// record of earlier builds, whose distributed coordinator struck a
+// completion after an audit divergence. Replay still honours it, so a
+// checkpoint directory written by such a build re-runs the retracted
+// cell instead of serving it from disk.
 const (
 	recCompleted   = byte(1) // data = the cell's result payload
 	recQuarantined = byte(2) // data = JSON-encoded quarantineData
-	recRetracted   = byte(3) // data = JSON-encoded quarantineData explaining why the completion was withdrawn
+	recRetracted   = byte(3) // legacy; data = JSON-encoded quarantineData explaining why the completion was withdrawn
 )
 
 // record is one journal entry: a completed cell with its payload, or a
@@ -227,10 +231,9 @@ func loadJournal(dir, digest string) (done map[string][]byte, quarantined map[st
 					quarantined[r.key] = q
 				}
 			case recRetracted:
-				// A retraction withdraws an earlier completion (the
-				// coordinator's audit path caught divergent results for the
-				// cell): on replay the cell is no longer done and re-runs,
-				// with the stored report kept as its quarantine state.
+				// A (legacy) retraction withdraws an earlier completion:
+				// on replay the cell is no longer done and re-runs, with
+				// the stored report kept as its quarantine state.
 				delete(done, r.key)
 				var q quarantineData
 				if json.Unmarshal(r.data, &q) == nil {

@@ -16,10 +16,4 @@ var (
 	obsFlushes     = obs.C("jobs.flushes")     // journal segments written
 	obsColdStarts  = obs.C("jobs.cold_starts") // journals discarded (missing/stale/corrupt)
 	obsCorruptSegs = obs.C("jobs.journal.corrupt_segments")
-
-	// Distributed-merge path (Engine.ImportRecords).
-	obsImported   = obs.C("jobs.imported")          // worker records merged as completions
-	obsImportDups = obs.C("jobs.import.duplicates") // records dropped: cell already done
-	obsImportBad  = obs.C("jobs.import.rejected")   // records dropped: unknown kind / bad payload
-	obsRetracted  = obs.C("jobs.retracted")         // completions withdrawn (audit divergence)
 )

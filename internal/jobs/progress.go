@@ -20,7 +20,6 @@ type CellState string
 
 const (
 	CellPending     CellState = "pending"
-	CellLeased      CellState = "leased" // handed to a distributed worker
 	CellRunning     CellState = "running"
 	CellCompleted   CellState = "completed"
 	CellResumed     CellState = "resumed" // completed via the on-disk journal
@@ -33,9 +32,6 @@ type CellProgress struct {
 	State    CellState `json:"state"`
 	Attempts int       `json:"attempts,omitempty"`
 	Stalled  bool      `json:"stalled,omitempty"`
-	// Worker names the distributed worker holding (or having finished)
-	// the cell; empty for cells executed in-process.
-	Worker string `json:"worker,omitempty"`
 	// BeatAgeSec is the age of the cell's last watchdog heartbeat;
 	// only meaningful while running.
 	BeatAgeSec float64 `json:"beatAgeSec,omitempty"`
@@ -45,33 +41,10 @@ type CellProgress struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// WorkerProgress aggregates one distributed worker's cells.
-type WorkerProgress struct {
-	Worker      string `json:"worker"`
-	Leased      int    `json:"leased"`
-	Completed   int    `json:"completed"`
-	Quarantined int    `json:"quarantined"`
-}
-
-// WorkerHealth is one distributed worker's trust standing as scored by
-// the coordinator's lease table: raw outcome counts plus the derived
-// score and state ("ok" | "demoted" | "banned"). Exported through
-// /progress so an operator can see why a host stopped receiving leases.
-type WorkerHealth struct {
-	Worker        string  `json:"worker"`
-	State         string  `json:"state"`
-	Score         float64 `json:"score"`
-	Completions   int     `json:"completions"`
-	Expiries      int     `json:"expiries,omitempty"`
-	Rejects       int     `json:"rejects,omitempty"`
-	AuditFailures int     `json:"auditFailures,omitempty"`
-}
-
 // Progress is a point-in-time view of the engine's grid execution.
 type Progress struct {
 	Total       int `json:"total"`
 	Pending     int `json:"pending"`
-	Leased      int `json:"leased"` // held by distributed workers
 	Running     int `json:"running"`
 	Completed   int `json:"completed"` // includes resumed cells
 	Resumed     int `json:"resumed"`
@@ -91,12 +64,6 @@ type Progress struct {
 	// use it to detect movement without diffing cells.
 	Epoch uint64         `json:"epoch"`
 	Cells []CellProgress `json:"cells"`
-	// Workers summarises per-worker cell states when the grid runs
-	// distributed (sorted by worker name; absent for local runs).
-	Workers []WorkerProgress `json:"workers,omitempty"`
-	// Health carries the coordinator's per-worker trust scores when a
-	// health source is attached (SetHealthSource); absent otherwise.
-	Health []WorkerHealth `json:"health,omitempty"`
 }
 
 // cellProg is the tracker's per-cell record.
@@ -108,7 +75,6 @@ type cellProg struct {
 	started  time.Time
 	took     time.Duration
 	reason   string
-	worker   string // distributed attribution; empty for local cells
 }
 
 // progressTracker accumulates cell states across an engine's Run calls
@@ -193,68 +159,6 @@ func (p *progressTracker) markQuarantined(key, reason string) {
 	p.mu.Unlock()
 }
 
-// markLeased moves a pending cell to leased under the named worker.
-// Each lease counts as an attempt (an expired lease followed by a
-// re-lease shows up as attempts=2, exactly like a local retry).
-func (p *progressTracker) markLeased(key, worker string) {
-	p.mu.Lock()
-	c := p.cellLocked(key)
-	if c.state == CellPending || c.state == CellLeased {
-		c.state = CellLeased
-		c.worker = worker
-		c.attempts++
-		if c.attempts == 1 {
-			c.started = time.Now()
-		}
-	}
-	p.epoch++
-	p.mu.Unlock()
-}
-
-// markReleased returns an expired lease's cell to pending.
-func (p *progressTracker) markReleased(key string) {
-	p.mu.Lock()
-	if c, ok := p.cells[key]; ok && c.state == CellLeased {
-		c.state = CellPending
-		c.worker = ""
-		p.epoch++
-	}
-	p.mu.Unlock()
-}
-
-// markDoneBy is markDone with distributed-worker attribution.
-func (p *progressTracker) markDoneBy(key, worker string) {
-	p.mu.Lock()
-	c := p.cellLocked(key)
-	c.state = CellCompleted
-	c.bs = nil
-	c.worker = worker
-	if !c.started.IsZero() {
-		c.took = time.Since(c.started)
-		p.durations = append(p.durations, c.took)
-		if len(p.durations) > trailingWindow {
-			p.durations = p.durations[len(p.durations)-trailingWindow:]
-		}
-	}
-	p.epoch++
-	p.mu.Unlock()
-}
-
-// markQuarantinedBy is markQuarantined with worker attribution.
-func (p *progressTracker) markQuarantinedBy(key, reason, worker string) {
-	p.mu.Lock()
-	c := p.cellLocked(key)
-	c.state = CellQuarantined
-	c.bs = nil
-	c.reason = reason
-	c.worker = worker
-	if !c.started.IsZero() {
-		c.took = time.Since(c.started)
-	}
-	p.epoch++
-	p.mu.Unlock()
-}
-
 func (p *progressTracker) markStalled(key string) {
 	p.mu.Lock()
 	if c, ok := p.cells[key]; ok {
@@ -282,18 +186,6 @@ func (p *progressTracker) snapshot(now time.Time) Progress {
 		Epoch:   p.epoch,
 		Cells:   make([]CellProgress, 0, len(p.order)),
 	}
-	var workers map[string]*WorkerProgress
-	workerStat := func(name string) *WorkerProgress {
-		if workers == nil {
-			workers = make(map[string]*WorkerProgress)
-		}
-		w, ok := workers[name]
-		if !ok {
-			w = &WorkerProgress{Worker: name}
-			workers[name] = w
-		}
-		return w
-	}
 	for _, key := range p.order {
 		c := p.cells[key]
 		cp := CellProgress{
@@ -302,16 +194,10 @@ func (p *progressTracker) snapshot(now time.Time) Progress {
 			Attempts: c.attempts,
 			Stalled:  c.stalled,
 			Reason:   c.reason,
-			Worker:   c.worker,
 		}
 		switch c.state {
 		case CellPending:
 			out.Pending++
-		case CellLeased:
-			out.Leased++
-			if c.worker != "" {
-				workerStat(c.worker).Leased++
-			}
 		case CellRunning:
 			out.Running++
 			if c.bs != nil {
@@ -326,24 +212,11 @@ func (p *progressTracker) snapshot(now time.Time) Progress {
 				out.Resumed++
 			}
 			cp.TookSec = c.took.Seconds()
-			if c.worker != "" {
-				workerStat(c.worker).Completed++
-			}
 		case CellQuarantined:
 			out.Quarantined++
 			cp.TookSec = c.took.Seconds()
-			if c.worker != "" {
-				workerStat(c.worker).Quarantined++
-			}
 		}
 		out.Cells = append(out.Cells, cp)
-	}
-	if len(workers) > 0 {
-		out.Workers = make([]WorkerProgress, 0, len(workers))
-		for _, w := range workers {
-			out.Workers = append(out.Workers, *w)
-		}
-		sort.Slice(out.Workers, func(i, j int) bool { return out.Workers[i].Worker < out.Workers[j].Worker })
 	}
 	finished := out.Completed + out.Quarantined
 	if out.Total > 0 {
@@ -355,9 +228,7 @@ func (p *progressTracker) snapshot(now time.Time) Progress {
 		med := sorted[n/2]
 		out.MedianCellSec = med.Seconds()
 		if remaining := out.Total - finished; remaining > 0 {
-			// Leased cells are running somewhere — on a worker — so they
-			// count toward the observed parallelism.
-			conc := out.Running + out.Leased
+			conc := out.Running
 			if conc < 1 {
 				conc = par.Jobs()
 			}
@@ -370,24 +241,6 @@ func (p *progressTracker) snapshot(now time.Time) Progress {
 	return out
 }
 
-// SetHealthSource attaches a provider of per-worker health scores (the
-// distributed coordinator's lease table) whose snapshot is folded into
-// every Progress() result. A nil fn detaches it.
-func (e *Engine) SetHealthSource(fn func() []WorkerHealth) {
-	e.mu.Lock()
-	e.healthFn = fn
-	e.mu.Unlock()
-}
-
 // Progress returns the engine's live grid status. Safe to call from any
 // goroutine, including while Run executes; it never blocks execution.
-func (e *Engine) Progress() Progress {
-	p := e.prog.snapshot(time.Now())
-	e.mu.Lock()
-	fn := e.healthFn
-	e.mu.Unlock()
-	if fn != nil {
-		p.Health = fn()
-	}
-	return p
-}
+func (e *Engine) Progress() Progress { return e.prog.snapshot(time.Now()) }

@@ -37,7 +37,7 @@ type Policy struct {
 
 	// AttemptTimeout, when positive, bounds each individual attempt made
 	// through DoCtx: the attempt's context is cancelled after this long,
-	// so one hung call (a segment upload stalled on a dead TCP peer, say)
+	// so one hung call (an HTTP post stalled on a dead TCP peer, say)
 	// cannot eat the caller's whole deadline. Zero means attempts share
 	// the caller's context unbounded. Do ignores it — its callback takes
 	// no context, so there is nothing to cancel.
@@ -84,10 +84,9 @@ func jitterRNG(key string, attempt int) *rand.Rand {
 // Do runs f up to attempts times, sleeping the policy's jittered delay
 // between failures. It returns nil on the first success, the last error
 // once attempts are exhausted, and ctx's cause if the context ends
-// mid-backoff (the pending error is wrapped alongside). Distributed
-// workers use it for lease-renewal and record-upload posts, where the
-// deterministic per-key jitter keeps a fleet of workers hammering a
-// restarted coordinator from re-synchronising.
+// mid-backoff (the pending error is wrapped alongside). The
+// deterministic per-key jitter keeps a herd of clients retrying against
+// a restarted server from re-synchronising.
 func (p Policy) Do(ctx context.Context, key string, attempts int, f func() error) error {
 	return p.DoCtx(ctx, key, attempts, func(context.Context) error { return f() })
 }
@@ -95,9 +94,7 @@ func (p Policy) Do(ctx context.Context, key string, attempts int, f func() error
 // DoCtx is Do for callbacks that honour a context: each attempt receives
 // a child of ctx, additionally bounded by Policy.AttemptTimeout when that
 // is set. A timed-out attempt counts as a failure and backs off like any
-// other; only the parent ctx ending aborts the whole loop. Workers use it
-// to ship journal segments — a hung upload is cancelled after a fraction
-// of the lease TTL instead of silently outliving the lease.
+// other; only the parent ctx ending aborts the whole loop.
 func (p Policy) DoCtx(ctx context.Context, key string, attempts int, f func(context.Context) error) error {
 	var last error
 	for n := 0; n < attempts; n++ {

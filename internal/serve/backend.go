@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"reramsim/internal/dist"
 	"reramsim/internal/experiments"
 	"reramsim/internal/jobs"
 )
@@ -45,11 +44,6 @@ type SuiteBackend struct {
 	CheckpointRoot string
 	// CellTimeout bounds each grid cell (jobs.Options.CellTimeout).
 	CellTimeout time.Duration
-	// Dist, when set, fans sweeps out to the coordinator's worker fleet
-	// whenever live workers are joined; with none the sweep runs
-	// in-process. Either way the journal, progress view and report are
-	// identical — admission, deadlines and drain behave the same.
-	Dist *dist.Coordinator
 }
 
 func (b *SuiteBackend) Validate(scheme, workload string) error {
@@ -101,18 +95,6 @@ func (b *SuiteBackend) Sweep(ctx context.Context, digest string, pairs []experim
 	}
 	if onProgress != nil {
 		onProgress(eng.Progress)
-	}
-	if b.Dist != nil && b.Dist.LiveWorkers() > 0 {
-		spec := dist.GridSpec{
-			Array:  b.Suite.Cfg,
-			Mem:    b.Suite.MemCfg,
-			Digest: digest,
-			Pairs:  make([]dist.Pair, len(pairs)),
-		}
-		for i, p := range pairs {
-			spec.Pairs[i] = dist.Pair{Scheme: p.Scheme, Workload: p.Workload}
-		}
-		return b.Dist.RunSweep(ctx, spec, eng)
 	}
 	return b.Suite.RunGridContext(ctx, eng, pairs)
 }
