@@ -34,16 +34,17 @@ race-fault:
 race-par:
 	$(GO) test -race ./internal/par/ ./internal/experiments/ ./internal/core/ ./internal/xpoint/
 
-# The crash-safe sweep engine under the race detector: journal
-# replay (including legacy retraction records), resume byte-identity,
-# panic isolation, watchdog state and disk-full journal retries, plus
-# the atomic-write primitive, its stage-fault hook and the seeded fault
-# plans of internal/chaos that install it — plus the CLI exit-code smoke
-# tests (quarantined cell -> exit 3, SIGTERM -> exit 130 ->
-# byte-identical resume).
+# The crash-safe sweep engine under the race detector: the jobs
+# package (journal replay including legacy retraction records, panic
+# isolation, watchdog, disk-full journal retries) and the atomic-write
+# primitive with its stage-fault hook; then the suite's resume
+# byte-identity, quarantine, grid-digest and CLI-path disk-full retry
+# tests, also under -race; then the CLI exit-code smoke tests
+# (quarantined cell -> exit 3, SIGTERM -> exit 130 -> byte-identical
+# resume).
 test-resume:
-	$(GO) test -race ./internal/jobs/ ./internal/atomicio/ ./internal/chaos/
-	$(GO) test -race -run 'TestResume|TestPrimeSimsQuarantine|TestGridDigest' ./internal/experiments/
+	$(GO) test -race ./internal/jobs/ ./internal/atomicio/
+	$(GO) test -race -run 'TestResume|TestPrimeSimsQuarantine|TestGridDigest|TestRunGridRetries' ./internal/experiments/
 	$(GO) test -run 'TestQuarantineExitCodeSmoke|TestSigtermResumeByteIdentical' ./cmd/reramsim/
 
 # The live telemetry plane under the race detector — the lock-free
@@ -56,11 +57,12 @@ test-telemetry:
 	$(GO) test -race -run 'TestSweepSpan|TestProgress' ./internal/experiments/ ./internal/jobs/
 	$(GO) test -run 'TestTelemetryE2ESmoke' ./cmd/reramsim/
 
-# The service layer under the race detector: admission shedding
-# (429/503 + Retry-After), dedup exactness (32 identical sweeps -> one
-# execution), drain-under-load, panic isolation and the shared retry
-# policy — plus the reramd daemon e2e (real suite over HTTP, SIGTERM
-# drain with on-disk checkpoints, exit 0).
+# The service layer under the race detector: the serve package
+# (admission shedding with 429/503 + Retry-After, dedup exactness of
+# 32 identical sweeps -> one execution, drain under load, panic
+# isolation) and the retry package (the jittered backoff schedule behind
+# Retry-After and cell retries); then the reramd daemon e2e tests (real
+# suite over HTTP, SIGTERM drain with on-disk checkpoints, exit 0).
 test-serve:
 	$(GO) test -race ./internal/serve/ ./internal/retry/
 	$(GO) test -race -run 'TestDaemon' ./cmd/reramd/

@@ -7,7 +7,6 @@
 //	reramsim -scheme UDRVR+PR -workload mcf_m -accesses 20000
 //	reramsim -scheme Base,UDRVR+PR -workload mcf_m,mil_m -json
 //	reramsim -scheme UDRVR+PR -workload mcf_m -metrics
-//	reramsim -scheme UDRVR+PR -workload mcf_m -trace-out events.jsonl
 //	reramsim -list
 //
 // Sweeps: comma-separated -scheme/-workload lists run the full cross
@@ -18,11 +17,11 @@
 // 130 interrupted (SIGINT/SIGTERM).
 //
 // Observability: -metrics dumps the metric registry after the run
-// (Prometheus-style text, or JSON with -metrics-format json), -trace-out
-// streams structured events as JSONL, -obs-addr serves the live
-// telemetry plane (/metrics, /healthz, /readyz, /progress and
-// /debug/pprof/ on one address with graceful shutdown), and -trace-spans
-// records hierarchical spans as a Chrome trace-event file for Perfetto.
+// (Prometheus-style text, or JSON with -metrics-format json), -obs-addr
+// serves the live telemetry plane (/metrics, /healthz, /readyz,
+// /progress and /debug/pprof/ on one address with graceful shutdown),
+// and -trace-spans records hierarchical spans as a Chrome trace-event
+// file for Perfetto.
 package main
 
 import (
@@ -79,7 +78,6 @@ func main() {
 
 		metrics    = flag.Bool("metrics", false, "dump the metric registry after the run")
 		metricsFmt = flag.String("metrics-format", "text", "metrics dump format: text (Prometheus-style) or json")
-		traceOut   = flag.String("trace-out", "", "write structured trace events as JSONL to this file")
 		obsAddr    = flag.String("obs-addr", "", "serve live telemetry (/metrics, /healthz, /readyz, /progress, /debug/pprof/) on this address (e.g. localhost:6060)")
 		traceSpans = flag.String("trace-spans", "", "write hierarchical spans as a Chrome trace-event file (load in ui.perfetto.dev)")
 	)
@@ -119,23 +117,8 @@ func main() {
 		}
 		core.SetSolveCache(sc)
 	}
-	if *metrics || *traceOut != "" || *obsAddr != "" || *traceSpans != "" {
+	if *metrics || *obsAddr != "" || *traceSpans != "" {
 		obs.SetEnabled(true)
-	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fail(err)
-		}
-		sink := obs.NewJSONLSink(f)
-		obs.SetSink(sink)
-		defer func() {
-			obs.SetSink(nil)
-			if err := sink.Flush(); err != nil {
-				fmt.Fprintln(os.Stderr, "reramsim: trace flush:", err)
-			}
-			f.Close()
-		}()
 	}
 	stack, err := telemetry.StartStack(telemetry.StackOptions{Addr: *obsAddr, TraceSpans: *traceSpans})
 	if err != nil {

@@ -72,9 +72,9 @@ func IsDiskFull(err error) bool {
 
 // hook, when set, is consulted before each stage of a write with the
 // destination path and the Stage* about to run; a non-nil return aborts
-// the write as if the OS had failed that stage. It exists for the chaos
-// harness and for tests that need deterministic ENOSPC/short-write
-// injection without filling a real filesystem. The nil fast path is one
+// the write as if the OS had failed that stage. It exists for tests that
+// need deterministic ENOSPC/short-write injection without filling a real
+// filesystem. The nil fast path is one
 // atomic load, so production writes pay nothing.
 var hook atomic.Pointer[func(dest, stage string) error]
 
@@ -90,11 +90,6 @@ func SetHook(h func(dest, stage string) error) (prev func(dest, stage string) er
 	}
 	return prev
 }
-
-// HookEnabled reports whether a stage-fault hook is installed. It is the
-// exact check every write performs per stage, exported so the chaos
-// tests can pin its cost at 0 allocs.
-func HookEnabled() bool { return hook.Load() != nil }
 
 // stageFault runs the installed hook, if any, for one stage.
 func stageFault(dest, stage string) error {

@@ -242,18 +242,15 @@ func TestShortWriteInjection(t *testing.T) {
 }
 
 // TestHookRestoreAndDisabled: SetHook returns the previous hook, and with
-// none installed HookEnabled is false and writes succeed untouched.
+// none installed writes succeed untouched.
 func TestHookRestoreAndDisabled(t *testing.T) {
-	if HookEnabled() {
-		t.Fatal("hook enabled at test start")
+	if cur := SetHook(nil); cur != nil {
+		t.Fatal("hook installed at test start")
 	}
 	called := false
 	prev := SetHook(func(dest, s string) error { called = true; return nil })
 	if prev != nil {
 		t.Fatal("previous hook was not nil")
-	}
-	if !HookEnabled() {
-		t.Fatal("HookEnabled false after SetHook")
 	}
 	dir := t.TempDir()
 	if err := WriteFile(dir, "k", []byte("x"), 0o644); err != nil {
@@ -262,12 +259,23 @@ func TestHookRestoreAndDisabled(t *testing.T) {
 	if !called {
 		t.Fatal("installed hook was never consulted")
 	}
-	SetHook(prev)
-	if HookEnabled() {
-		t.Fatal("HookEnabled true after restore to nil")
+	installed := SetHook(prev)
+	if installed == nil {
+		t.Fatal("SetHook did not return the installed hook")
 	}
+	called = false
+	if err := installed(filepath.Join(dir, "k"), StageWrite); err != nil || !called {
+		t.Fatal("SetHook returned a hook other than the installed one")
+	}
+	called = false
 	if err := WriteFile(dir, "k2", []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
+	}
+	if called {
+		t.Fatal("removed hook still consulted")
+	}
+	if cur := SetHook(nil); cur != nil {
+		t.Fatal("hook still installed after restore to nil")
 	}
 }
 

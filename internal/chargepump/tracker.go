@@ -40,9 +40,6 @@ func (t *LevelTracker) Observe(level float64) {
 	t.last = level
 	obsSwitches.Inc()
 	obsSettles.Inc()
-	if obs.Tracing() {
-		obs.Emit("chargepump.level_switch", level)
-	}
 }
 
 // Level returns the last observed output level (0 before any write).
@@ -57,7 +54,4 @@ func (t *LevelTracker) ObserveUndershoot(dv float64) {
 		return
 	}
 	obsUndershoots.Inc()
-	if obs.Tracing() {
-		obs.Emit("chargepump.undershoot", dv)
-	}
 }

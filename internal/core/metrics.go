@@ -74,11 +74,4 @@ func recordLineCost(c LineCost) {
 	if c.Failed {
 		obsWriteFailed.Inc()
 	}
-	if obs.Tracing() {
-		obs.EmitL("core.write.priced", c.Latency()*1e9, map[string]string{
-			"section": fmt.Sprintf("%d", c.Section),
-			"resets":  fmt.Sprintf("%d", c.Resets),
-			"sets":    fmt.Sprintf("%d", c.Sets),
-		})
-	}
 }

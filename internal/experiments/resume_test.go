@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"path/filepath"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
+	"reramsim/internal/atomicio"
 	"reramsim/internal/jobs"
 	"reramsim/internal/obs"
 	"reramsim/internal/par"
@@ -203,6 +206,52 @@ func TestPrimeSimsQuarantineWrapsErr(t *testing.T) {
 		}
 		if _, err := s.Sim(p.Scheme, p.Workload); err != nil {
 			t.Errorf("%s/%s did not survive the quarantined neighbour: %v", p.Scheme, p.Workload, err)
+		}
+	}
+}
+
+// TestRunGridRetriesJournalDiskFull: a sweep run the way the CLIs run
+// it retries a transient journal failure instead of quarantining the
+// cell. The engine gets exactly the options reramsim passes (checkpoint
+// dir and grid digest), and two journal fsyncs fail with ENOSPC once it
+// is open: every cell completes after two retries, with payloads
+// byte-equal to a clean run's.
+func TestRunGridRetriesJournalDiskFull(t *testing.T) {
+	pairs := []SimPair{{Scheme: "Base", Workload: "mcf_m"}, {Scheme: "UDRVR+PR", Workload: "mcf_m"}}
+	run := func(syncFailures int64) *jobs.Report {
+		s := freshSuite(t)
+		digest, err := s.GridDigest(pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := jobs.Open(jobs.Options{Dir: t.TempDir(), Digest: digest})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fails atomic.Int64
+		fails.Store(syncFailures)
+		prev := atomicio.SetHook(func(dest, stage string) error {
+			if stage == atomicio.StageSync && fails.Add(-1) >= 0 {
+				return syscall.ENOSPC
+			}
+			return nil
+		})
+		defer atomicio.SetHook(prev)
+		rep, err := s.RunGrid(eng, pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	clean := run(0)
+	rep := run(2)
+	if !rep.Complete() || rep.Retries != 2 {
+		t.Fatalf("quarantined=%v retries=%d, want none and 2", rep.Quarantined, rep.Retries)
+	}
+	for _, p := range pairs {
+		key := p.Scheme + "/" + p.Workload
+		if got, want := rep.Done[key], clean.Done[key]; len(want) == 0 || string(got) != string(want) {
+			t.Errorf("%s payload after retries differs from the clean run:\nwant: %s\ngot:  %s", key, want, got)
 		}
 	}
 }

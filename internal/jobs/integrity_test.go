@@ -111,13 +111,12 @@ func TestCompletionSupersedesRetraction(t *testing.T) {
 }
 
 // TestJournalDiskFullRetries: a journal fsync failing with ENOSPC in
-// the middle of a run is a transient error. With retries allowed the
-// cell re-runs, every cell finishes, nothing is quarantined, and the
+// the middle of a run is a transient error. The cell re-runs, every cell finishes, nothing is quarantined, and the
 // journal ends up complete: a resumed engine serves every cell from
 // disk. The hook goes in after Open, so the manifest write is spared.
 func TestJournalDiskFullRetries(t *testing.T) {
 	dir := t.TempDir()
-	eng := mustOpen(t, Options{Dir: dir, Digest: "d1", MaxRetries: 3, sleep: func(context.Context, time.Duration) {}})
+	eng := mustOpen(t, Options{Dir: dir, Digest: "d1", sleep: func(context.Context, time.Duration) {}})
 	par1(t)
 	var fails atomic.Int64
 	fails.Store(2)

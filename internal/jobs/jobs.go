@@ -14,10 +14,10 @@
 // Isolation: a panic inside one cell is captured (stack and all),
 // converted to a typed *ErrCellPanic, recorded in the journal, and the
 // cell is quarantined while the rest of the grid finishes. Transient
-// failures retry with capped exponential backoff plus deterministic
-// per-key jitter. A per-cell deadline and a stall watchdog (no progress
-// heartbeat within WatchdogFactor x the trailing median cell time) flag
-// hung solves instead of wedging the run.
+// failures (journal I/O) retry up to 3 times with capped exponential
+// backoff plus deterministic per-key jitter. A per-cell deadline and a
+// stall watchdog (no progress heartbeat within 8x the trailing median
+// cell time) flag hung solves instead of wedging the run.
 //
 // Shutdown: cancelling the run context (the CLIs cancel on SIGINT or
 // SIGTERM with an *InterruptError cause) stops dispatch, lets in-flight
@@ -88,8 +88,24 @@ func (r *Report) ExitCode(runErr error) int {
 	return ExitOK
 }
 
+// Retry and watchdog settings, the same for every engine.
+const (
+	// maxRetries bounds transient-failure re-attempts per cell; the
+	// backoff between them is retry.Delay.
+	maxRetries = 3
+	// watchdogFactor flags a cell whose last heartbeat is older than
+	// this many times the trailing median cell time. The flag is
+	// advisory: metrics + report, never a kill.
+	watchdogFactor = 8
+	// defaultWatchdogFloor is the minimum stall threshold, so fast grids
+	// don't flag scheduler noise.
+	defaultWatchdogFloor = 5 * time.Second
+	// defaultWatchdogPoll is the watchdog's sampling period.
+	defaultWatchdogPoll = 250 * time.Millisecond
+)
+
 // Options configures an Engine. The zero value runs without a journal
-// (no durability) with default retry and watchdog settings.
+// (no durability).
 type Options struct {
 	// Dir is the checkpoint directory; "" disables journaling entirely.
 	Dir string
@@ -106,60 +122,29 @@ type Options struct {
 	// without failing the grid.
 	CellTimeout time.Duration
 
-	// MaxRetries bounds transient-failure re-attempts per cell
-	// (negative: default 3; 0 after Open normalisation means none).
-	MaxRetries int
-	// Backoff is the initial retry delay (default 100ms), doubled per
-	// attempt with +-50% deterministic per-key jitter, capped at
-	// MaxBackoff (default 2s).
-	Backoff    time.Duration
-	MaxBackoff time.Duration
-	// Retryable optionally classifies additional errors (beyond
-	// Transient-wrapped ones) as retryable.
-	Retryable func(error) bool
-
-	// WatchdogFactor flags a cell whose last heartbeat is older than
-	// factor x the trailing median cell time (default 8). The flag is
-	// advisory: metrics + report, never a kill.
-	WatchdogFactor float64
-	// WatchdogFloor is the minimum stall threshold (default 5s), so
-	// fast grids don't flag scheduler noise.
-	WatchdogFloor time.Duration
-	// WatchdogPoll is the watchdog's sampling period (default 250ms).
-	WatchdogPoll time.Duration
-
 	// TestPanicKey makes the engine panic inside the named cell's
 	// worker — the hook behind the quarantined-cell exit-code smoke
 	// test (cmd/reramsim wires it to RERAMSIM_PANIC_CELL). Empty in
 	// production.
 	TestPanicKey string
 
-	// sleep replaces the interruptible backoff sleep in tests.
-	sleep func(ctx context.Context, d time.Duration)
+	// Tests replace the interruptible backoff sleep and shorten the
+	// watchdog's floor and poll period.
+	sleep         func(ctx context.Context, d time.Duration)
+	watchdogFloor time.Duration
+	watchdogPoll  time.Duration
 }
 
-// withDefaults normalises unset options.
+// withDefaults fills the fields tests may override.
 func (o Options) withDefaults() Options {
-	if o.MaxRetries < 0 {
-		o.MaxRetries = 3
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 100 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 2 * time.Second
-	}
-	if o.WatchdogFactor <= 0 {
-		o.WatchdogFactor = 8
-	}
-	if o.WatchdogFloor <= 0 {
-		o.WatchdogFloor = 5 * time.Second
-	}
-	if o.WatchdogPoll <= 0 {
-		o.WatchdogPoll = 250 * time.Millisecond
-	}
 	if o.sleep == nil {
-		o.sleep = sleepCtx
+		o.sleep = retry.Sleep
+	}
+	if o.watchdogFloor <= 0 {
+		o.watchdogFloor = defaultWatchdogFloor
+	}
+	if o.watchdogPoll <= 0 {
+		o.watchdogPoll = defaultWatchdogPoll
 	}
 	return o
 }
@@ -346,11 +331,11 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) (*Report, error) {
 				obsTimeouts.Inc()
 				return quarantine(c.Key, "timeout", te, "")
 			}
-			if attempt < e.opts.MaxRetries && (IsTransient(err) || (e.opts.Retryable != nil && e.opts.Retryable(err))) {
+			if attempt < maxRetries && IsTransient(err) {
 				obsRetried.Inc()
 				retries.Add(1)
 				e.prog.addRetry()
-				e.opts.sleep(ctx, backoffDelay(e.opts, c.Key, attempt))
+				e.opts.sleep(ctx, retry.Delay(c.Key, attempt))
 				continue
 			}
 			return quarantine(c.Key, "error", err, "")
@@ -430,14 +415,3 @@ func (e *Engine) attempt(ctx context.Context, c Cell, wd *watchdog) (payload []b
 	}
 	return payload, err
 }
-
-// backoffDelay computes the capped exponential backoff with +-50%
-// jitter. The policy — deterministic per-(key, attempt) jitter, no
-// global RNG — lives in internal/retry, shared with the reramd daemon's
-// Retry-After hints.
-func backoffDelay(o Options, key string, attempt int) time.Duration {
-	return retry.Policy{Initial: o.Backoff, Max: o.MaxBackoff}.Delay(key, attempt)
-}
-
-// sleepCtx sleeps for d or until ctx is cancelled.
-func sleepCtx(ctx context.Context, d time.Duration) { retry.Sleep(ctx, d) }

@@ -166,8 +166,7 @@ func TestTransientRetryWithBackoff(t *testing.T) {
 		return []byte("ok after retries"), nil
 	}
 	e := mustOpen(t, Options{
-		MaxRetries: 3,
-		sleep:      func(ctx context.Context, d time.Duration) { slept = append(slept, d) },
+		sleep: func(ctx context.Context, d time.Duration) { slept = append(slept, d) },
 	})
 	par1(t)
 	rep, err := e.Run(context.Background(), cells)
@@ -190,12 +189,12 @@ func TestTransientExhaustionQuarantines(t *testing.T) {
 	cells[0].Run = func(ctx context.Context) ([]byte, error) {
 		return nil, Transient(errors.New("always down"))
 	}
-	e := mustOpen(t, Options{MaxRetries: 2, sleep: func(context.Context, time.Duration) {}})
+	e := mustOpen(t, Options{sleep: func(context.Context, time.Duration) {}})
 	rep, err := e.Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Retries != 2 || len(rep.Quarantined) != 1 || rep.Quarantined[0].Reason != "error" {
+	if rep.Retries != maxRetries || len(rep.Quarantined) != 1 || rep.Quarantined[0].Reason != "error" {
 		t.Fatalf("report: %+v retries=%d", rep.Quarantined, rep.Retries)
 	}
 }
@@ -205,7 +204,7 @@ func TestNonTransientErrorQuarantinesWithoutRetry(t *testing.T) {
 	cells[0].Run = func(ctx context.Context) ([]byte, error) {
 		return nil, errors.New("deterministic model error")
 	}
-	e := mustOpen(t, Options{MaxRetries: 5, sleep: func(context.Context, time.Duration) {}})
+	e := mustOpen(t, Options{sleep: func(context.Context, time.Duration) {}})
 	rep, err := e.Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
@@ -292,8 +291,8 @@ func TestStallWatchdogFlagsHungCell(t *testing.T) {
 		return []byte("eventually"), nil
 	}
 	e := mustOpen(t, Options{
-		WatchdogFloor: 80 * time.Millisecond,
-		WatchdogPoll:  10 * time.Millisecond,
+		watchdogFloor: 80 * time.Millisecond,
+		watchdogPoll:  10 * time.Millisecond,
 	})
 	go func() {
 		time.Sleep(400 * time.Millisecond)
@@ -326,8 +325,8 @@ func TestHeartbeatSuppressesStallFlag(t *testing.T) {
 		return []byte("slow but moving"), nil
 	}
 	e := mustOpen(t, Options{
-		WatchdogFloor: 100 * time.Millisecond,
-		WatchdogPoll:  10 * time.Millisecond,
+		watchdogFloor: 100 * time.Millisecond,
+		watchdogPoll:  10 * time.Millisecond,
 	})
 	rep, err := e.Run(context.Background(), cells)
 	if err != nil {

@@ -94,8 +94,7 @@ func TestProgressLifecycle(t *testing.T) {
 // TestProgressQuarantineAndRetries: failures surface as quarantined
 // state with a reason, and transient retries count.
 func TestProgressQuarantineAndRetries(t *testing.T) {
-	eng, err := Open(Options{MaxRetries: 2, Backoff: time.Microsecond,
-		sleep: func(context.Context, time.Duration) {}})
+	eng, err := Open(Options{sleep: func(context.Context, time.Duration) {}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,12 +98,12 @@ func (w *watchdog) unregister(key string, took time.Duration) {
 
 // threshold computes the current stall bound; callers hold w.mu.
 func (w *watchdog) thresholdLocked() time.Duration {
-	th := w.opts.WatchdogFloor
+	th := w.opts.watchdogFloor
 	if n := len(w.durations); n > 0 {
 		sorted := append([]time.Duration(nil), w.durations...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 		med := sorted[n/2]
-		if scaled := time.Duration(float64(med) * w.opts.WatchdogFactor); scaled > th {
+		if scaled := med * watchdogFactor; scaled > th {
 			th = scaled
 		}
 	}
@@ -114,7 +114,7 @@ func (w *watchdog) start() {
 	w.wg.Add(1)
 	go func() {
 		defer w.wg.Done()
-		t := time.NewTicker(w.opts.WatchdogPoll)
+		t := time.NewTicker(w.opts.watchdogPoll)
 		defer t.Stop()
 		for {
 			select {

@@ -107,9 +107,6 @@ func (s *sim) writeWithVerify(req *writeReq) (busy, energyJ float64, cells int, 
 		rel.WriteRetries++
 		obsRetries.Inc()
 		obsRetrySection.Observe(float64(cost.Section))
-		if obs.Tracing() {
-			obs.Emit("fault.write_retry", float64(esc))
-		}
 		rc, cerr := s.scheme.CostWriteRetry(req.row, req.offset, req.lw, esc)
 		if cerr != nil {
 			return 0, 0, 0, cerr
@@ -174,14 +171,8 @@ func (s *sim) failCell(phys uint64, cell int) {
 	if _, ok := s.retire.Retire(phys); ok {
 		rel.RetiredLines++
 		obsRetiredLines.Inc()
-		if obs.Tracing() {
-			obs.Emit("fault.line_retired", float64(phys))
-		}
 		return
 	}
 	rel.Uncorrectable++
 	obsUncorrect.Inc()
-	if obs.Tracing() {
-		obs.Emit("fault.uncorrectable", float64(phys))
-	}
 }

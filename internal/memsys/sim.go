@@ -521,9 +521,6 @@ func (s *sim) issueReads(now float64) bool {
 		if s.bankOps != nil {
 			s.bankOps[req.bank].Inc()
 		}
-		if obs.Tracing() {
-			obs.Emit("memsys.read.issue", (complete-req.arrival)*1e9)
-		}
 
 		s.readQ = append(s.readQ[:qi], s.readQ[qi+1:]...)
 		issued = true
@@ -566,9 +563,6 @@ func (s *sim) issueWrites(now float64) (bool, error) {
 		s.pumpTrack[req.rank].Observe(req.cost.Level)
 		if s.bankOps != nil {
 			s.bankOps[req.bank].Inc()
-		}
-		if obs.Tracing() {
-			obs.Emit("memsys.write.issue", (done-req.arrival)*1e9)
 		}
 
 		s.writeQ = append(s.writeQ[:qi], s.writeQ[qi+1:]...)

@@ -1,15 +1,14 @@
-// Package obs is the simulator-wide observability layer: a
-// concurrent-safe metrics registry (counters, gauges, fixed-bucket
-// histograms), a structured event tracer with pluggable sinks, and
-// lightweight timing scopes for hot-path profiling.
+// Package obs is the simulator-wide observability layer. It has two
+// instruments: a concurrent-safe metrics registry (counters, gauges,
+// fixed-bucket histograms, plus timing scopes that feed a histogram),
+// and hierarchical spans exported as Chrome trace events.
 //
 // The package is dependency-free (standard library only) and designed so
 // the disabled path costs nothing measurable: every mutation is gated on
 // one atomic flag and performs no allocation, so instrumented hot paths
 // (line-write pricing, the discrete-event loop) run at seed speed when
 // observability is off. Enable it with SetEnabled(true) — cmd/reramsim
-// does this when -metrics, -trace-out, -obs-addr or -trace-spans is
-// given.
+// does this when -metrics, -obs-addr or -trace-spans is given.
 //
 // Metric names follow the layer.subsystem.name convention, e.g.
 // "core.reset.section.3" or "memsys.read.latency_ns". Histogram names

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"math"
@@ -138,79 +137,6 @@ func TestSnapshotJSONAndText(t *testing.T) {
 	}
 }
 
-func TestTracerSeqAndMemorySink(t *testing.T) {
-	sink := &MemorySink{}
-	SetSink(sink)
-	t.Cleanup(func() { SetSink(nil) })
-
-	Emit("test.a", 1)
-	EmitL("test.b", 2, map[string]string{"k": "v"})
-	Emit("test.c", 3)
-
-	evs := sink.Events()
-	if len(evs) != 3 {
-		t.Fatalf("captured %d events, want 3", len(evs))
-	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Seq <= evs[i-1].Seq {
-			t.Fatalf("Seq not strictly increasing: %d after %d", evs[i].Seq, evs[i-1].Seq)
-		}
-	}
-	if evs[1].Kind != "test.b" || evs[1].Labels["k"] != "v" || evs[1].Value != 2 {
-		t.Fatalf("labeled event = %+v", evs[1])
-	}
-	recent := Recent(2)
-	if len(recent) != 2 || recent[1].Kind != "test.c" {
-		t.Fatalf("Recent(2) = %+v", recent)
-	}
-}
-
-func TestTracerDisabledDropsEvents(t *testing.T) {
-	SetSink(nil)
-	if Tracing() {
-		t.Fatal("Tracing() true with nil sink")
-	}
-	sink := &MemorySink{}
-	SetSink(sink)
-	SetSink(nil)
-	Emit("test.dropped", 1)
-	if n := len(sink.Events()); n != 0 {
-		t.Fatalf("removed sink still received %d events", n)
-	}
-}
-
-func TestJSONLSink(t *testing.T) {
-	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
-	SetSink(sink)
-	t.Cleanup(func() { SetSink(nil) })
-	for i := 0; i < 10; i++ {
-		Emit("test.jsonl", float64(i))
-	}
-	if err := sink.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	SetSink(nil)
-
-	sc := bufio.NewScanner(&buf)
-	var prev uint64
-	lines := 0
-	for sc.Scan() {
-		var ev Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("line %d does not parse: %v", lines, err)
-		}
-		if ev.Seq <= prev {
-			t.Fatalf("Seq %d not greater than %d", ev.Seq, prev)
-		}
-		prev = ev.Seq
-		lines++
-	}
-	if lines != 10 {
-		t.Fatalf("wrote %d lines, want 10", lines)
-	}
-}
-
 func TestTimeScope(t *testing.T) {
 	withObs(t)
 	stop := Time(H("test.scope_ns", LatencyBoundsNS()))
@@ -225,7 +151,6 @@ func TestTimeScope(t *testing.T) {
 // observability off, every instrumentation primitive is allocation-free.
 func TestDisabledPathAllocationFree(t *testing.T) {
 	SetEnabled(false)
-	SetSink(nil)
 	c := C("test.alloc.counter")
 	g := G("test.alloc.gauge")
 	h := H("test.alloc.hist", LatencyBoundsNS())
@@ -236,7 +161,6 @@ func TestDisabledPathAllocationFree(t *testing.T) {
 		g.Set(1)
 		g.SetMax(2)
 		h.Observe(3)
-		Emit("test.alloc", 4)
 		Time(h)()
 	})
 	if allocs != 0 {

@@ -92,21 +92,21 @@ func readRSS() (uint64, bool) {
 	return pages * uint64(os.Getpagesize()), true
 }
 
-// StartRuntimeCollector samples the runtime.* series every interval
-// (default 2s) on a background goroutine until the returned stop
+// runtimeInterval is the background runtime.* sampling period.
+const runtimeInterval = 2 * time.Second
+
+// StartRuntimeCollector samples the runtime.* series now and every
+// runtimeInterval on a background goroutine until the returned stop
 // function is called. Stop is idempotent and waits for the goroutine
 // to exit.
-func StartRuntimeCollector(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
+func StartRuntimeCollector() (stop func()) {
 	CollectRuntime()
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		t := time.NewTicker(interval)
+		t := time.NewTicker(runtimeInterval)
 		defer t.Stop()
 		for {
 			select {

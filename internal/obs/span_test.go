@@ -179,7 +179,7 @@ func TestChromeTraceSink(t *testing.T) {
 func TestRuntimeCollector(t *testing.T) {
 	SetEnabled(true)
 	defer SetEnabled(false)
-	stop := StartRuntimeCollector(time.Hour) // one immediate sample
+	stop := StartRuntimeCollector() // one immediate sample
 	defer stop()
 	snap := Default().Snapshot()
 	for _, g := range []string{

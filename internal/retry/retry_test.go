@@ -2,19 +2,16 @@ package retry
 
 import (
 	"context"
-	"errors"
 	"hash/fnv"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 )
 
 func TestDelayDeterministic(t *testing.T) {
-	p := Policy{Initial: 100 * time.Millisecond, Max: 2 * time.Second}
 	for attempt := 0; attempt < 6; attempt++ {
-		a := p.Delay("UDRVR+PR/mcf_m", attempt)
-		b := p.Delay("UDRVR+PR/mcf_m", attempt)
+		a := Delay("UDRVR+PR/mcf_m", attempt)
+		b := Delay("UDRVR+PR/mcf_m", attempt)
 		if a != b {
 			t.Fatalf("attempt %d: delay not deterministic: %v vs %v", attempt, a, b)
 		}
@@ -22,13 +19,12 @@ func TestDelayDeterministic(t *testing.T) {
 }
 
 func TestDelayJitterWindow(t *testing.T) {
-	p := Policy{Initial: 100 * time.Millisecond, Max: 2 * time.Second}
 	for attempt := 0; attempt < 10; attempt++ {
-		base := p.Initial << uint(attempt)
-		if base <= 0 || base > p.Max {
-			base = p.Max
+		base := initialDelay << uint(attempt)
+		if base <= 0 || base > maxDelay {
+			base = maxDelay
 		}
-		d := p.Delay("some/key", attempt)
+		d := Delay("some/key", attempt)
 		if d < base/2 || d > base/2*3+1 {
 			t.Errorf("attempt %d: delay %v outside [%v, %v]", attempt, d, base/2, base/2*3)
 		}
@@ -36,11 +32,11 @@ func TestDelayJitterWindow(t *testing.T) {
 }
 
 func TestDelayCapped(t *testing.T) {
-	p := Policy{Initial: time.Second, Max: 2 * time.Second}
-	// Far past the cap — and far past shift overflow of Initial<<attempt.
-	for _, attempt := range []int{4, 40, 63, 100} {
-		if d := p.Delay("k", attempt); d > 3*time.Second {
-			t.Errorf("attempt %d: delay %v exceeds 3/2 x Max", attempt, d)
+	// Far past the cap — and far past shift overflow of
+	// initialDelay<<attempt.
+	for _, attempt := range []int{5, 40, 63, 100} {
+		if d := Delay("k", attempt); d > 3*time.Second {
+			t.Errorf("attempt %d: delay %v exceeds 3/2 x maxDelay", attempt, d)
 		}
 	}
 }
@@ -48,10 +44,9 @@ func TestDelayCapped(t *testing.T) {
 func TestDelayKeysSpread(t *testing.T) {
 	// Different keys at the same attempt should not all collapse onto one
 	// delay — that is the whole point of per-key jitter.
-	p := Policy{}
 	seen := make(map[time.Duration]bool)
 	for _, k := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
-		seen[p.Delay(k, 0)] = true
+		seen[Delay(k, 0)] = true
 	}
 	if len(seen) < 2 {
 		t.Errorf("8 keys produced %d distinct delays; jitter is not per-key", len(seen))
@@ -63,7 +58,6 @@ func TestDelayKeysSpread(t *testing.T) {
 // hold everywhere; a change here means the jitter schedule of every
 // deployed retrying client and job changed, which is worth noticing.
 func TestDelayGolden(t *testing.T) {
-	p := Policy{Initial: 100 * time.Millisecond, Max: 2 * time.Second}
 	fixtures := []struct {
 		key     string
 		attempt int
@@ -83,7 +77,7 @@ func TestDelayGolden(t *testing.T) {
 		{"cell/3", 3, 712742303},
 	}
 	for _, f := range fixtures {
-		if got := p.Delay(f.key, f.attempt); got != f.want {
+		if got := Delay(f.key, f.attempt); got != f.want {
 			t.Errorf("Delay(%q, %d) = %d, want %d", f.key, f.attempt, got, f.want)
 		}
 	}
@@ -96,31 +90,22 @@ func TestDelayGolden(t *testing.T) {
 // pair means inverting fnv64a, so the test pins the fix structurally:
 // delays must no longer follow the additive-seed scheme at all.
 func TestJitterAttemptFoldedIntoHash(t *testing.T) {
-	p := Policy{Initial: 100 * time.Millisecond, Max: 2 * time.Second}
 	h := fnv.New64a()
 	h.Write([]byte("k"))
 	base := int64(h.Sum64())
 	same := 0
 	for attempt := 0; attempt < 8; attempt++ {
-		d := p.Initial << uint(attempt)
-		if d <= 0 || d > p.Max {
-			d = p.Max
+		d := initialDelay << uint(attempt)
+		if d <= 0 || d > maxDelay {
+			d = maxDelay
 		}
 		old := d/2 + time.Duration(rand.New(rand.NewSource(base+int64(attempt))).Int63n(int64(d)+1))
-		if p.Delay("k", attempt) == old {
+		if Delay("k", attempt) == old {
 			same++
 		}
 	}
 	if same == 8 {
 		t.Fatal("every delay matches the additive hash+attempt seeding; attempt is not folded into the hash input")
-	}
-}
-
-func TestZeroPolicyDefaults(t *testing.T) {
-	var p Policy
-	d := p.Delay("k", 0)
-	if d < DefaultInitial/2 || d > DefaultInitial/2*3 {
-		t.Errorf("zero policy attempt 0 delay %v outside default window", d)
 	}
 }
 
@@ -137,117 +122,4 @@ func TestSleepCancelled(t *testing.T) {
 func TestSleepNonPositive(t *testing.T) {
 	Sleep(context.Background(), 0)
 	Sleep(context.Background(), -time.Second)
-}
-
-func TestDoSucceedsAfterTransientFailures(t *testing.T) {
-	p := Policy{Initial: time.Microsecond, Max: time.Microsecond}
-	calls := 0
-	err := p.Do(context.Background(), "k", 5, func() error {
-		calls++
-		if calls < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Do = %v, want nil", err)
-	}
-	if calls != 3 {
-		t.Fatalf("f called %d times, want 3", calls)
-	}
-}
-
-func TestDoExhaustsAttempts(t *testing.T) {
-	p := Policy{Initial: time.Microsecond, Max: time.Microsecond}
-	calls := 0
-	last := errors.New("still broken")
-	err := p.Do(context.Background(), "k", 4, func() error { calls++; return last })
-	if !errors.Is(err, last) {
-		t.Fatalf("Do = %v, want the last attempt error", err)
-	}
-	if calls != 4 {
-		t.Fatalf("f called %d times, want 4", calls)
-	}
-}
-
-// TestDoCtxAttemptTimeoutUnsticksHungHandler is the satellite regression
-// test: a callback that blocks until its context ends (a segment upload
-// stuck on a dead peer) must be cancelled per attempt by AttemptTimeout
-// and retried, rather than stalling the worker past the lease TTL.
-func TestDoCtxAttemptTimeoutUnsticksHungHandler(t *testing.T) {
-	p := Policy{Initial: time.Microsecond, Max: time.Microsecond, AttemptTimeout: 20 * time.Millisecond}
-	calls := 0
-	start := time.Now()
-	err := p.DoCtx(context.Background(), "k", 3, func(ctx context.Context) error {
-		calls++
-		if calls == 3 {
-			return nil // peer recovered
-		}
-		<-ctx.Done() // hang until the per-attempt timeout fires
-		return ctx.Err()
-	})
-	if err != nil {
-		t.Fatalf("DoCtx = %v, want nil after the peer recovers", err)
-	}
-	if calls != 3 {
-		t.Fatalf("f called %d times, want 3 (two hung attempts + one success)", calls)
-	}
-	if e := time.Since(start); e > 5*time.Second {
-		t.Fatalf("DoCtx took %v; hung attempts were not cut short", e)
-	}
-}
-
-// TestDoCtxAttemptTimeoutExhausts: every attempt hanging must surface
-// the per-attempt deadline as the final error, not block forever.
-func TestDoCtxAttemptTimeoutExhausts(t *testing.T) {
-	p := Policy{Initial: time.Microsecond, Max: time.Microsecond, AttemptTimeout: 10 * time.Millisecond}
-	calls := 0
-	err := p.DoCtx(context.Background(), "k", 3, func(ctx context.Context) error {
-		calls++
-		<-ctx.Done()
-		return context.Cause(ctx)
-	})
-	if err == nil || !strings.Contains(err.Error(), "attempt exceeded") {
-		t.Fatalf("DoCtx = %v, want the per-attempt timeout cause", err)
-	}
-	if calls != 3 {
-		t.Fatalf("f called %d times, want 3", calls)
-	}
-}
-
-// TestDoCtxParentCancelStillAborts: the per-attempt timeout must not
-// mask the caller's own cancellation.
-func TestDoCtxParentCancelStillAborts(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	p := Policy{Initial: time.Hour, Max: time.Hour, AttemptTimeout: time.Hour}
-	calls := 0
-	fail := errors.New("nope")
-	err := p.DoCtx(ctx, "k", 10, func(context.Context) error {
-		calls++
-		cancel()
-		return fail
-	})
-	if calls != 1 {
-		t.Fatalf("f called %d times after cancel, want 1", calls)
-	}
-	if !errors.Is(err, context.Canceled) || !errors.Is(err, fail) {
-		t.Fatalf("DoCtx = %v, want the cancellation wrapping the pending error", err)
-	}
-}
-
-func TestDoStopsOnContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	calls := 0
-	fail := errors.New("nope")
-	err := Policy{Initial: time.Hour, Max: time.Hour}.Do(ctx, "k", 10, func() error {
-		calls++
-		cancel() // cancel during the first backoff
-		return fail
-	})
-	if calls != 1 {
-		t.Fatalf("f called %d times after cancel, want 1", calls)
-	}
-	if !errors.Is(err, context.Canceled) || !errors.Is(err, fail) {
-		t.Fatalf("Do = %v, want the cancellation wrapping the pending error", err)
-	}
 }

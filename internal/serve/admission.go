@@ -30,10 +30,6 @@ type AdmissionConfig struct {
 	// Burst is each client's bucket depth — how many requests it can
 	// fire back-to-back before the sustained rate applies. Default 100.
 	Burst float64
-	// RetryPolicy shapes the jittered component of Retry-After hints;
-	// the zero value selects the shared retry defaults (the jobs
-	// engine's backoff constants).
-	RetryPolicy retry.Policy
 }
 
 func (c AdmissionConfig) withDefaults() AdmissionConfig {
@@ -117,7 +113,7 @@ func (a *admission) allow(client string, now time.Time) (ok bool, retryAfter tim
 		attempt = 6
 	}
 	b.sheds++
-	return false, untilToken + a.cfg.RetryPolicy.Delay(client, attempt)
+	return false, untilToken + retry.Delay(client, attempt)
 }
 
 // slot acquires one compute slot, parking in the bounded queue when all
@@ -183,5 +179,5 @@ func (a *admission) releaseFn() func() {
 // pressure is not tracked per client here, so attempt 0 — the jitter
 // alone already de-synchronises the herd.
 func (a *admission) retryAfterSaturated(client string) time.Duration {
-	return a.cfg.QueueWait/2 + a.cfg.RetryPolicy.Delay("saturated/"+client, 0)
+	return a.cfg.QueueWait/2 + retry.Delay("saturated/"+client, 0)
 }

@@ -127,8 +127,6 @@ func (j *swJob) doc(withCells bool) jobDoc {
 // the bounded history by id, and the wait group a graceful drain blocks
 // on.
 type jobRegistry struct {
-	history int // finished jobs retained for GET /v1/jobs
-
 	mu       sync.Mutex
 	inflight map[string]*swJob // digest -> running job
 	byID     map[string]*swJob
@@ -138,12 +136,12 @@ type jobRegistry struct {
 	wg sync.WaitGroup // running job executors
 }
 
-func newJobRegistry(history int) *jobRegistry {
-	if history <= 0 {
-		history = 256
-	}
+// jobHistory bounds the finished jobs kept for GET /v1/jobs; running
+// jobs are never evicted.
+const jobHistory = 256
+
+func newJobRegistry() *jobRegistry {
 	return &jobRegistry{
-		history:  history,
 		inflight: make(map[string]*swJob),
 		byID:     make(map[string]*swJob),
 	}
@@ -197,7 +195,7 @@ func (r *jobRegistry) openOrAttach(digest string, pairs []experiments.SimPair,
 // evictLocked drops the oldest finished jobs beyond the history bound.
 // Running jobs are never evicted (they are still someone's request).
 func (r *jobRegistry) evictLocked() {
-	for len(r.order) > r.history {
+	for len(r.order) > jobHistory {
 		evicted := false
 		for i, id := range r.order {
 			j := r.byID[id]

@@ -65,12 +65,6 @@ type Options struct {
 	DefaultDeadline time.Duration
 	// MaxDeadline caps client-requested deadlines (default 10m).
 	MaxDeadline time.Duration
-	// JobHistory bounds finished sweep jobs kept for /v1/jobs
-	// (default 256; running jobs are never evicted).
-	JobHistory int
-	// StreamInterval is the SSE poll period for /v1/jobs streams
-	// (default 250ms).
-	StreamInterval time.Duration
 	// Log receives operational lines (panic stacks, drain progress);
 	// default os.Stderr.
 	Log io.Writer
@@ -87,9 +81,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxDeadline <= 0 {
 		o.MaxDeadline = 10 * time.Minute
-	}
-	if o.StreamInterval <= 0 {
-		o.StreamInterval = 250 * time.Millisecond
 	}
 	if o.Log == nil {
 		o.Log = os.Stderr
@@ -191,7 +182,7 @@ func Start(opts Options) (*Server, error) {
 		opts:       opts,
 		ln:         ln,
 		adm:        newAdmission(opts.Admission),
-		reg:        newJobRegistry(opts.JobHistory),
+		reg:        newJobRegistry(),
 		gate:       &drainGate{},
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -303,8 +294,8 @@ func (s *Server) Close() error {
 }
 
 // clientID identifies the caller for fair queuing: the X-Client-ID
-// header when present (how a fleet of workers shares quota fairly), the
-// remote host otherwise.
+// header when present (so clients behind one proxy or NAT keep separate
+// quotas), the remote host otherwise.
 func clientID(r *http.Request) string {
 	if id := r.Header.Get("X-Client-ID"); id != "" {
 		return id
@@ -317,15 +308,14 @@ func clientID(r *http.Request) string {
 }
 
 // recovered wraps a handler with panic isolation and the request
-// counter: a panic is logged with its stack (obs event + log line) and
-// answered with 500, while the process keeps serving.
+// counter: a panic is counted, logged with its stack and answered with
+// 500, while the process keeps serving.
 func (s *Server) recovered(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		obsRequests.Inc()
 		defer func() {
 			if v := recover(); v != nil {
 				obsPanics.Inc()
-				obs.Emit("serve.panic", 1)
 				fmt.Fprintf(s.opts.Log, "serve: panic in %s %s: %v\n%s\n",
 					r.Method, r.URL.Path, v, debug.Stack())
 				writeError(w, http.StatusInternalServerError, 0,
@@ -583,6 +573,9 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, doc)
 }
 
+// streamInterval is the SSE poll period for /v1/jobs streams.
+const streamInterval = 250 * time.Millisecond
+
 // streamJob pushes the job as SSE: a snapshot immediately, a new one on
 // every progress epoch change, and a final full document (with cell
 // payloads) when the job finishes. The stream ends at client
@@ -610,7 +603,7 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *swJob) {
 		return true
 	}
 
-	t := time.NewTicker(s.opts.StreamInterval)
+	t := time.NewTicker(streamInterval)
 	defer t.Stop()
 	var lastEpoch uint64
 	first := true

@@ -32,8 +32,6 @@ type StackOptions struct {
 	// TraceSpans enables span collection and streams the spans to this
 	// file as Chrome trace events (load in ui.perfetto.dev).
 	TraceSpans string
-	// Log receives the "telemetry listening" line (default os.Stderr).
-	Log *os.File
 }
 
 // StartStack starts the requested pieces. It returns (nil, nil) when
@@ -41,9 +39,6 @@ type StackOptions struct {
 func StartStack(opts StackOptions) (*Stack, error) {
 	if opts.Addr == "" && opts.TraceSpans == "" {
 		return nil, nil
-	}
-	if opts.Log == nil {
-		opts.Log = os.Stderr
 	}
 	st := &Stack{}
 	if opts.TraceSpans != "" {
@@ -62,7 +57,7 @@ func StartStack(opts StackOptions) (*Stack, error) {
 			return nil, err
 		}
 		st.server = srv
-		fmt.Fprintf(opts.Log, "telemetry listening on http://%s\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "telemetry listening on http://%s\n", srv.Addr())
 	}
 	return st, nil
 }

@@ -40,19 +40,16 @@ import (
 	"reramsim/internal/obs"
 )
 
-// Options configures a Server. The zero value of every field has a
-// sensible default except Addr, which is required.
+// Options configures a Server.
 type Options struct {
 	// Addr is the listen address, e.g. "localhost:6060" or
 	// "127.0.0.1:0" (port 0 picks a free port; see Server.Addr).
 	Addr string
-	// StreamInterval is the SSE poll period (default 250ms): the
+
+	// streamInterval is the SSE poll period (default 250ms): the
 	// stream checks the progress epoch this often and pushes a new
-	// event only when it moved.
-	StreamInterval time.Duration
-	// RuntimeInterval is the background runtime.* sampling period
-	// (default 2s).
-	RuntimeInterval time.Duration
+	// event only when it moved. Tests shorten it.
+	streamInterval time.Duration
 }
 
 // Server is a running telemetry endpoint. Create with Start, stop with
@@ -76,8 +73,8 @@ type Server struct {
 // goroutine. It also starts the runtime.* collector; both are stopped
 // by Shutdown.
 func Start(opts Options) (*Server, error) {
-	if opts.StreamInterval <= 0 {
-		opts.StreamInterval = 250 * time.Millisecond
+	if opts.streamInterval <= 0 {
+		opts.streamInterval = 250 * time.Millisecond
 	}
 	ln, err := net.Listen("tcp", opts.Addr)
 	if err != nil {
@@ -101,7 +98,7 @@ func Start(opts Options) (*Server, error) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/", s.handleIndex)
 	s.srv = &http.Server{Handler: mux}
-	s.stopRuntime = obs.StartRuntimeCollector(opts.RuntimeInterval)
+	s.stopRuntime = obs.StartRuntimeCollector()
 	go func() {
 		defer close(s.done)
 		if err := s.srv.Serve(ln); err != nil && err != http.ErrServerClosed {
@@ -215,7 +212,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 
 // streamProgress pushes SSE events: the current snapshot immediately,
 // then a new one each time the engine's epoch moves (checked every
-// StreamInterval). The stream ends when the client disconnects or the
+// streamInterval). The stream ends when the client disconnects or the
 // server shuts down.
 func (s *Server) streamProgress(w http.ResponseWriter, r *http.Request, src func() jobs.Progress) {
 	fl, ok := w.(http.Flusher)
@@ -227,7 +224,7 @@ func (s *Server) streamProgress(w http.ResponseWriter, r *http.Request, src func
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	t := time.NewTicker(s.opts.StreamInterval)
+	t := time.NewTicker(s.opts.streamInterval)
 	defer t.Stop()
 	var last uint64
 	first := true

@@ -101,7 +101,7 @@ func TestEndpoints(t *testing.T) {
 // checks both the JSON snapshot and the SSE stream: the stream must
 // deliver at least one update showing the completed count advancing.
 func TestProgressJSONAndSSE(t *testing.T) {
-	s := startServer(t, Options{StreamInterval: 5 * time.Millisecond})
+	s := startServer(t, Options{streamInterval: 5 * time.Millisecond})
 	base := "http://" + s.Addr()
 
 	eng, err := jobs.Open(jobs.Options{})
@@ -281,7 +281,7 @@ func TestScrapeDuringSweepRace(t *testing.T) {
 // TestShutdownWithOpenSSEStream: Shutdown must not hang on an open SSE
 // connection — the closing channel ends streams promptly.
 func TestShutdownWithOpenSSEStream(t *testing.T) {
-	s, err := Start(Options{Addr: "127.0.0.1:0", StreamInterval: 10 * time.Millisecond})
+	s, err := Start(Options{Addr: "127.0.0.1:0", streamInterval: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,8 +41,5 @@ func recordSolve(op ResetOp, res *ResetResult, w solveWork) {
 	// dump of it) finite.
 	if !math.IsInf(res.Latency, 1) {
 		obsLatency.Observe(res.Latency * 1e9)
-		if obs.Tracing() {
-			obs.Emit("xpoint.reset.solve", res.Latency*1e9)
-		}
 	}
 }
