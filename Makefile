@@ -36,16 +36,18 @@ race-par:
 
 # The crash-safe sweep engine under the race detector: the jobs
 # package (journal replay including legacy retraction records, panic
-# isolation, watchdog, disk-full journal retries) and the atomic-write
-# primitive with its stage-fault hook; then the suite's resume
-# byte-identity, quarantine, grid-digest and CLI-path disk-full retry
-# tests, also under -race; then the CLI exit-code smoke tests
-# (quarantined cell -> exit 3, SIGTERM -> exit 130 -> byte-identical
-# resume).
+# isolation, cell deadlines, disk-full journal retries) and the
+# atomic-write primitive with its stage-fault hook; then the suite's
+# resume byte-identity, quarantine, grid-digest, CLI-path disk-full
+# retry and stop-signal tests (a cell deadline, a shared run and a
+# reliability sweep stopped inside the event loop), also under -race;
+# then the CLI exit-code smoke tests (quarantined cell -> exit 3,
+# SIGTERM -> exit 130 -> byte-identical resume, -cell-timeout on running
+# cells -> exit 3, SIGINT into a single cell -> exit 130).
 test-resume:
 	$(GO) test -race ./internal/jobs/ ./internal/atomicio/
-	$(GO) test -race -run 'TestResume|TestPrimeSimsQuarantine|TestGridDigest|TestRunGridRetries' ./internal/experiments/
-	$(GO) test -run 'TestQuarantineExitCodeSmoke|TestSigtermResumeByteIdentical' ./cmd/reramsim/
+	$(GO) test -race -run 'TestResume|TestPrimeSimsQuarantine|TestGridDigest|TestRunGridRetries|TestStop' ./internal/experiments/
+	$(GO) test -run 'TestQuarantineExitCodeSmoke|TestSigtermResumeByteIdentical|TestCellTimeoutStopsCells|TestSigintStopsSingleCell' ./cmd/reramsim/
 
 # The live telemetry plane under the race detector — the lock-free
 # /metrics snapshot hammered against running sweeps, the span

@@ -84,9 +84,10 @@ func main() {
 	}
 	defer cleanup()
 
-	// SIGINT/SIGTERM cancel between simulations with a typed cause:
-	// experiments already printed stay on screen, journaled sweeps flush
-	// a final checkpoint, and the process exits 130.
+	// SIGINT/SIGTERM cancel the suite's context with a typed cause: a
+	// running simulation stops inside its event loop, experiments
+	// already printed stay on screen, journaled sweeps flush a final
+	// checkpoint, and the process exits 130.
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
 	sigc := make(chan os.Signal, 2)

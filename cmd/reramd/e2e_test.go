@@ -286,6 +286,25 @@ func TestDaemonPanicIsolationE2E(t *testing.T) {
 	}
 }
 
+// TestDaemonSolveDeadlineE2E: a request deadline reaches the running
+// simulation. A cold UDRVR+PR/mcf_m solve at 120,000 accesses runs
+// ~2.8 s uninterrupted on a 2-vCPU host, over 20x the 100 ms deadline,
+// so the solve answers 504 instead of finishing late with 200.
+func TestDaemonSolveDeadlineE2E(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and drives the daemon")
+	}
+	bin := buildDaemon(t)
+	d := startDaemon(t, bin, nil, "-accesses", "120000")
+
+	resp, body := d.post(t, "/v1/solve", "", map[string]any{
+		"scheme": "UDRVR+PR", "workload": "mcf_m", "deadline_ms": 100,
+	})
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("100 ms solve: %d (%s), want 504", resp.StatusCode, body)
+	}
+}
+
 // TestDaemonDrainE2E: SIGTERM mid-sweep drains gracefully — new
 // requests are refused with 503, the in-flight sweep finishes and its
 // journal is on disk, and the process exits 0.

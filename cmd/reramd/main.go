@@ -54,7 +54,7 @@ func run() int {
 		maxDeadline     = flag.Duration("max-deadline", 10*time.Minute, "cap on client-requested deadlines")
 		drainTimeout    = flag.Duration("drain-timeout", 30*time.Second, "max time a signal-initiated drain waits for in-flight work before cancelling it")
 
-		obsAddr    = flag.String("obs-addr", "", "serve the standalone telemetry plane (/metrics, /progress, /debug/pprof/) on this extra address; the API port always serves /metrics itself")
+		obsAddr    = flag.String("obs-addr", "", "serve the standalone telemetry plane (/metrics, /debug/pprof/) on this extra address; the API port always serves /metrics itself, and each sweep job's progress is at /v1/jobs/{id}")
 		traceSpans = flag.String("trace-spans", "", "write hierarchical spans as a Chrome trace-event file (load in ui.perfetto.dev)")
 	)
 	flag.Parse()

@@ -28,7 +28,14 @@ var sweepArgs = []string{
 
 func runSweepCmd(t *testing.T, bin string, extraEnv []string, extraArgs ...string) (stdout []byte, exitCode int) {
 	t.Helper()
-	cmd := exec.Command(bin, append(append([]string(nil), sweepArgs...), extraArgs...)...)
+	return runCLI(t, bin, extraEnv, append(append([]string(nil), sweepArgs...), extraArgs...)...)
+}
+
+// runCLI runs the binary to completion and returns its stdout and exit
+// code; stderr goes to the test log.
+func runCLI(t *testing.T, bin string, extraEnv []string, args ...string) (stdout []byte, exitCode int) {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
 	cmd.Env = append(os.Environ(), extraEnv...)
 	var out, errb bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errb

@@ -131,9 +131,10 @@ func main() {
 	}
 	defer cleanup()
 
-	// SIGINT/SIGTERM cancel between simulations with a typed cause: the
-	// suite returns what it has, the sweep journal flushes its final
-	// checkpoint, and the process exits 130.
+	// SIGINT/SIGTERM cancel the suite's context with a typed cause: a
+	// running simulation stops inside its event loop, the suite returns
+	// what it has, the sweep journal flushes its final checkpoint, and
+	// the process exits 130.
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
 	sigc := make(chan os.Signal, 2)
@@ -360,9 +361,6 @@ func runSweep(suite *experiments.Suite, schemes, workloads []string, o sweepOpti
 	for _, q := range rep.Quarantined {
 		fmt.Fprintf(os.Stderr, "reramsim: quarantined %s (%s): %v\n", q.Key, q.Reason, q.Err)
 	}
-	if len(rep.Stalled) > 0 {
-		fmt.Fprintf(os.Stderr, "reramsim: watchdog flagged stalled cell(s): %s\n", strings.Join(rep.Stalled, ", "))
-	}
 	return rep.ExitCode(nil)
 }
 
@@ -383,11 +381,14 @@ func validateName(kind, name string, valid []string) {
 	os.Exit(2)
 }
 
-// dumpMetrics prints the registry after the run when -metrics is given.
+// dumpMetrics prints the registry after the run when -metrics is given,
+// with one fresh sample of the runtime.* series (without -obs-addr
+// nothing else samples them).
 func dumpMetrics(enabled bool, format string) {
 	if !enabled {
 		return
 	}
+	obs.CollectRuntime()
 	snap := obs.Default().Snapshot()
 	var err error
 	if format == "json" {

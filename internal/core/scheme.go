@@ -216,15 +216,6 @@ func NewScheme(name string, opt Options) (*Scheme, error) {
 	return s, nil
 }
 
-// MustNewScheme is NewScheme for statically known-good options.
-func MustNewScheme(name string, opt Options) *Scheme {
-	s, err := NewScheme(name, opt)
-	if err != nil {
-		panic(fmt.Sprintf("core: %v", err))
-	}
-	return s
-}
-
 // Name returns the scheme's display name.
 func (s *Scheme) Name() string { return s.name }
 

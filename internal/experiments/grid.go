@@ -26,7 +26,7 @@ func (s *Suite) GridDigest(pairs []SimPair) (string, error) {
 	doc := struct {
 		Version int
 		Array   xpoint.Config
-		Mem     memsys.Config // Heartbeat carries json:"-": hooks never enter the digest
+		Mem     memsys.Config
 		Pairs   []SimPair
 	}{gridDigestVersion, s.Cfg, s.MemCfg, pairs}
 	blob, err := json.Marshal(doc)

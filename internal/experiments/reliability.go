@@ -29,9 +29,9 @@ type ReliabilityReport struct {
 // ReliabilitySweep simulates workload under each scheme with the given
 // fault profile active and reports the per-scheme retry/degradation
 // outcome. It bypasses the Suite's result cache: those entries are
-// fault-free, and the sweep must not pollute them. Cancellation is
-// checked between simulations; a cancelled sweep returns the completed
-// rows with Aborted set rather than an error.
+// fault-free, and the sweep must not pollute them. ctx stops a running
+// simulation as well as the ones not yet started; a cancelled sweep
+// returns the completed rows with Aborted set rather than an error.
 func (s *Suite) ReliabilitySweep(ctx context.Context, profile, workload string, schemes []string) (*ReliabilityReport, error) {
 	if ctx == nil {
 		ctx = s.Context()
@@ -52,8 +52,12 @@ func (s *Suite) ReliabilitySweep(ctx context.Context, profile, workload string, 
 		if err != nil {
 			return nil, err
 		}
-		r, err := memsys.Simulate(sc, b, mc)
+		r, err := memsys.SimulateContext(ctx, sc, b, mc)
 		if err != nil {
+			if ctx.Err() != nil {
+				rep.Aborted = true
+				return rep, nil
+			}
 			return nil, fmt.Errorf("experiments: reliability %s on %s: %w", name, workload, err)
 		}
 		row := ReliabilityRow{Scheme: name, IPC: r.IPC}

@@ -5,13 +5,17 @@ import (
 	"encoding/json"
 	"errors"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
 	"reramsim/internal/atomicio"
+	"reramsim/internal/core"
 	"reramsim/internal/jobs"
+	"reramsim/internal/memsys"
 	"reramsim/internal/obs"
 	"reramsim/internal/par"
 	"reramsim/internal/xpoint"
@@ -256,6 +260,42 @@ func TestRunGridRetriesJournalDiskFull(t *testing.T) {
 	}
 }
 
+// TestConfigsAreData: the structs GridDigest hashes as JSON
+// (memsys.Config, xpoint.Config with device.Params) and core's
+// optionsDigest hashes with %#v (core.Options) must hold only exported
+// plain data. A hook field would escape the JSON digest behind a
+// json:"-" tag, or put a pointer address into a solve-cache key.
+func TestConfigsAreData(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Func, reflect.Chan, reflect.Pointer, reflect.Interface, reflect.UnsafePointer:
+			t.Errorf("%s is a %s, not data", path, typ.Kind())
+		case reflect.Array, reflect.Slice:
+			walk(path+"[]", typ.Elem())
+		case reflect.Map:
+			walk(path+"[key]", typ.Key())
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				fp := path + "." + f.Name
+				if !f.IsExported() {
+					t.Errorf("%s is unexported", fp)
+				}
+				if name, _, _ := strings.Cut(f.Tag.Get("json"), ","); name == "-" {
+					t.Errorf("%s is tagged json:\"-\"", fp)
+				}
+				walk(fp, f.Type)
+			}
+		}
+	}
+	for _, v := range []any{memsys.Config{}, xpoint.Config{}, core.Options{}} {
+		typ := reflect.TypeOf(v)
+		walk(typ.String(), typ)
+	}
+}
+
 // TestGridDigestPinsConfig: the digest must be stable for identical
 // sweeps and differ when any ingredient of the sweep changes.
 func TestGridDigestPinsConfig(t *testing.T) {
@@ -280,11 +320,6 @@ func TestGridDigestPinsConfig(t *testing.T) {
 	b.MemCfg.Seed = a.MemCfg.Seed
 	if d, _ := b.GridDigest(pairs[:3]); d == da {
 		t.Error("digest ignored a grid change")
-	}
-	// The heartbeat hook must not enter the digest (json:"-").
-	b.MemCfg.Heartbeat = func() {}
-	if d, err := b.GridDigest(pairs); err != nil || d != da {
-		t.Errorf("digest with heartbeat hook: %q (err %v), want %q", d, err, da)
 	}
 	// A literal digest: journals written by earlier builds must keep
 	// matching. The uncalibrated default config keeps

@@ -29,7 +29,7 @@ type Suite struct {
 	MemCfg memsys.Config
 
 	mu      sync.Mutex
-	ctx     context.Context // cancels between simulations; nil = Background
+	ctx     context.Context // stops simulations; nil = Background
 	parent  *Suite          // variant suites follow their parent's context
 	schemes map[string]*core.Scheme
 	sims    map[string]*memsys.Result
@@ -87,12 +87,12 @@ func newSuitePrecalibrated(cfg xpoint.Config, accessesPerCore int) *Suite {
 	}
 }
 
-// SetContext attaches a cancellation context: experiments check it
-// between simulations, so an interrupted sweep returns promptly with
-// the runs it completed instead of finishing the whole grid. Variant
-// sub-suites follow their parent's context live (unless they are given
-// one of their own), so cancelling the parent also stops in-flight
-// variant sweeps.
+// SetContext attaches a cancellation context: it stops a running
+// simulation inside its event loop and skips the ones not yet started,
+// so an interrupted sweep returns promptly with the runs it completed
+// instead of finishing the whole grid. Variant sub-suites follow their
+// parent's context live (unless they are given one of their own), so
+// cancelling the parent also stops in-flight variant sweeps.
 func (s *Suite) SetContext(ctx context.Context) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -183,22 +183,28 @@ func (s *Suite) Sim(scheme, workload string) (*memsys.Result, error) {
 }
 
 // SimContext is Sim under an explicit context: the run is skipped when
-// ctx is already cancelled, and a jobs heartbeat carried by ctx (the
-// engine's stall watchdog) is wired into the simulation's event loop.
-// Concurrent callers for one key still share a single execution; the
-// first caller's context governs that execution.
+// ctx is already cancelled, and ctx stops a running simulation inside
+// its event loop. Concurrent callers for one key share a single
+// execution, governed by the context of the caller that started it. A
+// failed run is never cached, so a caller whose shared run failed while
+// its own context is alive runs the key again: it sees its own result
+// or its own error, never another caller's cancellation.
 func (s *Suite) SimContext(ctx context.Context, scheme, workload string) (*memsys.Result, error) {
 	key := scheme + "/" + workload
-	s.mu.Lock()
-	r, ok := s.sims[key]
-	s.mu.Unlock()
-	if ok {
-		return r, nil
+	for {
+		s.mu.Lock()
+		r, ok := s.sims[key]
+		s.mu.Unlock()
+		if ok {
+			return r, nil
+		}
+		r, shared, err := s.simFlight.Do(key, func() (*memsys.Result, error) {
+			return s.runSim(ctx, key, scheme, workload)
+		})
+		if err == nil || !shared || ctx.Err() != nil {
+			return r, err
+		}
 	}
-	r, _, err := s.simFlight.Do(key, func() (*memsys.Result, error) {
-		return s.runSim(ctx, key, scheme, workload)
-	})
-	return r, err
 }
 
 // runSim executes one simulation and stores its result. It re-checks
@@ -231,12 +237,7 @@ func (s *Suite) runSim(ctx context.Context, key, scheme, workload string) (*mems
 	if err != nil {
 		return nil, err
 	}
-	mc := s.MemCfg
-	// Feed the stall watchdog from inside the event loop when this run is
-	// an engine cell; Heartbeat never influences results.
-	mc.Heartbeat = jobs.HeartbeatFunc(ctx)
-
-	r, err = memsys.Simulate(sc, b, mc)
+	r, err = memsys.SimulateContext(ctx, sc, b, s.MemCfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s on %s: %w", scheme, workload, err)
 	}

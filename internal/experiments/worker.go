@@ -27,7 +27,6 @@ func NewWorkerSuite(cfg xpoint.Config, mem memsys.Config, solver string) (*Suite
 	}
 	s := newSuitePrecalibrated(cfg, 0)
 	s.MemCfg = mem
-	s.MemCfg.Heartbeat = nil // a hook belongs to the engine that installs it
 	return s, nil
 }
 

@@ -15,9 +15,10 @@
 // converted to a typed *ErrCellPanic, recorded in the journal, and the
 // cell is quarantined while the rest of the grid finishes. Transient
 // failures (journal I/O) retry up to 3 times with capped exponential
-// backoff plus deterministic per-key jitter. A per-cell deadline and a
-// stall watchdog (no progress heartbeat within 8x the trailing median
-// cell time) flag hung solves instead of wedging the run.
+// backoff plus deterministic per-key jitter. A per-cell deadline
+// cancels the cell's context; the simulation polls it inside its event
+// loop, so an exceeded cell stops and is quarantined instead of wedging
+// the run.
 //
 // Shutdown: cancelling the run context (the CLIs cancel on SIGINT or
 // SIGTERM with an *InterruptError cause) stops dispatch, lets in-flight
@@ -44,8 +45,8 @@ import (
 // Cell is one unit of the sweep grid: a stable key (e.g.
 // "UDRVR+PR/mcf_m") and the function producing its result payload. Run
 // must be deterministic in its payload bytes — the journal replays them
-// verbatim on resume — and should call Beat(ctx) (or wire
-// HeartbeatFunc(ctx) into its inner loop) to feed the stall watchdog.
+// verbatim on resume — and should return promptly once ctx is done: the
+// context carries the per-cell deadline and the run's cancellation.
 type Cell struct {
 	Key string
 	Run func(ctx context.Context) ([]byte, error)
@@ -65,7 +66,6 @@ type Report struct {
 	Resumed     []string          // keys served from the on-disk journal, sorted
 	Executed    []string          // keys run to completion by this call, sorted
 	Retries     int               // transient re-attempts issued
-	Stalled     []string          // keys flagged by the watchdog, sorted
 	Quarantined []CellFailure     // cells isolated by panic/timeout/error, sorted by key
 }
 
@@ -88,21 +88,9 @@ func (r *Report) ExitCode(runErr error) int {
 	return ExitOK
 }
 
-// Retry and watchdog settings, the same for every engine.
-const (
-	// maxRetries bounds transient-failure re-attempts per cell; the
-	// backoff between them is retry.Delay.
-	maxRetries = 3
-	// watchdogFactor flags a cell whose last heartbeat is older than
-	// this many times the trailing median cell time. The flag is
-	// advisory: metrics + report, never a kill.
-	watchdogFactor = 8
-	// defaultWatchdogFloor is the minimum stall threshold, so fast grids
-	// don't flag scheduler noise.
-	defaultWatchdogFloor = 5 * time.Second
-	// defaultWatchdogPoll is the watchdog's sampling period.
-	defaultWatchdogPoll = 250 * time.Millisecond
-)
+// maxRetries bounds transient-failure re-attempts per cell, the same
+// for every engine; the backoff between them is retry.Delay.
+const maxRetries = 3
 
 // Options configures an Engine. The zero value runs without a journal
 // (no durability).
@@ -128,23 +116,14 @@ type Options struct {
 	// production.
 	TestPanicKey string
 
-	// Tests replace the interruptible backoff sleep and shorten the
-	// watchdog's floor and poll period.
-	sleep         func(ctx context.Context, d time.Duration)
-	watchdogFloor time.Duration
-	watchdogPoll  time.Duration
+	// Tests replace the interruptible backoff sleep.
+	sleep func(ctx context.Context, d time.Duration)
 }
 
 // withDefaults fills the fields tests may override.
 func (o Options) withDefaults() Options {
 	if o.sleep == nil {
 		o.sleep = retry.Sleep
-	}
-	if o.watchdogFloor <= 0 {
-		o.watchdogFloor = defaultWatchdogFloor
-	}
-	if o.watchdogPoll <= 0 {
-		o.watchdogPoll = defaultWatchdogPoll
 	}
 	return o
 }
@@ -217,10 +196,9 @@ func (e *Engine) Resumed(key string) ([]byte, bool) {
 
 // Run executes the grid: journaled cells are skipped (their payloads
 // reported as resumed), the rest fan out on the par worker pool with
-// panic isolation, retries, deadlines and the stall watchdog. The
-// returned error is non-nil only for a cancelled context (after the
-// final checkpoint flush) or an invalid grid — quarantined cells are
-// reported, not returned as errors.
+// panic isolation, retries and deadlines. The returned error is non-nil
+// only for a cancelled context (after the final checkpoint flush) or an
+// invalid grid — quarantined cells are reported, not returned as errors.
 func (e *Engine) Run(ctx context.Context, cells []Cell) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -267,18 +245,6 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) (*Report, error) {
 		repMu   sync.Mutex
 		retries atomic.Int64
 	)
-	wd := newWatchdog(e.opts, func(key string) {
-		obsStalled.Inc()
-		e.prog.markStalled(key)
-		repMu.Lock()
-		rep.Stalled = append(rep.Stalled, key)
-		repMu.Unlock()
-	})
-	if len(pending) > 0 {
-		wd.start()
-		defer wd.stop()
-	}
-
 	quarantine := func(key, reason string, err error, stack string) error {
 		obsQuarantined.Inc()
 		e.prog.markQuarantined(key, reason)
@@ -299,7 +265,7 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) (*Report, error) {
 	ferr := par.ForEach(ctx, len(pending), func(i int) error {
 		c := pending[i]
 		for attempt := 0; ; attempt++ {
-			payload, err := e.attempt(ctx, c, wd)
+			payload, err := e.attempt(ctx, c)
 			if err == nil {
 				if jerr := e.commit(c.Key, payload); jerr != nil {
 					err = jerr // journal append failed; falls through to retry policy
@@ -352,7 +318,6 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) (*Report, error) {
 	rep.Retries = int(retries.Load())
 	sort.Strings(rep.Resumed)
 	sort.Strings(rep.Executed)
-	sort.Strings(rep.Stalled)
 	sort.Slice(rep.Quarantined, func(i, j int) bool { return rep.Quarantined[i].Key < rep.Quarantined[j].Key })
 
 	if ferr != nil {
@@ -375,10 +340,9 @@ func (e *Engine) commit(key string, payload []byte) error {
 	return nil
 }
 
-// attempt executes one try of a cell under its deadline, with the
-// heartbeat bound into the context and a panic converted to
-// *ErrCellPanic.
-func (e *Engine) attempt(ctx context.Context, c Cell, wd *watchdog) (payload []byte, err error) {
+// attempt executes one try of a cell under its deadline, with a panic
+// converted to *ErrCellPanic.
+func (e *Engine) attempt(ctx context.Context, c Cell) (payload []byte, err error) {
 	cctx := ctx
 	if e.opts.CellTimeout > 0 {
 		var cancel context.CancelFunc
@@ -386,18 +350,13 @@ func (e *Engine) attempt(ctx context.Context, c Cell, wd *watchdog) (payload []b
 			&ErrCellTimeout{Key: c.Key, Timeout: e.opts.CellTimeout})
 		defer cancel()
 	}
-	bs := newBeatState()
-	cctx = context.WithValue(cctx, beatKeyType{}, bs)
 	if obs.SpansEnabled() { // dynamic name: only build it when a sink is on
 		var stop func()
 		cctx, stop = obs.StartSpan(cctx, "cell:"+c.Key)
 		defer stop()
 	}
-	start := time.Now()
-	wd.register(c.Key, bs)
-	e.prog.markRunning(c.Key, bs)
+	e.prog.markRunning(c.Key)
 	defer func() {
-		wd.unregister(c.Key, time.Since(start))
 		if v := recover(); v != nil {
 			payload, err = nil, &ErrCellPanic{Key: c.Key, Value: v, Stack: string(debug.Stack())}
 		}

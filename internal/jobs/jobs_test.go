@@ -283,60 +283,6 @@ func TestCancelFlushesCheckpoint(t *testing.T) {
 	}
 }
 
-func TestStallWatchdogFlagsHungCell(t *testing.T) {
-	release := make(chan struct{})
-	cells := grid(4)
-	cells[3].Run = func(ctx context.Context) ([]byte, error) {
-		<-release // hung: no heartbeat, no progress
-		return []byte("eventually"), nil
-	}
-	e := mustOpen(t, Options{
-		watchdogFloor: 80 * time.Millisecond,
-		watchdogPoll:  10 * time.Millisecond,
-	})
-	go func() {
-		time.Sleep(400 * time.Millisecond)
-		close(release)
-	}()
-	rep, err := e.Run(context.Background(), cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Stalled) != 1 || rep.Stalled[0] != "cell-03" {
-		t.Fatalf("stalled = %v, want [cell-03]", rep.Stalled)
-	}
-	// The stall flag is advisory: the cell still completed.
-	if !rep.Complete() || string(rep.Done["cell-03"]) != "eventually" {
-		t.Fatalf("hung cell result: %+v", rep)
-	}
-}
-
-func TestHeartbeatSuppressesStallFlag(t *testing.T) {
-	cells := grid(1)
-	cells[0].Run = func(ctx context.Context) ([]byte, error) {
-		hb := HeartbeatFunc(ctx)
-		if hb == nil {
-			return nil, errors.New("no heartbeat bound")
-		}
-		for i := 0; i < 30; i++ { // slow (300ms) but visibly alive
-			time.Sleep(10 * time.Millisecond)
-			hb()
-		}
-		return []byte("slow but moving"), nil
-	}
-	e := mustOpen(t, Options{
-		watchdogFloor: 100 * time.Millisecond,
-		watchdogPoll:  10 * time.Millisecond,
-	})
-	rep, err := e.Run(context.Background(), cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Stalled) != 0 {
-		t.Fatalf("heartbeating cell flagged as stalled: %v", rep.Stalled)
-	}
-}
-
 func TestCorruptSegmentDegrades(t *testing.T) {
 	dir := t.TempDir()
 	e := mustOpen(t, Options{Dir: dir, Digest: "d"})

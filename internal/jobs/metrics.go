@@ -10,7 +10,6 @@ var (
 	obsResumed     = obs.C("jobs.resumed")     // cells skipped via the on-disk journal
 	obsPanicked    = obs.C("jobs.panicked")    // cells quarantined by a captured panic
 	obsRetried     = obs.C("jobs.retried")     // transient-failure re-attempts issued
-	obsStalled     = obs.C("jobs.stalled")     // watchdog flags (no heartbeat in N x median)
 	obsTimeouts    = obs.C("jobs.timeouts")    // cells that exceeded the per-cell deadline
 	obsQuarantined = obs.C("jobs.quarantined") // total cells quarantined (panic+timeout+error)
 	obsFlushes     = obs.C("jobs.flushes")     // journal segments written

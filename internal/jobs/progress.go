@@ -10,10 +10,10 @@ import (
 
 // Live progress export: the engine tracks every cell's state as it
 // moves through a Run so an external observer (the telemetry server's
-// /progress endpoint) can render completion, per-cell status, heartbeat
-// ages from the stall watchdog, retry counts and a trailing-median ETA
-// without touching the engine's execution state. Progress() is safe to
-// call from any goroutine at any time, including mid-Run.
+// /progress endpoint) can render completion, per-cell status, retry
+// counts and a trailing-median ETA without touching the engine's
+// execution state. Progress() is safe to call from any goroutine at any
+// time, including mid-Run.
 
 // CellState is one cell's position in the execution lifecycle.
 type CellState string
@@ -31,10 +31,6 @@ type CellProgress struct {
 	Key      string    `json:"key"`
 	State    CellState `json:"state"`
 	Attempts int       `json:"attempts,omitempty"`
-	Stalled  bool      `json:"stalled,omitempty"`
-	// BeatAgeSec is the age of the cell's last watchdog heartbeat;
-	// only meaningful while running.
-	BeatAgeSec float64 `json:"beatAgeSec,omitempty"`
 	// TookSec is the cell's wall-clock execution time once finished.
 	TookSec float64 `json:"tookSec,omitempty"`
 	// Reason is the quarantine reason ("panic" | "timeout" | "error").
@@ -50,7 +46,6 @@ type Progress struct {
 	Resumed     int `json:"resumed"`
 	Quarantined int `json:"quarantined"`
 	Retries     int `json:"retries"`
-	Stalled     int `json:"stalled"` // currently-flagged running cells
 	// Fraction is finished cells (completed + quarantined) over total.
 	Fraction float64 `json:"fraction"`
 	// MedianCellSec is the trailing median execution time of cells
@@ -70,12 +65,13 @@ type Progress struct {
 type cellProg struct {
 	state    CellState
 	attempts int
-	stalled  bool
-	bs       *beatState // non-nil while running
 	started  time.Time
 	took     time.Duration
 	reason   string
 }
+
+// trailingWindow bounds the duration history used for the median.
+const trailingWindow = 64
 
 // progressTracker accumulates cell states across an engine's Run calls
 // (a Suite priming several figures reuses one engine; the tracker's
@@ -116,12 +112,10 @@ func (p *progressTracker) observe(key string, state CellState) {
 	p.mu.Unlock()
 }
 
-func (p *progressTracker) markRunning(key string, bs *beatState) {
+func (p *progressTracker) markRunning(key string) {
 	p.mu.Lock()
 	c := p.cellLocked(key)
 	c.state = CellRunning
-	c.bs = bs
-	c.stalled = false
 	c.attempts++
 	if c.attempts == 1 {
 		c.started = time.Now()
@@ -134,7 +128,6 @@ func (p *progressTracker) markDone(key string) {
 	p.mu.Lock()
 	c := p.cellLocked(key)
 	c.state = CellCompleted
-	c.bs = nil
 	if !c.started.IsZero() {
 		c.took = time.Since(c.started)
 		p.durations = append(p.durations, c.took)
@@ -150,21 +143,11 @@ func (p *progressTracker) markQuarantined(key, reason string) {
 	p.mu.Lock()
 	c := p.cellLocked(key)
 	c.state = CellQuarantined
-	c.bs = nil
 	c.reason = reason
 	if !c.started.IsZero() {
 		c.took = time.Since(c.started)
 	}
 	p.epoch++
-	p.mu.Unlock()
-}
-
-func (p *progressTracker) markStalled(key string) {
-	p.mu.Lock()
-	if c, ok := p.cells[key]; ok {
-		c.stalled = true
-		p.epoch++
-	}
 	p.mu.Unlock()
 }
 
@@ -175,9 +158,8 @@ func (p *progressTracker) addRetry() {
 	p.mu.Unlock()
 }
 
-// snapshot assembles the exported view; now is the clock for heartbeat
-// ages.
-func (p *progressTracker) snapshot(now time.Time) Progress {
+// snapshot assembles the exported view.
+func (p *progressTracker) snapshot() Progress {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := Progress{
@@ -192,7 +174,6 @@ func (p *progressTracker) snapshot(now time.Time) Progress {
 			Key:      key,
 			State:    c.state,
 			Attempts: c.attempts,
-			Stalled:  c.stalled,
 			Reason:   c.reason,
 		}
 		switch c.state {
@@ -200,12 +181,6 @@ func (p *progressTracker) snapshot(now time.Time) Progress {
 			out.Pending++
 		case CellRunning:
 			out.Running++
-			if c.bs != nil {
-				cp.BeatAgeSec = c.bs.age(now).Seconds()
-			}
-			if c.stalled {
-				out.Stalled++
-			}
 		case CellCompleted, CellResumed:
 			out.Completed++
 			if c.state == CellResumed {
@@ -243,4 +218,4 @@ func (p *progressTracker) snapshot(now time.Time) Progress {
 
 // Progress returns the engine's live grid status. Safe to call from any
 // goroutine, including while Run executes; it never blocks execution.
-func (e *Engine) Progress() Progress { return e.prog.snapshot(time.Now()) }
+func (e *Engine) Progress() Progress { return e.prog.snapshot() }

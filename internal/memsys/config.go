@@ -56,13 +56,6 @@ type Config struct {
 	// exhaust are remapped there; past the cap, failures become
 	// uncorrectable errors.
 	SpareLines int
-
-	// Heartbeat, when non-nil, is invoked periodically from the event
-	// loop so an external watchdog (internal/jobs) can distinguish a
-	// slow simulation from a hung one. It must be cheap and
-	// goroutine-safe; it never influences simulation results and is
-	// excluded from serialized forms of the config.
-	Heartbeat func() `json:"-"`
 }
 
 // DefaultConfig returns the Table III system.

@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -201,6 +202,15 @@ type sim struct {
 // Simulate runs workload bench against scheme s under cfg and returns
 // aggregate performance and energy.
 func Simulate(s *core.Scheme, bench trace.Benchmark, cfg Config) (*Result, error) {
+	return SimulateContext(context.Background(), s, bench, cfg)
+}
+
+// SimulateContext is Simulate stopped by ctx: the event loop checks ctx
+// before its first event and every stopPollEvery events after, and a
+// stopped run returns no result and an error wrapping
+// context.Cause(ctx). The checks never influence the result of a run
+// that completes.
+func SimulateContext(ctx context.Context, s *core.Scheme, bench trace.Benchmark, cfg Config) (*Result, error) {
 	if obs.SpansEnabled() {
 		defer obs.SpanScope("memsys.sim:" + s.Name() + "/" + bench.Name)()
 	}
@@ -258,7 +268,7 @@ func Simulate(s *core.Scheme, bench trace.Benchmark, cfg Config) (*Result, error
 		sm.scheduleNextAccess(i, 0)
 	}
 
-	if err := sm.run(); err != nil {
+	if err := sm.run(ctx); err != nil {
 		return nil, err
 	}
 	sm.finalize()
@@ -329,15 +339,15 @@ func (s *sim) mapLine(line uint64, isWrite bool) (bank, rank, row, offset int, p
 	return bank, rank, row, offset, phys
 }
 
-// heartbeatEvery spaces Heartbeat calls so the hook costs one branch
-// per event and a call only every few thousand events.
-const heartbeatEvery = 4096
+// stopPollEvery spaces the event loop's context checks, so a stop
+// signal costs one branch per event and a check only every few
+// thousand events.
+const stopPollEvery = 4096
 
-func (s *sim) run() error {
-	var processed int
-	for len(s.events) > 0 {
-		if processed++; processed%heartbeatEvery == 0 && s.cfg.Heartbeat != nil {
-			s.cfg.Heartbeat()
+func (s *sim) run(ctx context.Context) error {
+	for processed := 0; len(s.events) > 0; processed++ {
+		if processed%stopPollEvery == 0 && ctx.Err() != nil {
+			return fmt.Errorf("memsys: stopped after %d events: %w", processed, context.Cause(ctx))
 		}
 		e := s.events.pop()
 		if e.t > s.endTime {

@@ -1,6 +1,8 @@
 package memsys
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -169,6 +171,23 @@ func TestConfigValidation(t *testing.T) {
 	bad.AccessesPerCore = 0
 	if _, err := Simulate(schemes()["base"], b, bad); err == nil {
 		t.Error("zero-length simulation accepted")
+	}
+}
+
+// TestSimulateContextStops: a cancelled context stops the event loop
+// before its first event; the run returns no result and an error that
+// wraps the cancellation cause.
+func TestSimulateContextStops(t *testing.T) {
+	b, err := trace.ByName("mcf_m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cause := errors.New("operator stop")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	res, err := SimulateContext(ctx, schemes()["base"], b, quickCfg())
+	if res != nil || !errors.Is(err, cause) {
+		t.Fatalf("cancelled run = (%v, %v), want no result and an error wrapping %q", res, err, cause)
 	}
 }
 

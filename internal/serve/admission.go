@@ -61,6 +61,9 @@ type bucket struct {
 	sheds  int
 }
 
+// minBucketSweep is the bucket count below which allow never sweeps.
+const minBucketSweep = 64
+
 // admission is the daemon's intake: per-client token buckets in front
 // of a bounded slot semaphore with a bounded wait queue.
 type admission struct {
@@ -69,6 +72,7 @@ type admission struct {
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
+	sweepAt int // bucket count at which a new client triggers dropFullLocked
 	queued  int
 }
 
@@ -78,6 +82,7 @@ func newAdmission(cfg AdmissionConfig) *admission {
 		cfg:     cfg,
 		slots:   make(chan struct{}, cfg.MaxInflight),
 		buckets: make(map[string]*bucket),
+		sweepAt: minBucketSweep,
 	}
 }
 
@@ -91,6 +96,9 @@ func (a *admission) allow(client string, now time.Time) (ok bool, retryAfter tim
 	defer a.mu.Unlock()
 	b := a.buckets[client]
 	if b == nil {
+		if len(a.buckets) >= a.sweepAt {
+			a.dropFullLocked(now)
+		}
 		b = &bucket{tokens: a.cfg.Burst, last: now}
 		a.buckets[client] = b
 		obsClients.Set(float64(len(a.buckets)))
@@ -114,6 +122,21 @@ func (a *admission) allow(client string, now time.Time) (ok bool, retryAfter tim
 	}
 	b.sheds++
 	return false, untilToken + retry.Delay(client, attempt)
+}
+
+// dropFullLocked forgets every bucket that has refilled to Burst. With
+// Burst >= 1 a full bucket admits its next request and clears its shed
+// count, exactly as the fresh bucket allow creates in its place. Client
+// IDs are chosen by clients, so without this a client that rotates IDs
+// grows the map without bound. The next sweep waits until the map has
+// doubled, which keeps the cost amortized O(1) per new client.
+func (a *admission) dropFullLocked(now time.Time) {
+	for id, b := range a.buckets {
+		if b.tokens+now.Sub(b.last).Seconds()*a.cfg.RatePerSec >= a.cfg.Burst {
+			delete(a.buckets, id)
+		}
+	}
+	a.sweepAt = 2 * max(len(a.buckets), minBucketSweep)
 }
 
 // slot acquires one compute slot, parking in the bounded queue when all

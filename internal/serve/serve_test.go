@@ -249,6 +249,36 @@ func TestAdmissionShed(t *testing.T) {
 	}
 }
 
+// TestAdmissionForgetsFullBuckets: client IDs are chosen by clients,
+// so rotating them must not grow the bucket map without bound. 50
+// rounds of 1,000 one-request IDs, 3 s apart (at the default 50/s every
+// bucket refills within the gap), leave at most 4,000 buckets. A
+// drained bucket is kept through the sweeps: its client stays shed.
+func TestAdmissionForgetsFullBuckets(t *testing.T) {
+	a := newAdmission(AdmissionConfig{})
+	now := time.Unix(1e9, 0)
+	for round := 0; round < 50; round++ {
+		for i := 0; i <= int(a.cfg.Burst); i++ {
+			a.allow("greedy", now)
+		}
+		for i := 0; i < 1000; i++ {
+			if ok, _ := a.allow(fmt.Sprintf("rotating-%d-%d", round, i), now); !ok {
+				t.Fatalf("round %d: fresh client %d shed", round, i)
+			}
+		}
+		if ok, _ := a.allow("greedy", now); ok {
+			t.Fatalf("round %d: a drained bucket was forgotten, its client admitted", round)
+		}
+		now = now.Add(3 * time.Second)
+	}
+	a.mu.Lock()
+	n := len(a.buckets)
+	a.mu.Unlock()
+	if n > 4000 {
+		t.Fatalf("%d buckets after 50,000 one-request clients, want <= 4,000", n)
+	}
+}
+
 // TestSaturation503 fills every compute slot and the whole wait queue;
 // the next request must shed immediately with 503 + Retry-After.
 func TestSaturation503(t *testing.T) {

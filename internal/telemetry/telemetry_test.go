@@ -265,6 +265,11 @@ func TestScrapeDuringSweepRace(t *testing.T) {
 	rep, err := eng.Run(context.Background(), cells)
 	close(stop)
 	scrapers.Wait()
+	// The scrapers' transport may hold a connection it dialed but never
+	// sent a request on; net/http's Shutdown waits 5 s for such a
+	// connection before treating it as idle, which would trip the
+	// cleanup's 5 s shutdown bound. Close it from the client side.
+	http.DefaultClient.CloseIdleConnections()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,9 +25,6 @@ type ArrayWrite struct {
 	Set   uint8
 }
 
-// Changed reports whether the slice writes any cell.
-func (w ArrayWrite) Changed() bool { return w.Reset|w.Set != 0 }
-
 // Count returns the number of RESET and SET cells.
 func (w ArrayWrite) Count() (resets, sets int) {
 	return bits.OnesCount8(w.Reset), bits.OnesCount8(w.Set)
