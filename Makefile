@@ -62,11 +62,15 @@ test-telemetry:
 # The service layer under the race detector: the serve package
 # (admission shedding with 429/503 + Retry-After, dedup exactness of
 # 32 identical sweeps -> one execution, drain under load, panic
-# isolation) and the retry package (the jittered backoff schedule behind
-# Retry-After and cell retries); then the reramd daemon e2e tests (real
-# suite over HTTP, SIGTERM drain with on-disk checkpoints, exit 0).
+# isolation, strict body decoding), the telemetry package the daemon
+# runs on (its one HTTP server: listener, health, readiness, metrics,
+# pprof, the SSE loop and a shutdown that ends open streams) and the
+# retry package (the jittered backoff schedule behind Retry-After and
+# cell retries); then the reramd daemon e2e tests (real suite over
+# HTTP, the fixed 429 bucket, six flags and one port, SIGTERM drain
+# with on-disk checkpoints, exit 0).
 test-serve:
-	$(GO) test -race ./internal/serve/ ./internal/retry/
+	$(GO) test -race ./internal/serve/ ./internal/telemetry/ ./internal/retry/
 	$(GO) test -race -run 'TestDaemon' ./cmd/reramd/
 
 # The benchmark is its own module (benchmark/go.mod), so the root

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"encoding/csv"
 	"flag"
 	"fmt"
@@ -57,11 +58,11 @@ func main() {
 	var m *xpoint.Map
 	switch *metric {
 	case "veff":
-		m, err = sc.EffectiveVrstMap(*blocks)
+		m, err = sc.EffectiveVrstMap(context.Background(), *blocks)
 	case "latency":
-		m, err = sc.LatencyMap(*blocks)
+		m, err = sc.LatencyMap(context.Background(), *blocks)
 	case "endurance":
-		m, err = sc.EnduranceMap(*blocks)
+		m, err = sc.EnduranceMap(context.Background(), *blocks)
 	default:
 		fail(fmt.Errorf("unknown metric %q (veff | latency | endurance)", *metric))
 	}

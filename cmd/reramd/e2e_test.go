@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -224,40 +225,86 @@ func TestDaemonDedupE2E(t *testing.T) {
 	}
 }
 
-// TestDaemonShedE2E: an over-quota client is shed with 429 +
-// Retry-After while an in-quota client's requests complete.
+// TestDaemonShedE2E: the fixed per-client bucket (burst 100, refill
+// 50/s) sheds a greedy client with 429 + Retry-After while another
+// client's solve completes. The greedy client sends bodies that fail
+// validation: each one costs a token and answers 400 without
+// simulating, so the client outruns the refill on any host.
 func TestDaemonShedE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and drives the daemon")
 	}
 	bin := buildDaemon(t)
-	d := startDaemon(t, bin, nil, "-accesses", "300", "-rate", "0.001", "-burst", "3")
+	d := startDaemon(t, bin, nil, "-accesses", "300")
 
-	req := map[string]any{"scheme": "Base", "workload": "mcf_m"}
-	var ok, shed int
-	var sawRetryAfter bool
-	for i := 0; i < 10; i++ {
-		resp, body := d.post(t, "/v1/solve", "greedy", req)
+	const burst, rate = 100, 50.0 // serve's admission policy
+	invalid := map[string]any{"scheme": "nope", "workload": "mcf_m"}
+	admitted := 0
+	var shed *http.Response
+	start := time.Now()
+	for shed == nil {
+		if time.Since(start) > 30*time.Second {
+			t.Fatalf("greedy client never shed: %d requests admitted in %v", admitted, time.Since(start))
+		}
+		resp, body := d.post(t, "/v1/solve", "greedy", invalid)
 		switch resp.StatusCode {
-		case http.StatusOK:
-			ok++
+		case http.StatusBadRequest:
+			admitted++
 		case http.StatusTooManyRequests:
-			shed++
-			if resp.Header.Get("Retry-After") != "" {
-				sawRetryAfter = true
-			}
+			shed = resp
 		default:
-			t.Fatalf("request %d: unexpected status %d (%s)", i, resp.StatusCode, body)
+			t.Fatalf("request %d: status %d (%s), want 400 or 429", admitted+1, resp.StatusCode, body)
 		}
 	}
-	if ok != 3 || shed != 7 {
-		t.Fatalf("greedy client: ok=%d shed=%d, want 3 ok / 7 shed (burst=3)", ok, shed)
+	elapsed := time.Since(start).Seconds()
+	if limit := burst + rate*elapsed + 1; admitted < burst || float64(admitted) > limit {
+		t.Fatalf("greedy client admitted %d times in %.2f s, want %d to %.0f (burst %d, refill %g/s)",
+			admitted, elapsed, burst, limit, burst, rate)
 	}
-	if !sawRetryAfter {
-		t.Fatal("no 429 carried a Retry-After header")
+	if shed.Header.Get("Retry-After") == "" {
+		t.Fatal("429 carried no Retry-After header")
 	}
-	if resp, body := d.post(t, "/v1/solve", "polite", req); resp.StatusCode != http.StatusOK {
+	if resp, body := d.post(t, "/v1/solve", "polite", map[string]any{"scheme": "Base", "workload": "mcf_m"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("in-quota client got %d (%s), want 200", resp.StatusCode, body)
+	}
+}
+
+// TestDaemonOneSurfaceE2E: reramd has six flags and one port, which
+// answers the operational endpoints beside the API.
+func TestDaemonOneSurfaceE2E(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and drives the daemon")
+	}
+	bin := buildDaemon(t)
+	out, err := exec.Command(bin, "-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("reramd -h: %v\n%s", err, out)
+	}
+	var flags []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.HasPrefix(line, "  -") {
+			flags = append(flags, strings.Fields(line)[0])
+		}
+	}
+	want := []string{"-accesses", "-addr", "-checkpoint-root", "-jobs", "-solve-cache", "-trace-spans"}
+	if !slices.Equal(flags, want) {
+		t.Fatalf("reramd -h lists %v, want %v", flags, want)
+	}
+
+	d := startDaemon(t, bin, nil, "-accesses", "300")
+	for _, path := range []string{"/healthz", "/readyz", "/metrics", "/debug/pprof/"} {
+		resp, body := d.get(t, path)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s on the API port: %d, want 200", path, resp.StatusCode)
+		}
+		if path != "/metrics" {
+			continue
+		}
+		for _, series := range []string{"serve_requests", "runtime_goroutines"} {
+			if _, ok := metricValue(t, string(body), series); !ok {
+				t.Errorf("/metrics lacks %s", series)
+			}
+		}
 	}
 }
 

@@ -159,7 +159,7 @@ func main() {
 	stack.SetReady(true) // suite calibrated: work can be admitted
 
 	if len(schemes) > 1 || len(workloads) > 1 || *checkpointDir != "" || *resumeDir != "" {
-		code := runSweep(suite, schemes, workloads, sweepOptions{
+		code := runSweep(ctx, suite, schemes, workloads, sweepOptions{
 			checkpointDir: *checkpointDir,
 			resumeDir:     *resumeDir,
 			cellTimeout:   *cellTimeout,
@@ -275,7 +275,7 @@ type sweepOptions struct {
 // payloads, so a resumed run's output is byte-identical to an
 // uninterrupted one and quarantined cells are never silently re-run.
 // The returned exit code follows the jobs contract.
-func runSweep(suite *experiments.Suite, schemes, workloads []string, o sweepOptions) int {
+func runSweep(ctx context.Context, suite *experiments.Suite, schemes, workloads []string, o sweepOptions) int {
 	pairs := make([]experiments.SimPair, 0, len(schemes)*len(workloads))
 	for _, sc := range schemes {
 		for _, w := range workloads {
@@ -302,7 +302,7 @@ func runSweep(suite *experiments.Suite, schemes, workloads []string, o sweepOpti
 	}
 	suite.SetEngine(eng)
 	o.stack.SetProgress(eng.Progress)
-	rep, runErr := suite.RunGrid(eng, pairs)
+	rep, runErr := suite.RunGridContext(ctx, eng, pairs)
 	if runErr != nil {
 		fmt.Fprintln(os.Stderr, "reramsim:", runErr)
 		if rep == nil {

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -24,11 +25,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		eff, err := s.EffectiveVrstMap(blocks)
+		eff, err := s.EffectiveVrstMap(context.Background(), blocks)
 		if err != nil {
 			log.Fatal(err)
 		}
-		lat, err := s.LatencyMap(blocks)
+		lat, err := s.LatencyMap(context.Background(), blocks)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -39,35 +39,20 @@ func (s *Scheme) MapOp() xpoint.OpFunc {
 }
 
 // EffectiveVrstMap, LatencyMap and EnduranceMap sample the scheme's
-// per-cell fields at blocks x blocks granularity.
-func (s *Scheme) EffectiveVrstMap(blocks int) (*xpoint.Map, error) {
-	return s.EffectiveVrstMapCtx(context.Background(), blocks)
-}
-
-// EffectiveVrstMapCtx is EffectiveVrstMap under a cancellation context:
-// shutdown aborts the sampling grid mid-map.
-func (s *Scheme) EffectiveVrstMapCtx(ctx context.Context, blocks int) (*xpoint.Map, error) {
-	return s.arr.EffectiveVrstMapCtx(ctx, blocks, s.MapOp())
+// per-cell fields at blocks x blocks granularity; a cancelled ctx stops
+// the sampling grid mid-map.
+func (s *Scheme) EffectiveVrstMap(ctx context.Context, blocks int) (*xpoint.Map, error) {
+	return s.arr.EffectiveVrstMap(ctx, blocks, s.MapOp())
 }
 
 // LatencyMap samples per-cell RESET latency under the scheme.
-func (s *Scheme) LatencyMap(blocks int) (*xpoint.Map, error) {
-	return s.LatencyMapCtx(context.Background(), blocks)
-}
-
-// LatencyMapCtx is LatencyMap under a cancellation context.
-func (s *Scheme) LatencyMapCtx(ctx context.Context, blocks int) (*xpoint.Map, error) {
-	return s.arr.LatencyMapCtx(ctx, blocks, s.MapOp())
+func (s *Scheme) LatencyMap(ctx context.Context, blocks int) (*xpoint.Map, error) {
+	return s.arr.LatencyMap(ctx, blocks, s.MapOp())
 }
 
 // EnduranceMap samples per-cell endurance under the scheme.
-func (s *Scheme) EnduranceMap(blocks int) (*xpoint.Map, error) {
-	return s.EnduranceMapCtx(context.Background(), blocks)
-}
-
-// EnduranceMapCtx is EnduranceMap under a cancellation context.
-func (s *Scheme) EnduranceMapCtx(ctx context.Context, blocks int) (*xpoint.Map, error) {
-	return s.arr.EnduranceMapCtx(ctx, blocks, s.MapOp())
+func (s *Scheme) EnduranceMap(ctx context.Context, blocks int) (*xpoint.Map, error) {
+	return s.arr.EnduranceMap(ctx, blocks, s.MapOp())
 }
 
 // WorstWriteLine is the worst-case non-stop write pattern of the §III-A

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -220,11 +221,11 @@ func TestSchemeConcurrentCosting(t *testing.T) {
 func TestOracleSchemeMapsFlat(t *testing.T) {
 	ora := mustScheme(t, func(c xpoint.Config) (*Scheme, error) { return Oracle(c, 64) })
 	base := mustScheme(t, Baseline)
-	om, err := ora.LatencyMap(4)
+	om, err := ora.LatencyMap(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bm, err := base.LatencyMap(4)
+	bm, err := base.LatencyMap(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func (s *Suite) schemeMaps(scheme string, withEff, withLat, withEnd bool) (strin
 	ctx := s.Context()
 	var b strings.Builder
 	if withEff {
-		m, err := sc.EffectiveVrstMapCtx(ctx, MapBlocks)
+		m, err := sc.EffectiveVrstMap(ctx, MapBlocks)
 		if err != nil {
 			return "", err
 		}
@@ -63,7 +63,7 @@ func (s *Suite) schemeMaps(scheme string, withEff, withLat, withEnd bool) (strin
 			m.Values, func(v float64) string { return fmt.Sprintf("%.3f", v) }))
 	}
 	if withLat {
-		m, err := sc.LatencyMapCtx(ctx, MapBlocks)
+		m, err := sc.LatencyMap(ctx, MapBlocks)
 		if err != nil {
 			return "", err
 		}
@@ -77,7 +77,7 @@ func (s *Suite) schemeMaps(scheme string, withEff, withLat, withEnd bool) (strin
 			}))
 	}
 	if withEnd {
-		m, err := sc.EnduranceMapCtx(ctx, MapBlocks)
+		m, err := sc.EnduranceMap(ctx, MapBlocks)
 		if err != nil {
 			return "", err
 		}

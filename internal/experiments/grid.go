@@ -36,32 +36,18 @@ func (s *Suite) GridDigest(pairs []SimPair) (string, error) {
 	return fmt.Sprintf("grid-v%d-%x", gridDigestVersion, sha256.Sum256(blob)), nil
 }
 
-// RunGrid executes the pairs through eng as journaled cells keyed
-// "scheme/workload". Each cell's payload is its Result marshalled as
-// JSON — float64 values survive the round trip bit-exactly, so a
-// resumed payload renders byte-identically to a live simulation.
-// Payloads resumed from the journal are decoded back into the suite's
-// result cache, so the serial render loop behind PrimeSims reads them
-// as ordinary cache hits. Duplicate pairs collapse onto one cell.
-func (s *Suite) RunGrid(eng *jobs.Engine, pairs []SimPair) (*jobs.Report, error) {
-	return s.runGrid(s.Context(), eng, pairs)
-}
-
-// RunGridContext is RunGrid under an explicit per-call context, for
-// hosts that bound individual grid runs tighter than the suite's own
-// lifetime — the reramd daemon threads each request's deadline through
-// here, so one slow client's sweep times out without touching the
-// suite-wide context shared by every other request.
+// RunGridContext executes the pairs through eng under ctx as
+// journaled cells keyed "scheme/workload". Each cell's payload is its
+// Result marshalled as JSON — float64 values survive the round trip
+// bit-exactly, so a resumed payload renders byte-identically to a live
+// simulation. Payloads resumed from the journal are decoded back into
+// the suite's result cache, so the serial render loop behind PrimeSims
+// reads them as ordinary cache hits. Duplicate pairs collapse onto one
+// cell. ctx may bound a run tighter than the suite's own lifetime: the
+// reramd daemon passes each request's deadline, so one slow client's
+// sweep times out without touching the suite-wide context shared by
+// every other request.
 func (s *Suite) RunGridContext(ctx context.Context, eng *jobs.Engine, pairs []SimPair) (*jobs.Report, error) {
-	if ctx == nil {
-		ctx = s.Context()
-	}
-	return s.runGrid(ctx, eng, pairs)
-}
-
-// runGrid is RunGrid under an explicit context (PrimeSims threads the
-// sweep's span context through here so cells nest under it).
-func (s *Suite) runGrid(ctx context.Context, eng *jobs.Engine, pairs []SimPair) (*jobs.Report, error) {
 	cells := make([]jobs.Cell, 0, len(pairs))
 	seen := make(map[string]bool, len(pairs))
 	for _, p := range pairs {

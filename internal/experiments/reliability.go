@@ -33,9 +33,6 @@ type ReliabilityReport struct {
 // simulation as well as the ones not yet started; a cancelled sweep
 // returns the completed rows with Aborted set rather than an error.
 func (s *Suite) ReliabilitySweep(ctx context.Context, profile, workload string, schemes []string) (*ReliabilityReport, error) {
-	if ctx == nil {
-		ctx = s.Context()
-	}
 	rep := &ReliabilityReport{Profile: profile, Workload: workload}
 	mc := s.MemCfg
 	mc.FaultProfile = profile

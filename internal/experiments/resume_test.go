@@ -241,7 +241,7 @@ func TestRunGridRetriesJournalDiskFull(t *testing.T) {
 			return nil
 		})
 		defer atomicio.SetHook(prev)
-		rep, err := s.RunGrid(eng, pairs)
+		rep, err := s.RunGridContext(context.Background(), eng, pairs)
 		if err != nil {
 			t.Fatal(err)
 		}

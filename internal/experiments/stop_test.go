@@ -38,7 +38,7 @@ func TestStopCellTimeoutQuarantines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.RunGrid(eng, []SimPair{{Scheme: "Base", Workload: "mcf_m"}})
+	rep, err := s.RunGridContext(context.Background(), eng, []SimPair{{Scheme: "Base", Workload: "mcf_m"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -284,7 +284,7 @@ func (s *Suite) PrimeSims(pairs []SimPair) error {
 	eng := s.engine
 	s.mu.Unlock()
 	if eng != nil {
-		rep, err := s.runGrid(ctx, eng, pairs)
+		rep, err := s.RunGridContext(ctx, eng, pairs)
 		if err != nil {
 			return err
 		}

@@ -1,5 +1,5 @@
 // Package jobs is the crash-safe sweep execution engine: it runs a grid
-// of independent cells — (scheme, workload, variant) simulations — as
+// of independent cells — one (scheme, workload) simulation each — as
 // journaled jobs, so a run killed by a crash, OOM or preemption resumes
 // where it stopped instead of starting over.
 //
@@ -200,9 +200,6 @@ func (e *Engine) Resumed(key string) ([]byte, bool) {
 // only for a cancelled context (after the final checkpoint flush) or an
 // invalid grid — quarantined cells are reported, not returned as errors.
 func (e *Engine) Run(ctx context.Context, cells []Cell) (*Report, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	ctx, stopSpan := obs.StartSpan(ctx, "jobs.grid")
 	defer stopSpan()
 	seen := make(map[string]bool, len(cells))

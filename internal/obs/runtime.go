@@ -95,12 +95,13 @@ func readRSS() (uint64, bool) {
 // runtimeInterval is the background runtime.* sampling period.
 const runtimeInterval = 2 * time.Second
 
-// StartRuntimeCollector samples the runtime.* series now and every
+// StartRuntimeCollector samples the runtime.* series every
 // runtimeInterval on a background goroutine until the returned stop
 // function is called. Stop is idempotent and waits for the goroutine
-// to exit.
+// to exit. It takes no sample at start: ReadMemStats stops the world,
+// which would lengthen a server's start-up, and every /metrics scrape
+// samples the series itself.
 func StartRuntimeCollector() (stop func()) {
-	CollectRuntime()
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -175,12 +175,14 @@ func TestChromeTraceSink(t *testing.T) {
 	}
 }
 
-// TestRuntimeCollector: a collect pass publishes the runtime.* series.
+// TestRuntimeCollector: a collect pass publishes the runtime.* series,
+// and the background collector stops idempotently.
 func TestRuntimeCollector(t *testing.T) {
 	SetEnabled(true)
 	defer SetEnabled(false)
-	stop := StartRuntimeCollector() // one immediate sample
+	stop := StartRuntimeCollector()
 	defer stop()
+	CollectRuntime()
 	snap := Default().Snapshot()
 	for _, g := range []string{
 		"runtime.heap_alloc_bytes", "runtime.goroutines", "runtime.uptime_seconds",

@@ -9,50 +9,51 @@ import (
 	"reramsim/internal/retry"
 )
 
-// AdmissionConfig bounds what the daemon accepts. The zero value of
-// every field selects a sensible default, so Options.Admission can be
-// left empty entirely.
-type AdmissionConfig struct {
-	// MaxInflight bounds concurrently executing compute requests (solve
-	// calls and sweep jobs). Default: 2 x GOMAXPROCS — the underlying
-	// solver pool is GOMAXPROCS-wide, so more in-flight work only adds
-	// queueing inside the process.
-	MaxInflight int
-	// MaxQueue bounds requests parked waiting for a slot; one past it is
-	// shed with 503. Default 64.
-	MaxQueue int
-	// QueueWait bounds how long one request waits in the queue before it
-	// is shed with 503. Default 5s.
-	QueueWait time.Duration
-	// RatePerSec is each client's sustained request rate (token-bucket
-	// refill). Default 50/s.
-	RatePerSec float64
-	// Burst is each client's bucket depth — how many requests it can
-	// fire back-to-back before the sustained rate applies. Default 100.
-	Burst float64
+// admissionConfig bounds what the daemon accepts. The daemon's intake
+// policy is fixed: every zero field selects the value documented on it,
+// and only tests set fields, to make shedding reachable in a handful of
+// requests.
+type admissionConfig struct {
+	// maxInflight bounds concurrently executing compute requests (solve
+	// calls and sweep jobs): 2 x GOMAXPROCS — the underlying solver pool
+	// is GOMAXPROCS-wide, so more in-flight work only adds queueing
+	// inside the process.
+	maxInflight int
+	// maxQueue bounds requests parked waiting for a slot; one past it is
+	// shed with 503. 64.
+	maxQueue int
+	// queueWait bounds how long one request waits in the queue before it
+	// is shed with 503. 5s.
+	queueWait time.Duration
+	// ratePerSec is each client's sustained request rate (token-bucket
+	// refill). 50/s.
+	ratePerSec float64
+	// burst is each client's bucket depth — how many requests it can
+	// fire back-to-back before the sustained rate applies. 100.
+	burst float64
 }
 
-func (c AdmissionConfig) withDefaults() AdmissionConfig {
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 2 * runtime.GOMAXPROCS(0)
+func (c admissionConfig) withDefaults() admissionConfig {
+	if c.maxInflight <= 0 {
+		c.maxInflight = 2 * runtime.GOMAXPROCS(0)
 	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = 64
+	if c.maxQueue <= 0 {
+		c.maxQueue = 64
 	}
-	if c.QueueWait <= 0 {
-		c.QueueWait = 5 * time.Second
+	if c.queueWait <= 0 {
+		c.queueWait = 5 * time.Second
 	}
-	if c.RatePerSec <= 0 {
-		c.RatePerSec = 50
+	if c.ratePerSec <= 0 {
+		c.ratePerSec = 50
 	}
-	if c.Burst <= 0 {
-		c.Burst = 100
+	if c.burst <= 0 {
+		c.burst = 100
 	}
 	return c
 }
 
-// bucket is one client's token bucket. tokens refills at RatePerSec up
-// to Burst; each admitted request costs one token. sheds counts
+// bucket is one client's token bucket. tokens refills at ratePerSec up
+// to burst; each admitted request costs one token. sheds counts
 // consecutive rejections, escalating the jittered Retry-After hint the
 // same way the jobs engine escalates retry backoff.
 type bucket struct {
@@ -67,8 +68,8 @@ const minBucketSweep = 64
 // admission is the daemon's intake: per-client token buckets in front
 // of a bounded slot semaphore with a bounded wait queue.
 type admission struct {
-	cfg   AdmissionConfig
-	slots chan struct{} // buffered MaxInflight; holding an element = holding a slot
+	cfg   admissionConfig
+	slots chan struct{} // buffered maxInflight; holding an element = holding a slot
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
@@ -76,11 +77,11 @@ type admission struct {
 	queued  int
 }
 
-func newAdmission(cfg AdmissionConfig) *admission {
+func newAdmission(cfg admissionConfig) *admission {
 	cfg = cfg.withDefaults()
 	return &admission{
 		cfg:     cfg,
-		slots:   make(chan struct{}, cfg.MaxInflight),
+		slots:   make(chan struct{}, cfg.maxInflight),
 		buckets: make(map[string]*bucket),
 		sweepAt: minBucketSweep,
 	}
@@ -99,14 +100,14 @@ func (a *admission) allow(client string, now time.Time) (ok bool, retryAfter tim
 		if len(a.buckets) >= a.sweepAt {
 			a.dropFullLocked(now)
 		}
-		b = &bucket{tokens: a.cfg.Burst, last: now}
+		b = &bucket{tokens: a.cfg.burst, last: now}
 		a.buckets[client] = b
 		obsClients.Set(float64(len(a.buckets)))
 	}
 	if dt := now.Sub(b.last).Seconds(); dt > 0 {
-		b.tokens += dt * a.cfg.RatePerSec
-		if b.tokens > a.cfg.Burst {
-			b.tokens = a.cfg.Burst
+		b.tokens += dt * a.cfg.ratePerSec
+		if b.tokens > a.cfg.burst {
+			b.tokens = a.cfg.burst
 		}
 	}
 	b.last = now
@@ -115,7 +116,7 @@ func (a *admission) allow(client string, now time.Time) (ok bool, retryAfter tim
 		b.sheds = 0
 		return true, 0
 	}
-	untilToken := time.Duration((1 - b.tokens) / a.cfg.RatePerSec * float64(time.Second))
+	untilToken := time.Duration((1 - b.tokens) / a.cfg.ratePerSec * float64(time.Second))
 	attempt := b.sheds
 	if attempt > 6 { // cap the escalation; the bucket math already dominates
 		attempt = 6
@@ -124,15 +125,15 @@ func (a *admission) allow(client string, now time.Time) (ok bool, retryAfter tim
 	return false, untilToken + retry.Delay(client, attempt)
 }
 
-// dropFullLocked forgets every bucket that has refilled to Burst. With
-// Burst >= 1 a full bucket admits its next request and clears its shed
+// dropFullLocked forgets every bucket that has refilled to burst. With
+// burst >= 1 a full bucket admits its next request and clears its shed
 // count, exactly as the fresh bucket allow creates in its place. Client
 // IDs are chosen by clients, so without this a client that rotates IDs
 // grows the map without bound. The next sweep waits until the map has
 // doubled, which keeps the cost amortized O(1) per new client.
 func (a *admission) dropFullLocked(now time.Time) {
 	for id, b := range a.buckets {
-		if b.tokens+now.Sub(b.last).Seconds()*a.cfg.RatePerSec >= a.cfg.Burst {
+		if b.tokens+now.Sub(b.last).Seconds()*a.cfg.ratePerSec >= a.cfg.burst {
 			delete(a.buckets, id)
 		}
 	}
@@ -141,7 +142,7 @@ func (a *admission) dropFullLocked(now time.Time) {
 
 // slot acquires one compute slot, parking in the bounded queue when all
 // are held. It returns a release function, or errSaturated when the
-// queue is full or QueueWait elapses, or ctx's cause when the caller's
+// queue is full or queueWait elapses, or ctx's cause when the caller's
 // context dies first.
 func (a *admission) slot(ctx context.Context) (release func(), err error) {
 	select {
@@ -150,7 +151,7 @@ func (a *admission) slot(ctx context.Context) (release func(), err error) {
 	default:
 	}
 	a.mu.Lock()
-	if a.queued >= a.cfg.MaxQueue {
+	if a.queued >= a.cfg.maxQueue {
 		a.mu.Unlock()
 		return nil, errSaturated
 	}
@@ -164,7 +165,7 @@ func (a *admission) slot(ctx context.Context) (release func(), err error) {
 		a.mu.Unlock()
 	}()
 
-	t := time.NewTimer(a.cfg.QueueWait)
+	t := time.NewTimer(a.cfg.queueWait)
 	defer t.Stop()
 	select {
 	case a.slots <- struct{}{}:
@@ -202,5 +203,5 @@ func (a *admission) releaseFn() func() {
 // pressure is not tracked per client here, so attempt 0 — the jitter
 // alone already de-synchronises the herd.
 func (a *admission) retryAfterSaturated(client string) time.Duration {
-	return a.cfg.QueueWait/2 + retry.Delay("saturated/"+client, 0)
+	return a.cfg.queueWait/2 + retry.Delay("saturated/"+client, 0)
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"reramsim/internal/experiments"
 	"reramsim/internal/jobs"
@@ -42,8 +41,6 @@ type SuiteBackend struct {
 	// <root>/<digest>/ with Resume on — a re-requested sweep (same
 	// digest) after a crash or restart serves finished cells from disk.
 	CheckpointRoot string
-	// CellTimeout bounds each grid cell (jobs.Options.CellTimeout).
-	CellTimeout time.Duration
 }
 
 func (b *SuiteBackend) Validate(scheme, workload string) error {
@@ -80,7 +77,7 @@ func (b *SuiteBackend) Solve(ctx context.Context, scheme, workload string) (json
 
 func (b *SuiteBackend) Sweep(ctx context.Context, digest string, pairs []experiments.SimPair,
 	onProgress func(func() jobs.Progress)) (*jobs.Report, error) {
-	opts := jobs.Options{CellTimeout: b.CellTimeout}
+	var opts jobs.Options
 	if b.CheckpointRoot != "" {
 		// One journal directory per grid digest: different grids never
 		// collide, and an identical grid re-requested after a kill

@@ -1,19 +1,22 @@
-// Package serve is the hardened HTTP surface of the reramd
-// simulation-as-a-service daemon. The compute underneath (calibrated
-// suite, journaled jobs, content-addressed caches, bounded worker pool)
-// already exists; this package is deliberately only the robustness
-// spine wrapped around it:
+// Package serve is the API of the reramd simulation-as-a-service
+// daemon, mounted on the telemetry server (package telemetry), which
+// owns the listener, /healthz, /readyz, /metrics, /debug/pprof/ and the
+// SSE loop. The compute underneath (calibrated suite, journaled jobs,
+// content-addressed caches, bounded worker pool) already exists; this
+// package is deliberately only the robustness spine wrapped around it:
 //
 //   - Admission control: per-client token buckets (fair queuing by
 //     client identity) in front of a bounded compute queue. Over-quota
 //     clients are shed with 429, a saturated queue sheds with 503, and
 //     both carry Retry-After hints computed from the shared
-//     internal/retry backoff+jitter policy.
+//     internal/retry backoff+jitter schedule. The intake policy is
+//     fixed (see admissionConfig).
 //   - Deadlines: every compute request runs under a context deadline
-//     (its own or the server default), installed with a typed cause and
-//     mapped to 504. The deadline propagates as plain context through
-//     Suite -> jobs -> xpoint, so a timed-out sweep checkpoints what it
-//     finished.
+//     (its own, capped at 10m, or a 1m default), installed with a typed
+//     cause and mapped to 504. The deadline propagates as plain context
+//     through Suite -> jobs -> the memsys event loop, which polls it
+//     every 4,096 events, so a timed-out solve stops mid-simulation and
+//     a timed-out sweep checkpoints what it finished.
 //   - In-flight dedup: sweep requests are identified by the suite's
 //     content-addressed grid digest; identical concurrent requests
 //     attach to one running job, so N clients asking the same question
@@ -21,14 +24,14 @@
 //     at the cell level below that).
 //   - Panic isolation: a panicking handler is quarantined by recovery
 //     middleware — stack logged, 500 returned, process still serving.
-//   - Graceful drain: Drain flips /readyz to 503, refuses new compute,
+//   - Graceful drain: Drain refuses new compute, flips /readyz to 503,
 //     waits for in-flight requests and jobs (which checkpoint through
 //     the normal journal machinery), then force-cancels stragglers and
-//     stops the listener.
+//     stops the server.
 //
 // Endpoints: POST /v1/solve, POST /v1/sweep, GET /v1/jobs and
-// /v1/jobs/{id} (JSON, ?wait=1, or SSE with ?stream=1), plus /healthz,
-// /readyz and /metrics so one port is fully operable behind a load
+// /v1/jobs/{id} (JSON, ?wait=1, or SSE with ?stream=1), beside the
+// telemetry server's own, so one port is fully operable behind a load
 // balancer.
 package serve
 
@@ -43,55 +46,43 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"reramsim/internal/experiments"
-	"reramsim/internal/obs"
+	"reramsim/internal/telemetry"
 )
 
-// Options configures a Server. Addr and Backend are required; every
-// other zero value selects a default.
+// Options configures a Server. Addr and Backend are required.
 type Options struct {
 	// Addr is the listen address, e.g. "localhost:8080" ("127.0.0.1:0"
 	// picks a free port; see Server.Addr).
 	Addr    string
 	Backend Backend
 
-	Admission AdmissionConfig
-
-	// DefaultDeadline bounds compute requests that name no deadline_ms
-	// (default 60s).
-	DefaultDeadline time.Duration
-	// MaxDeadline caps client-requested deadlines (default 10m).
-	MaxDeadline time.Duration
-	// Log receives operational lines (panic stacks, drain progress);
-	// default os.Stderr.
-	Log io.Writer
-
 	// TestPanicWorkload makes any handler touching the named workload
 	// panic — the hook behind the panic-isolation e2e (reramd wires it
 	// to RERAMD_PANIC_WORKLOAD). Empty in production.
 	TestPanicWorkload string
+
+	// admission overrides the fixed intake policy field by field (a zero
+	// field keeps the policy), and log replaces os.Stderr as the sink
+	// for operational lines (panic stacks, drain progress). Only tests
+	// set them.
+	admission admissionConfig
+	log       io.Writer
 }
 
-func (o Options) withDefaults() Options {
-	if o.DefaultDeadline <= 0 {
-		o.DefaultDeadline = time.Minute
-	}
-	if o.MaxDeadline <= 0 {
-		o.MaxDeadline = 10 * time.Minute
-	}
-	if o.Log == nil {
-		o.Log = os.Stderr
-	}
-	return o
-}
+// Compute budgets: a request that names no deadline_ms runs under
+// defaultDeadline, and a requested deadline is capped at maxDeadline.
+const (
+	defaultDeadline = time.Minute
+	maxDeadline     = 10 * time.Minute
+)
 
 // drainGate counts in-flight compute requests and job executors, and
 // atomically flips to "draining": once flipped, enter fails (the
 // request is shed with 503) and the channel from beginDrain closes when
-// the last unit leaves.
+// the last unit leaves. It is the server's one drain state.
 type drainGate struct {
 	mu       sync.Mutex
 	draining bool
@@ -142,12 +133,12 @@ func (g *drainGate) beginDrain() <-chan struct{} {
 	return g.idle
 }
 
-// Server is a running daemon endpoint. Create with Start; stop with
-// Drain (graceful) or Close (immediate).
+// Server is a running daemon endpoint: the /v1 API mounted on a
+// telemetry server. Create with Start; stop with Drain (graceful) or
+// Close (immediate).
 type Server struct {
 	opts Options
-	ln   net.Listener
-	srv  *http.Server
+	http *telemetry.Server
 
 	adm  *admission
 	reg  *jobRegistry
@@ -157,71 +148,55 @@ type Server struct {
 	// drain) reaches every in-flight solve and sweep.
 	baseCtx    context.Context
 	baseCancel context.CancelCauseFunc
-
-	ready    atomic.Bool
-	draining atomic.Bool
-
-	closing   chan struct{} // closed right before the listener stops: ends SSE streams
-	closeOnce sync.Once
-	done      chan struct{}
-	serveErr  error
 }
 
-// Start binds opts.Addr and serves the API on a background goroutine.
+// Start binds opts.Addr and serves the API, beside the telemetry
+// server's /healthz, /readyz, /metrics and /debug/pprof/, on a
+// background goroutine.
 func Start(opts Options) (*Server, error) {
-	opts = opts.withDefaults()
 	if opts.Backend == nil {
 		return nil, fmt.Errorf("serve: Options.Backend is required")
 	}
-	ln, err := net.Listen("tcp", opts.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("serve: listen %s: %w", opts.Addr, err)
+	if opts.log == nil {
+		opts.log = os.Stderr
 	}
 	ctx, cancel := context.WithCancelCause(context.Background())
 	s := &Server{
 		opts:       opts,
-		ln:         ln,
-		adm:        newAdmission(opts.Admission),
+		adm:        newAdmission(opts.admission),
 		reg:        newJobRegistry(),
 		gate:       &drainGate{},
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		closing:    make(chan struct{}),
-		done:       make(chan struct{}),
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("POST /v1/solve", s.compute(s.handleSolve))
-	mux.HandleFunc("POST /v1/sweep", s.compute(s.handleSweep))
-	mux.HandleFunc("GET /v1/jobs", s.recovered(s.handleJobsList))
-	mux.HandleFunc("GET /v1/jobs/{id}", s.recovered(s.handleJob))
-	mux.HandleFunc("/", s.handleIndex)
-	s.srv = &http.Server{Handler: mux}
-	go func() {
-		defer close(s.done)
-		if err := s.srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			s.serveErr = err
-		}
-	}()
+	srv, err := telemetry.Start(opts.Addr,
+		telemetry.Route{Pattern: "POST /v1/solve", Doc: "one (scheme, workload) simulation",
+			Handler: s.compute(s.handleSolve)},
+		telemetry.Route{Pattern: "POST /v1/sweep", Doc: "a schemes x workloads grid (dedup'd, journaled)",
+			Handler: s.compute(s.handleSweep)},
+		telemetry.Route{Pattern: "GET /v1/jobs", Doc: "sweep jobs",
+			Handler: s.recovered(s.handleJobsList)},
+		telemetry.Route{Pattern: "GET /v1/jobs/{id}", Doc: "one job (?wait=1 blocks; ?stream=1 for SSE)",
+			Handler: s.recovered(s.handleJob)})
+	if err != nil {
+		cancel(errDraining)
+		return nil, err
+	}
+	s.http = srv
 	return s, nil
 }
 
 // Addr returns the bound listen address (":0" resolved).
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.http.Addr() }
 
 // SetReady flips /readyz; the host marks ready once its suite is
-// calibrated. Draining forces not-ready regardless.
-func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
-
-// Draining reports whether a drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
+// calibrated. Drain marks it not ready.
+func (s *Server) SetReady(ready bool) { s.http.SetReady(ready) }
 
 // Drain performs the graceful shutdown contract:
 //
-//  1. /readyz goes 503 and new compute requests are refused (503 +
-//     Retry-After) — load balancers stop routing here.
+//  1. New compute requests are refused (503 + Retry-After) and /readyz
+//     goes 503 — load balancers stop routing here.
 //  2. In-flight requests and sweep jobs run to completion; finished
 //     cells checkpoint through the normal journal machinery.
 //  3. When ctx expires first, the base context is cancelled: engines
@@ -232,10 +207,11 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // forced (rather than clean) drain.
 func (s *Server) Drain(ctx context.Context) error {
 	start := time.Now()
-	s.draining.Store(true)
-	s.ready.Store(false)
-	obsDraining.Set(1)
+	// The gate flips before readiness, so a client that sees /readyz
+	// 503 is refused compute.
 	idle := s.gate.beginDrain()
+	s.http.SetReady(false)
+	obsDraining.Set(1)
 
 	var err error
 	select {
@@ -243,7 +219,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		// Too slow: cut the compute off underneath. Engines flush their
 		// final checkpoint on the way out.
-		fmt.Fprintf(s.opts.Log, "serve: drain deadline reached; cancelling in-flight work\n")
+		fmt.Fprintf(s.opts.log, "serve: drain deadline reached; cancelling in-flight work\n")
 		s.baseCancel(errDraining)
 		forceCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		select {
@@ -262,35 +238,24 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	cancel()
 
-	s.closeOnce.Do(func() { close(s.closing) })
 	s.baseCancel(errDraining) // nothing new may use the base context
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if serr := s.srv.Shutdown(shutCtx); serr != nil && err == nil {
+	if serr := s.http.Shutdown(shutCtx); serr != nil && err == nil {
 		err = fmt.Errorf("serve: drain: http shutdown: %w", serr)
 	}
-	<-s.done
 	obsDrainMs.Set(float64(time.Since(start).Milliseconds()))
-	if err == nil {
-		err = s.serveErr
-	}
 	return err
 }
 
 // Close stops the server without waiting for in-flight work (tests and
 // error paths; production exits call Drain).
 func (s *Server) Close() error {
-	s.draining.Store(true)
-	s.closeOnce.Do(func() { close(s.closing) })
+	s.gate.beginDrain()
 	s.baseCancel(errDraining)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	err := s.srv.Shutdown(ctx)
-	<-s.done
-	if err == nil {
-		err = s.serveErr
-	}
-	return err
+	return s.http.Shutdown(ctx)
 }
 
 // clientID identifies the caller for fair queuing: the X-Client-ID
@@ -316,7 +281,7 @@ func (s *Server) recovered(h http.HandlerFunc) http.HandlerFunc {
 		defer func() {
 			if v := recover(); v != nil {
 				obsPanics.Inc()
-				fmt.Fprintf(s.opts.Log, "serve: panic in %s %s: %v\n%s\n",
+				fmt.Fprintf(s.opts.log, "serve: panic in %s %s: %v\n%s\n",
 					r.Method, r.URL.Path, v, debug.Stack())
 				writeError(w, http.StatusInternalServerError, 0,
 					"internal error: handler panicked (quarantined; the server keeps serving)")
@@ -332,7 +297,7 @@ func (s *Server) recovered(h http.HandlerFunc) http.HandlerFunc {
 func (s *Server) compute(h http.HandlerFunc) http.HandlerFunc {
 	return s.recovered(func(w http.ResponseWriter, r *http.Request) {
 		client := clientID(r)
-		if s.draining.Load() || !s.gate.enter() {
+		if !s.gate.enter() {
 			obsSaturated.Inc()
 			writeError(w, http.StatusServiceUnavailable, s.adm.retryAfterSaturated(client),
 				"draining: not accepting new work")
@@ -351,15 +316,12 @@ func (s *Server) compute(h http.HandlerFunc) http.HandlerFunc {
 }
 
 // deadlineFor resolves a request's compute budget.
-func (s *Server) deadlineFor(ms int64) time.Duration {
-	d := s.opts.DefaultDeadline
+func deadlineFor(ms int64) time.Duration {
+	d := defaultDeadline
 	if ms > 0 {
 		d = time.Duration(ms) * time.Millisecond
 	}
-	if d > s.opts.MaxDeadline {
-		d = s.opts.MaxDeadline
-	}
-	return d
+	return min(d, maxDeadline)
 }
 
 // computeCtx derives the bounded context compute runs under. It parents
@@ -370,12 +332,17 @@ func (s *Server) computeCtx(budget time.Duration) (context.Context, context.Canc
 	return context.WithTimeoutCause(s.baseCtx, budget, &DeadlineError{Budget: budget})
 }
 
-// decodeJSON decodes one JSON request body strictly.
+// decodeJSON decodes a request body strictly: exactly one JSON value,
+// no unknown fields, nothing after it but white space.
 func decodeJSON(w http.ResponseWriter, r *http.Request, into any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
 		writeError(w, http.StatusBadRequest, 0, "bad request body: %v", err)
+		return false
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		writeError(w, http.StatusBadRequest, 0, "bad request body: data after the first JSON value")
 		return false
 	}
 	return true
@@ -405,7 +372,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if s.opts.TestPanicWorkload != "" && req.Workload == s.opts.TestPanicWorkload {
 		panic("serve: injected test panic for workload " + req.Workload)
 	}
-	budget := s.deadlineFor(req.DeadlineMs)
+	budget := deadlineFor(req.DeadlineMs)
 	ctx, cancel := s.computeCtx(budget)
 	defer cancel()
 	release, err := s.adm.slot(ctx)
@@ -465,7 +432,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	obsSweepReqs.Inc()
 
-	budget := s.deadlineFor(req.DeadlineMs)
+	budget := deadlineFor(req.DeadlineMs)
 	j, attached := s.reg.openOrAttach(digest, pairs, func(j *swJob) {
 		// The executor goroutine holds the drain gate for the job's whole
 		// life, so Drain waits for background (non-wait) jobs too.
@@ -557,11 +524,11 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	q := r.URL.Query()
 	if q.Get("stream") != "" || strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
-		s.streamJob(w, r, j)
+		streamJob(w, r, j)
 		return
 	}
 	if q.Get("wait") != "" {
-		waitCtx, cancel := context.WithTimeout(r.Context(), s.opts.DefaultDeadline)
+		waitCtx, cancel := context.WithTimeout(r.Context(), defaultDeadline)
 		defer cancel()
 		select {
 		case <-j.done:
@@ -576,117 +543,25 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // streamInterval is the SSE poll period for /v1/jobs streams.
 const streamInterval = 250 * time.Millisecond
 
-// streamJob pushes the job as SSE: a snapshot immediately, a new one on
-// every progress epoch change, and a final full document (with cell
-// payloads) when the job finishes. The stream ends at client
+// streamJob pushes the job as SSE: a "progress" snapshot immediately
+// and on every progress epoch change, and a final "result" document
+// (with cell payloads) when the job finishes. The stream ends at client
 // disconnect, job completion or server shutdown.
-func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *swJob) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, 0, "streaming unsupported")
-		return
-	}
+func streamJob(w http.ResponseWriter, r *http.Request, j *swJob) {
 	obsSSEOpened.Inc()
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	push := func(event string, doc jobDoc) bool {
-		blob, err := json.Marshal(doc)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, blob); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-
-	t := time.NewTicker(streamInterval)
-	defer t.Stop()
-	var lastEpoch uint64
-	first := true
-	for {
+	telemetry.Stream(w, r, streamInterval, j.done, func() (string, any, uint64, bool) {
 		select {
 		case <-j.done:
-			push("result", j.doc(true))
-			return
-		case <-r.Context().Done():
-			return
-		case <-s.closing:
-			return
+			return "result", j.doc(true), 0, true
 		default:
 		}
 		doc := j.doc(false)
-		epoch := uint64(0)
+		var epoch uint64
 		if doc.Progress != nil {
 			epoch = doc.Progress.Epoch
 		}
-		if first || epoch != lastEpoch {
-			first, lastEpoch = false, epoch
-			if !push("progress", doc) {
-				return
-			}
-		}
-		select {
-		case <-j.done:
-			push("result", j.doc(true))
-			return
-		case <-r.Context().Done():
-			return
-		case <-s.closing:
-			return
-		case <-t.C:
-		}
-	}
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	switch {
-	case s.draining.Load():
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "draining")
-	case !s.ready.Load():
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "not ready")
-	default:
-		fmt.Fprintln(w, "ready")
-	}
-}
-
-// handleMetrics renders the obs registry in Prometheus text form — the
-// same lock-free snapshot path the telemetry plane uses, mounted here
-// too so the API port alone is scrapeable.
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	obs.CollectRuntime()
-	// WriteText renders into a pooled buffer and issues one Write, so it
-	// streams straight to the response without an intermediate copy.
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = obs.Default().Snapshot().WriteText(w)
-}
-
-func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, `reramd simulation service
-POST /v1/solve      one (scheme, workload) simulation
-POST /v1/sweep      a schemes x workloads grid (dedup'd, journaled)
-GET  /v1/jobs       sweep jobs
-GET  /v1/jobs/{id}  one job (?wait=1 blocks; ?stream=1 for SSE)
-GET  /metrics       Prometheus text exposition
-GET  /healthz       liveness
-GET  /readyz        readiness (503 while calibrating or draining)
-`)
+		return "progress", doc, epoch, false
+	})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
@@ -106,12 +107,9 @@ func startTestServer(t *testing.T, b Backend, mod func(*Options)) *Server {
 	opts := Options{
 		Addr:    "127.0.0.1:0",
 		Backend: b,
-		Admission: AdmissionConfig{
-			// Generous defaults so only tests that target admission hit it.
-			RatePerSec: 10000, Burst: 10000,
-		},
-		DefaultDeadline: 10 * time.Second,
-		Log:             io.Discard,
+		// A generous bucket so only tests that target admission hit it.
+		admission: admissionConfig{ratePerSec: 10000, burst: 10000},
+		log:       io.Discard,
 	}
 	if mod != nil {
 		mod(&opts)
@@ -131,6 +129,11 @@ func postJSON(t *testing.T, url, client string, body any) (*http.Response, []byt
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
+	return postBody(t, url, client, blob)
+}
+
+func postBody(t *testing.T, url, client string, blob []byte) (*http.Response, []byte) {
+	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(blob))
 	if err != nil {
 		t.Fatalf("request: %v", err)
@@ -207,6 +210,16 @@ func TestValidationRejects(t *testing.T) {
 	if err := json.Unmarshal(body3, &apiErr); err != nil || !strings.Contains(apiErr.Error, `"solver"`) {
 		t.Fatalf("solver field: error %q (%v) does not name the field", apiErr.Error, err)
 	}
+	// Decoding is strict past the first value too: trailing bytes and a
+	// second JSON value are both malformed bodies.
+	for _, raw := range []string{
+		`{"scheme":"A","workload":"w"} trailing-garbage`,
+		`{"scheme":"A","workload":"w"}{"scheme":"A","workload":"w"}`,
+	} {
+		if resp, body := postBody(t, "http://"+s.Addr()+"/v1/solve", "", []byte(raw)); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("body %s: status = %d, want 400 (%s)", raw, resp.StatusCode, body)
+		}
+	}
 }
 
 // TestAdmissionShed hammers one client past its token bucket: the
@@ -216,7 +229,7 @@ func TestValidationRejects(t *testing.T) {
 func TestAdmissionShed(t *testing.T) {
 	b := &stubBackend{}
 	s := startTestServer(t, b, func(o *Options) {
-		o.Admission = AdmissionConfig{RatePerSec: 0.001, Burst: 3}
+		o.admission = admissionConfig{ratePerSec: 0.001, burst: 3}
 	})
 	url := "http://" + s.Addr() + "/v1/solve"
 	req := map[string]any{"scheme": "A", "workload": "w"}
@@ -255,10 +268,10 @@ func TestAdmissionShed(t *testing.T) {
 // bucket refills within the gap), leave at most 4,000 buckets. A
 // drained bucket is kept through the sweeps: its client stays shed.
 func TestAdmissionForgetsFullBuckets(t *testing.T) {
-	a := newAdmission(AdmissionConfig{})
+	a := newAdmission(admissionConfig{})
 	now := time.Unix(1e9, 0)
 	for round := 0; round < 50; round++ {
-		for i := 0; i <= int(a.cfg.Burst); i++ {
+		for i := 0; i <= int(a.cfg.burst); i++ {
 			a.allow("greedy", now)
 		}
 		for i := 0; i < 1000; i++ {
@@ -285,9 +298,9 @@ func TestSaturation503(t *testing.T) {
 	gate := make(chan struct{})
 	b := &stubBackend{sweepGate: gate, sweepStarted: make(chan struct{}, 8)}
 	s := startTestServer(t, b, func(o *Options) {
-		o.Admission = AdmissionConfig{
-			MaxInflight: 1, MaxQueue: 1, QueueWait: 30 * time.Second,
-			RatePerSec: 10000, Burst: 10000,
+		o.admission = admissionConfig{
+			maxInflight: 1, maxQueue: 1, queueWait: 30 * time.Second,
+			ratePerSec: 10000, burst: 10000,
 		}
 	})
 	solveURL := "http://" + s.Addr() + "/v1/solve"
@@ -459,16 +472,17 @@ func TestDrainUnderLoad(t *testing.T) {
 	drained := make(chan error, 1)
 	go func() { drained <- s.Drain(drainCtx) }()
 
-	// Drain begins: readyz flips, new compute is refused with 503.
+	// Drain begins: readyz flips (after the drain gate, so compute is
+	// refused from then on), and new compute is refused with 503.
 	deadline := time.Now().Add(5 * time.Second)
-	for !s.Draining() {
+	for {
+		if resp, _ := get(t, base+"/readyz"); resp.StatusCode == http.StatusServiceUnavailable {
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatal("drain never started")
+			t.Fatal("readyz never answered 503 during drain")
 		}
 		time.Sleep(time.Millisecond)
-	}
-	if resp, _ := get(t, base+"/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("readyz during drain: %d, want 503", resp.StatusCode)
 	}
 	resp, _ = postJSON(t, base+"/v1/solve", "", map[string]any{"scheme": "A", "workload": "w"})
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -571,6 +585,49 @@ func TestJobsEndpoints(t *testing.T) {
 	}
 }
 
+// TestJobStreamLive: a stream opened on a running job sends a progress
+// event at once, and the job's completion ends it with the result
+// event.
+func TestJobStreamLive(t *testing.T) {
+	gate := make(chan struct{})
+	b := &stubBackend{sweepGate: gate, sweepStarted: make(chan struct{}, 1)}
+	s := startTestServer(t, b, nil)
+	base := "http://" + s.Addr()
+
+	resp, body := postJSON(t, base+"/v1/sweep", "", map[string]any{
+		"schemes": []string{"A"}, "workloads": []string{"w"}})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d (%s)", resp.StatusCode, body)
+	}
+	var doc jobDoc
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatalf("submit doc: %v", err)
+	}
+	<-b.sweepStarted
+
+	stream, err := http.Get(base + "/v1/jobs/" + doc.JobID + "?stream=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	sc := bufio.NewScanner(stream.Body)
+	sc.Buffer(nil, 1<<20)
+	var events []string
+	for sc.Scan() {
+		ev, ok := strings.CutPrefix(sc.Text(), "event: ")
+		if !ok {
+			continue
+		}
+		events = append(events, ev)
+		if ev == "progress" && len(events) == 1 {
+			close(gate) // the job finishes while the stream is open
+		}
+	}
+	if len(events) < 2 || events[0] != "progress" || events[len(events)-1] != "result" {
+		t.Fatalf("stream events %v, want progress first and result last", events)
+	}
+}
+
 // grepLines filters text to lines containing sub (test failure output).
 func grepLines(text, sub string) string {
 	var b strings.Builder
@@ -587,11 +644,10 @@ func grepLines(text, sub string) string {
 // HTTP round-trip through admission, deadline setup and the backend.
 func BenchmarkServedSolve(b *testing.B) {
 	s, err := Start(Options{
-		Addr:            "127.0.0.1:0",
-		Backend:         &stubBackend{},
-		Admission:       AdmissionConfig{RatePerSec: 1e9, Burst: 1e9},
-		DefaultDeadline: 10 * time.Second,
-		Log:             io.Discard,
+		Addr:      "127.0.0.1:0",
+		Backend:   &stubBackend{},
+		admission: admissionConfig{ratePerSec: 1e9, burst: 1e9},
+		log:       io.Discard,
 	})
 	if err != nil {
 		b.Fatalf("Start: %v", err)

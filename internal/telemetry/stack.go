@@ -2,32 +2,43 @@ package telemetry
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"os"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"reramsim/internal/jobs"
 	"reramsim/internal/obs"
 )
 
-// Stack bundles the CLI observability wiring — the telemetry server and
-// the span trace file — behind one Start/Close pair, so both binaries
-// mount them identically. Every method is nil-receiver safe: a CLI run
-// without -obs-addr/-trace-spans carries a nil *Stack and all the calls
-// are no-ops, keeping main free of flag-conditional plumbing.
+// Stack bundles the CLI observability wiring — the telemetry server
+// with its /progress route, and the span trace file — behind one
+// Start/Close pair, so every binary mounts them identically. Every
+// method is nil-receiver safe: a CLI run without -obs-addr/-trace-spans
+// carries a nil *Stack and all the calls are no-ops, keeping main free
+// of flag-conditional plumbing.
 type Stack struct {
 	server    *Server
+	progress  atomic.Pointer[func() jobs.Progress]
 	traceSink *obs.ChromeTraceSink
 	traceFile *os.File
 	closeOnce sync.Once
 	closeErr  error
+
+	// streamInterval is the /progress SSE poll period: the stream checks
+	// the progress epoch this often and sends an event only when it
+	// moved. Tests shorten it.
+	streamInterval time.Duration
 }
 
 // StackOptions selects which pieces of the stack to start; empty fields
 // start nothing.
 type StackOptions struct {
-	// Addr starts the telemetry HTTP server (see Start).
+	// Addr starts the telemetry HTTP server with a /progress route.
 	Addr string
 	// TraceSpans enables span collection and streams the spans to this
 	// file as Chrome trace events (load in ui.perfetto.dev).
@@ -40,7 +51,7 @@ func StartStack(opts StackOptions) (*Stack, error) {
 	if opts.Addr == "" && opts.TraceSpans == "" {
 		return nil, nil
 	}
-	st := &Stack{}
+	st := &Stack{streamInterval: 250 * time.Millisecond}
 	if opts.TraceSpans != "" {
 		f, err := os.Create(opts.TraceSpans)
 		if err != nil {
@@ -51,15 +62,23 @@ func StartStack(opts StackOptions) (*Stack, error) {
 		obs.SetSpanSink(st.traceSink)
 	}
 	if opts.Addr != "" {
-		srv, err := Start(Options{Addr: opts.Addr})
-		if err != nil {
+		if err := st.serve(opts.Addr); err != nil {
 			st.Close()
 			return nil, err
 		}
-		st.server = srv
-		fmt.Fprintf(os.Stderr, "telemetry listening on http://%s\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "telemetry listening on http://%s\n", st.server.Addr())
 	}
 	return st, nil
+}
+
+// serve starts the stack's server on addr.
+func (st *Stack) serve(addr string) error {
+	srv, err := Start(addr, Route{"/progress", "sweep progress (JSON; ?stream=1 for SSE)", st.handleProgress})
+	if err != nil {
+		return err
+	}
+	st.server = srv
+	return nil
 }
 
 // SetReady marks /readyz ready (no-op without a server).
@@ -69,11 +88,37 @@ func (st *Stack) SetReady(ready bool) {
 	}
 }
 
-// SetProgress attaches the /progress source (no-op without a server).
+// SetProgress attaches the jobs-engine progress source feeding
+// /progress (typically eng.Progress; no-op on a nil stack).
 func (st *Stack) SetProgress(fn func() jobs.Progress) {
-	if st != nil && st.server != nil {
-		st.server.SetProgress(fn)
+	if st != nil {
+		st.progress.Store(&fn)
 	}
+}
+
+func (st *Stack) handleProgress(w http.ResponseWriter, r *http.Request) {
+	p := st.progress.Load()
+	if p == nil {
+		http.Error(w, "no jobs engine attached (run a sweep)", http.StatusNotFound)
+		return
+	}
+	src := *p
+	if r.URL.Query().Get("stream") != "" ||
+		strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
+		Stream(w, r, st.streamInterval, nil, func() (string, any, uint64, bool) {
+			p := src()
+			return "", p, p.Epoch, false
+		})
+		return
+	}
+	blob, err := json.MarshalIndent(src(), "", "  ")
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(blob)
+	w.Write([]byte("\n"))
 }
 
 // Close tears the stack down: detaches and finalizes the span trace

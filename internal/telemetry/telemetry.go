@@ -1,9 +1,11 @@
-// Package telemetry is the live observability plane: an embeddable HTTP
-// server exposing the process's metrics, health, job progress and
-// profiling endpoints while a simulation runs. Both CLIs mount it
-// behind -obs-addr, and the future reramd daemon mounts it verbatim.
+// Package telemetry is the repository's one HTTP server: it owns the
+// listener, the process's health, readiness, metrics and profiling
+// endpoints, the server-sent-event loop, and a shutdown that ends open
+// streams. A host adds its own routes at Start: the CLIs add /progress
+// behind -obs-addr (see Stack), and reramd adds its /v1 API (package
+// serve), so every binary serves everything on one port.
 //
-// Endpoints:
+// Built-in endpoints:
 //
 //	/metrics       Prometheus text exposition, rendered from a fresh
 //	               registry snapshot per scrape (lock-free: scrapes
@@ -11,17 +13,15 @@
 //	               The runtime.* series are refreshed on every scrape.
 //	/healthz       liveness: 200 as soon as the server is up.
 //	/readyz        readiness: 503 until the host marks the process
-//	               ready (suite calibrated), 200 afterwards.
-//	/progress      jobs-engine grid state as JSON; with ?stream=1 (or
-//	               Accept: text/event-stream) an SSE stream pushing a
-//	               snapshot whenever the engine's state changes.
+//	               ready, and again once it marks it not ready (drain).
 //	/debug/pprof/  the standard net/http/pprof handlers, on this mux
 //	               (not the global DefaultServeMux) so they share the
 //	               server's graceful shutdown.
+//	/              an index of every route the server answers.
 //
-// Shutdown is graceful and context-driven: Shutdown stops the SSE
-// streams, the runtime collector and the listener, then waits for
-// in-flight requests.
+// Shutdown is graceful and context-driven: it cancels every open
+// request's context (ending SSE streams), stops the runtime collector
+// and the listener, then waits for in-flight requests.
 package telemetry
 
 import (
@@ -32,72 +32,68 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"reramsim/internal/jobs"
 	"reramsim/internal/obs"
 )
 
-// Options configures a Server.
-type Options struct {
-	// Addr is the listen address, e.g. "localhost:6060" or
-	// "127.0.0.1:0" (port 0 picks a free port; see Server.Addr).
-	Addr string
-
-	// streamInterval is the SSE poll period (default 250ms): the
-	// stream checks the progress epoch this often and pushes a new
-	// event only when it moved. Tests shorten it.
-	streamInterval time.Duration
+// Route is an endpoint a host serves beside the built-in ones.
+type Route struct {
+	Pattern string // http.ServeMux pattern, e.g. "POST /v1/solve"
+	Doc     string // the route's line in the / index
+	Handler http.HandlerFunc
 }
 
-// Server is a running telemetry endpoint. Create with Start, stop with
+// Server is a running HTTP endpoint. Create with Start, stop with
 // Shutdown.
 type Server struct {
-	opts Options
-	ln   net.Listener
-	srv  *http.Server
+	ln    net.Listener
+	srv   *http.Server
+	index string
 
 	ready       atomic.Bool
-	progressFn  atomic.Pointer[func() jobs.Progress]
 	stopRuntime func()
+	// cancel ends the context every request runs under: the shutdown
+	// signal open SSE streams wait on.
+	cancel context.CancelFunc
 
-	closing   chan struct{} // closed at Shutdown: unblocks SSE streams
-	closeOnce sync.Once
-	done      chan struct{} // closed when Serve returns
-	serveErr  error
+	done     chan struct{} // closed when Serve returns
+	serveErr error
 }
 
-// Start binds opts.Addr and serves the telemetry mux on a background
-// goroutine. It also starts the runtime.* collector; both are stopped
-// by Shutdown.
-func Start(opts Options) (*Server, error) {
-	if opts.streamInterval <= 0 {
-		opts.streamInterval = 250 * time.Millisecond
-	}
-	ln, err := net.Listen("tcp", opts.Addr)
+// Start binds addr ("127.0.0.1:0" picks a free port; see Server.Addr)
+// and serves the host's routes and the built-in endpoints on a
+// background goroutine. It also starts the runtime.* collector; both
+// are stopped by Shutdown.
+func Start(addr string, routes ...Route) (*Server, error) {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("telemetry: listen %s: %w", opts.Addr, err)
+		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
-	s := &Server{
-		opts:    opts,
-		ln:      ln,
-		closing: make(chan struct{}),
-		done:    make(chan struct{}),
-	}
+	baseCtx, cancel := context.WithCancel(context.Background())
+	s := &Server{ln: ln, cancel: cancel, done: make(chan struct{})}
+	routes = append(routes,
+		Route{"/metrics", "Prometheus text exposition", s.handleMetrics},
+		Route{"/healthz", "liveness", s.handleHealthz},
+		Route{"/readyz", "readiness (503 until ready and while draining)", s.handleReadyz},
+		Route{"/debug/pprof/", "profiling", pprof.Index})
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/progress", s.handleProgress)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	var index strings.Builder
+	for _, rt := range routes {
+		mux.HandleFunc(rt.Pattern, rt.Handler)
+		fmt.Fprintf(&index, "%-22s %s\n", rt.Pattern, rt.Doc)
+	}
+	s.index = index.String()
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/", s.handleIndex)
-	s.srv = &http.Server{Handler: mux}
+	s.srv = &http.Server{
+		Handler:     mux,
+		BaseContext: func(net.Listener) context.Context { return baseCtx },
+	}
 	s.stopRuntime = obs.StartRuntimeCollector()
 	go func() {
 		defer close(s.done)
@@ -113,24 +109,15 @@ func Start(opts Options) (*Server, error) {
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // SetReady flips the /readyz state; the host marks the process ready
-// once its suite is calibrated and work can be admitted.
+// once work can be admitted, and not ready when it starts to drain.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
-// SetProgress attaches the jobs-engine progress source feeding
-// /progress (typically eng.Progress). Pass nil to detach.
-func (s *Server) SetProgress(fn func() jobs.Progress) {
-	if fn == nil {
-		s.progressFn.Store(nil)
-		return
-	}
-	s.progressFn.Store(&fn)
-}
-
-// Shutdown stops the server gracefully: SSE streams end, the runtime
-// collector stops, the listener closes, and in-flight requests drain
-// within ctx's deadline.
+// Shutdown stops the server gracefully: open requests see their context
+// cancelled (SSE streams end), the runtime collector stops, the
+// listener closes, and in-flight requests drain within ctx's deadline.
+// Safe to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.closeOnce.Do(func() { close(s.closing) })
+	s.cancel()
 	s.stopRuntime()
 	err := s.srv.Shutdown(ctx)
 	<-s.done
@@ -146,13 +133,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, `reramsim telemetry
-/metrics        Prometheus text exposition
-/healthz        liveness
-/readyz         readiness
-/progress       sweep progress (JSON; ?stream=1 for SSE)
-/debug/pprof/   profiling
-`)
+	fmt.Fprint(w, s.index)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -182,39 +163,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	_ = obs.Default().Snapshot().WriteText(w)
 }
 
-func (s *Server) progress() func() jobs.Progress {
-	if p := s.progressFn.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
-	src := s.progress()
-	if src == nil {
-		http.Error(w, "no jobs engine attached (run a sweep)", http.StatusNotFound)
-		return
-	}
-	if r.URL.Query().Get("stream") != "" ||
-		strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
-		s.streamProgress(w, r, src)
-		return
-	}
-	blob, err := json.MarshalIndent(src(), "", "  ")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(blob)
-	w.Write([]byte("\n"))
-}
-
-// streamProgress pushes SSE events: the current snapshot immediately,
-// then a new one each time the engine's epoch moves (checked every
-// streamInterval). The stream ends when the client disconnects or the
-// server shuts down.
-func (s *Server) streamProgress(w http.ResponseWriter, r *http.Request, src func() jobs.Progress) {
+// Stream serves r as a server-sent-event stream. It calls poll at once,
+// then every interval or as soon as wake fires, and sends poll's event
+// whenever its epoch moved since the last one sent; an empty event name
+// sends an unnamed (message) event. An event marked last is always sent
+// and ends the stream. The stream also ends when the client goes away
+// or the server shuts down. A nil wake never fires.
+func Stream(w http.ResponseWriter, r *http.Request, interval time.Duration, wake <-chan struct{},
+	poll func() (event string, data any, epoch uint64, last bool)) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
@@ -224,28 +180,35 @@ func (s *Server) streamProgress(w http.ResponseWriter, r *http.Request, src func
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	t := time.NewTicker(s.opts.streamInterval)
+	t := time.NewTicker(interval)
 	defer t.Stop()
-	var last uint64
+	var sent uint64
 	first := true
 	for {
-		p := src()
-		if first || p.Epoch != last {
-			first, last = false, p.Epoch
-			blob, err := json.Marshal(p)
+		event, data, epoch, last := poll()
+		if first || last || epoch != sent {
+			first, sent = false, epoch
+			blob, err := json.Marshal(data)
 			if err != nil {
 				return
+			}
+			if event != "" {
+				if _, err := fmt.Fprintf(w, "event: %s\n", event); err != nil {
+					return
+				}
 			}
 			if _, err := fmt.Fprintf(w, "data: %s\n\n", blob); err != nil {
 				return
 			}
 			fl.Flush()
 		}
+		if last {
+			return
+		}
 		select {
 		case <-r.Context().Done():
 			return
-		case <-s.closing:
-			return
+		case <-wake:
 		case <-t.C:
 		}
 	}

@@ -16,12 +16,9 @@ import (
 	"reramsim/internal/obs"
 )
 
-func startServer(t *testing.T, opts Options) *Server {
+func startServer(t *testing.T, routes ...Route) *Server {
 	t.Helper()
-	if opts.Addr == "" {
-		opts.Addr = "127.0.0.1:0"
-	}
-	s, err := Start(opts)
+	s, err := Start("127.0.0.1:0", routes...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,6 +30,22 @@ func startServer(t *testing.T, opts Options) *Server {
 		}
 	})
 	return s
+}
+
+// startStack starts a CLI stack's server (with its /progress route)
+// polling SSE streams every interval.
+func startStack(t *testing.T, interval time.Duration) (*Stack, string) {
+	t.Helper()
+	st := &Stack{streamInterval: interval}
+	if err := st.serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := st.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	})
+	return st, "http://" + st.server.Addr()
 }
 
 func get(t *testing.T, url string) (int, string) {
@@ -50,11 +63,14 @@ func get(t *testing.T, url string) (int, string) {
 }
 
 // TestEndpoints covers the health/readiness lifecycle, the metrics
-// exposition, the progress snapshot and the pprof fold-in.
+// exposition, the pprof fold-in, a host route and the index listing
+// exactly the routes the server answers.
 func TestEndpoints(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
-	s := startServer(t, Options{})
+	s := startServer(t, Route{"POST /v1/echo", "echo a word", func(w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprintln(w, "echo")
+	}})
 	base := "http://" + s.Addr()
 
 	if code, body := get(t, base+"/healthz"); code != 200 || !strings.Contains(body, "ok") {
@@ -83,17 +99,35 @@ func TestEndpoints(t *testing.T) {
 		t.Errorf("/metrics missing runtime.* series")
 	}
 
-	// No engine attached yet: /progress is a 404 with an explanation.
+	// /progress is a CLI route (see Stack), not a built-in one.
 	if code, _ := get(t, base+"/progress"); code != http.StatusNotFound {
-		t.Errorf("/progress without engine = %d, want 404", code)
+		t.Errorf("/progress on a bare server = %d, want 404", code)
 	}
 
 	if code, body := get(t, base+"/debug/pprof/"); code != 200 || !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/ = %d, want 200 with profile index", code)
 	}
 
-	if code, body := get(t, base+"/"); code != 200 || !strings.Contains(body, "/metrics") {
-		t.Errorf("index = %d %q, want endpoint listing", code, body)
+	resp, err := http.Post(base+"/v1/echo", "text/plain", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Errorf("host route = %d, want 200", resp.StatusCode)
+	}
+
+	code, body = get(t, base+"/")
+	if code != 200 {
+		t.Fatalf("index = %d, want 200", code)
+	}
+	for _, want := range []string{"POST /v1/echo", "/metrics", "/healthz", "/readyz", "/debug/pprof/"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("index lacks %s:\n%s", want, body)
+		}
+	}
+	if strings.Contains(body, "/progress") {
+		t.Errorf("index lists /progress, which this server does not serve:\n%s", body)
 	}
 }
 
@@ -101,14 +135,21 @@ func TestEndpoints(t *testing.T) {
 // checks both the JSON snapshot and the SSE stream: the stream must
 // deliver at least one update showing the completed count advancing.
 func TestProgressJSONAndSSE(t *testing.T) {
-	s := startServer(t, Options{streamInterval: 5 * time.Millisecond})
-	base := "http://" + s.Addr()
+	st, base := startStack(t, 5*time.Millisecond)
+
+	// No engine attached yet: /progress is a 404 with an explanation.
+	if code, body := get(t, base+"/progress"); code != http.StatusNotFound || !strings.Contains(body, "engine") {
+		t.Errorf("/progress without engine = %d %q, want 404", code, body)
+	}
+	if _, body := get(t, base+"/"); !strings.Contains(body, "/progress") {
+		t.Errorf("index lacks /progress:\n%s", body)
+	}
 
 	eng, err := jobs.Open(jobs.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetProgress(eng.Progress)
+	st.SetProgress(eng.Progress)
 
 	gate := make(chan struct{})
 	var cells []jobs.Cell
@@ -208,14 +249,13 @@ func TestProgressJSONAndSSE(t *testing.T) {
 func TestScrapeDuringSweepRace(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
-	s := startServer(t, Options{})
-	base := "http://" + s.Addr()
+	st, base := startStack(t, 250*time.Millisecond)
 
 	eng, err := jobs.Open(jobs.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetProgress(eng.Progress)
+	st.SetProgress(eng.Progress)
 
 	var cells []jobs.Cell
 	for i := 0; i < 24; i++ {
@@ -286,17 +326,14 @@ func TestScrapeDuringSweepRace(t *testing.T) {
 // TestShutdownWithOpenSSEStream: Shutdown must not hang on an open SSE
 // connection — the closing channel ends streams promptly.
 func TestShutdownWithOpenSSEStream(t *testing.T) {
-	s, err := Start(Options{Addr: "127.0.0.1:0", streamInterval: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, base := startStack(t, 10*time.Millisecond)
 	eng, err := jobs.Open(jobs.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetProgress(eng.Progress)
+	st.SetProgress(eng.Progress)
 
-	resp, err := http.Get("http://" + s.Addr() + "/progress?stream=1")
+	resp, err := http.Get(base + "/progress?stream=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +346,7 @@ func TestShutdownWithOpenSSEStream(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
 	start := time.Now()
-	if err := s.Shutdown(ctx); err != nil {
+	if err := st.server.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown with open stream: %v", err)
 	}
 	if took := time.Since(start); took > 2*time.Second {

@@ -87,41 +87,26 @@ func SingleBitOp(volts VoltsFunc) OpFunc {
 }
 
 // EffectiveVrstMap samples the effective RESET voltage over the array at
-// blocks x blocks granularity under op (Fig. 4b / 6b / 11b).
-func (a *Array) EffectiveVrstMap(blocks int, op OpFunc) (*Map, error) {
-	return a.EffectiveVrstMapCtx(context.Background(), blocks, op)
-}
-
-// EffectiveVrstMapCtx is EffectiveVrstMap under a cancellation context:
-// an aborted run (SIGINT/SIGTERM, engine shutdown) stops mid-map instead
-// of solving the remaining blocks.
-func (a *Array) EffectiveVrstMapCtx(ctx context.Context, blocks int, op OpFunc) (*Map, error) {
+// blocks x blocks granularity under op (Fig. 4b / 6b / 11b). A cancelled
+// ctx (SIGINT/SIGTERM, engine shutdown) stops it mid-map instead of
+// solving the remaining blocks.
+func (a *Array) EffectiveVrstMap(ctx context.Context, blocks int, op OpFunc) (*Map, error) {
 	return a.sampleMap(ctx, blocks, op, func(res *ResetResult, k int) float64 {
 		return res.Veff[k]
 	})
 }
 
 // LatencyMap samples the per-cell RESET latency (Fig. 4c / 6c / 11c /
-// 13a). Failed writes appear as +Inf.
-func (a *Array) LatencyMap(blocks int, op OpFunc) (*Map, error) {
-	return a.LatencyMapCtx(context.Background(), blocks, op)
-}
-
-// LatencyMapCtx is LatencyMap under a cancellation context.
-func (a *Array) LatencyMapCtx(ctx context.Context, blocks int, op OpFunc) (*Map, error) {
+// 13a) under ctx. Failed writes appear as +Inf.
+func (a *Array) LatencyMap(ctx context.Context, blocks int, op OpFunc) (*Map, error) {
 	return a.sampleMap(ctx, blocks, op, func(res *ResetResult, k int) float64 {
 		return a.cfg.Params.ResetLatency(res.Veff[k])
 	})
 }
 
 // EnduranceMap samples the per-cell write endurance (Fig. 4d / 6d / 11d /
-// 13b).
-func (a *Array) EnduranceMap(blocks int, op OpFunc) (*Map, error) {
-	return a.EnduranceMapCtx(context.Background(), blocks, op)
-}
-
-// EnduranceMapCtx is EnduranceMap under a cancellation context.
-func (a *Array) EnduranceMapCtx(ctx context.Context, blocks int, op OpFunc) (*Map, error) {
+// 13b) under ctx.
+func (a *Array) EnduranceMap(ctx context.Context, blocks int, op OpFunc) (*Map, error) {
 	return a.sampleMap(ctx, blocks, op, func(res *ResetResult, k int) float64 {
 		return a.cfg.Params.EnduranceAtVoltage(res.Veff[k])
 	})

@@ -16,7 +16,7 @@ func TestEffectiveVrstMapTrends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := arr.EffectiveVrstMap(8, SingleBitOp(ConstVolts(3.0)))
+	m, err := arr.EffectiveVrstMap(context.Background(), 8, SingleBitOp(ConstVolts(3.0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +44,11 @@ func TestLatencyAndEnduranceMapsConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	op := SingleBitOp(ConstVolts(3.0))
-	lat, err := arr.LatencyMap(4, op)
+	lat, err := arr.LatencyMap(context.Background(), 4, op)
 	if err != nil {
 		t.Fatal(err)
 	}
-	end, err := arr.EnduranceMap(4, op)
+	end, err := arr.EnduranceMap(context.Background(), 4, op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestMapsDeterministicAcrossJobs(t *testing.T) {
 	op := SingleBitOp(ConstVolts(3.0))
 	sample := func(jobs int) *Map {
 		par.SetJobs(jobs)
-		m, err := arr.EffectiveVrstMap(8, op)
+		m, err := arr.EffectiveVrstMap(context.Background(), 8, op)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,17 +112,17 @@ func TestMapValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := arr.EffectiveVrstMap(7, SingleBitOp(ConstVolts(3.0))); err == nil {
+	if _, err := arr.EffectiveVrstMap(context.Background(), 7, SingleBitOp(ConstVolts(3.0))); err == nil {
 		t.Error("7 blocks should not divide a 64-cell array")
 	}
-	if _, err := arr.EffectiveVrstMap(8, nil); err == nil {
+	if _, err := arr.EffectiveVrstMap(context.Background(), 8, nil); err == nil {
 		t.Error("nil op accepted")
 	}
 	// An op that fails to reset the sampled cell must be rejected.
 	bad := func(row, col int) ResetOp {
 		return ResetOp{Row: row, Cols: []int{(col + 1) % 64}, Volts: []float64{3.0}}
 	}
-	if _, err := arr.EffectiveVrstMap(8, bad); err == nil {
+	if _, err := arr.EffectiveVrstMap(context.Background(), 8, bad); err == nil {
 		t.Error("op missing the sampled column accepted")
 	}
 }
@@ -180,7 +180,7 @@ func TestSampleMapCancellation(t *testing.T) {
 		par.SetJobs(jobs)
 		ctx, cancel := context.WithCancelCause(context.Background())
 		cancel(cause)
-		_, err := arr.EffectiveVrstMapCtx(ctx, 8, SingleBitOp(ConstVolts(3.0)))
+		_, err := arr.EffectiveVrstMap(ctx, 8, SingleBitOp(ConstVolts(3.0)))
 		par.SetJobs(0)
 		if !errors.Is(err, cause) {
 			t.Fatalf("jobs=%d: err = %v, want wrapped cause", jobs, err)
@@ -195,7 +195,7 @@ func TestSampleMapCancellation(t *testing.T) {
 		once.Do(func() { cancel(cause) })
 		return ResetOp{Row: row, Cols: []int{col}, Volts: []float64{3.0}}
 	}
-	if _, err := arr.EffectiveVrstMapCtx(ctx, 8, op); !errors.Is(err, cause) {
+	if _, err := arr.EffectiveVrstMap(ctx, 8, op); !errors.Is(err, cause) {
 		t.Fatalf("mid-run cancel: err = %v, want wrapped cause", err)
 	}
 	cancel(nil)
