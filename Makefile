@@ -35,11 +35,11 @@ race-par:
 	$(GO) test -race ./internal/par/ ./internal/experiments/ ./internal/core/ ./internal/xpoint/
 
 # The crash-safe sweep engine under the race detector: the jobs
-# package (journal replay including legacy retraction records, panic
-# isolation, cell deadlines, disk-full journal retries) and the
-# atomic-write primitive with its stage-fault hook; then the suite's
-# resume byte-identity, quarantine, grid-digest, CLI-path disk-full
-# retry and stop-signal tests (a cell deadline, a shared run and a
+# package (cell-file replay, schema-1 directories cold-starting, panic
+# isolation, cell deadlines, in-place journal-write retries) and the
+# atomic-write primitive with its stage-fault hook and sealed container;
+# then the suite's resume byte-identity, quarantine, grid-digest,
+# CLI-path disk-full retry and stop-signal tests (a cell deadline, a shared run and a
 # reliability sweep stopped inside the event loop), also under -race;
 # then the CLI exit-code smoke tests (quarantined cell -> exit 3,
 # SIGTERM -> exit 130 -> byte-identical resume, -cell-timeout on running
@@ -53,9 +53,11 @@ test-resume:
 # /metrics snapshot hammered against running sweeps, the span
 # collector, the /progress export — plus the CLI e2e smoke
 # (sweep with -obs-addr: mid-run scrapes, SSE progress advancing, and a
-# Perfetto-loadable -trace-spans file on exit 0).
+# Perfetto-loadable -trace-spans file on exit 0). The package tests run
+# twice in one process, so a test that assumes a fresh metrics registry
+# fails here.
 test-telemetry:
-	$(GO) test -race ./internal/telemetry/ ./internal/obs/
+	$(GO) test -race -count=2 ./internal/telemetry/ ./internal/obs/
 	$(GO) test -race -run 'TestSweepSpan|TestProgress' ./internal/experiments/ ./internal/jobs/
 	$(GO) test -run 'TestTelemetryE2ESmoke' ./cmd/reramsim/
 
@@ -66,11 +68,12 @@ test-telemetry:
 # runs on (its one HTTP server: listener, health, readiness, metrics,
 # pprof, the SSE loop and a shutdown that ends open streams) and the
 # retry package (the jittered backoff schedule behind Retry-After and
-# cell retries); then the reramd daemon e2e tests (real suite over
-# HTTP, the fixed 429 bucket, six flags and one port, SIGTERM drain
-# with on-disk checkpoints, exit 0).
+# journal-write retries); then the reramd daemon e2e tests (real suite
+# over HTTP, the fixed 429 bucket, six flags and one port, SIGTERM
+# drain with a decodable journaled cell, exit 0). The package tests run
+# twice in one process, as in test-telemetry.
 test-serve:
-	$(GO) test -race ./internal/serve/ ./internal/telemetry/ ./internal/retry/
+	$(GO) test -race -count=2 ./internal/serve/ ./internal/telemetry/ ./internal/retry/
 	$(GO) test -race -run 'TestDaemon' ./cmd/reramd/
 
 # The benchmark is its own module (benchmark/go.mod), so the root

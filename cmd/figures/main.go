@@ -41,9 +41,9 @@ func main() {
 		jobsFlag = flag.Int("jobs", 0, "max parallel simulations/solves (0 = GOMAXPROCS); output is identical at any setting")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 
-		checkpointDir = flag.String("checkpoint-dir", "", "journal sweep cells to this directory (crash-safe; cold start)")
+		checkpointDir = flag.String("checkpoint-dir", "", "journal the scheme x workload cells of fig5c, fig15, fig16 and fig17 to this directory (crash-safe; cold start); other experiments are not journaled")
 		resumeDir     = flag.String("resume", "", "resume journaled sweeps from this checkpoint directory, skipping finished cells")
-		cellTimeout   = flag.Duration("cell-timeout", 0, "per-cell deadline for journaled sweeps (0 = none)")
+		cellTimeout   = flag.Duration("cell-timeout", 0, "per-cell deadline for the journaled cells of a -checkpoint-dir or -resume run (0 = none); other experiments run without one")
 
 		solveCacheDir = flag.String("solve-cache", "", "directory for the persistent solve cache (default: disabled); results are identical with or without it")
 
@@ -86,8 +86,8 @@ func main() {
 
 	// SIGINT/SIGTERM cancel the suite's context with a typed cause: a
 	// running simulation stops inside its event loop, experiments
-	// already printed stay on screen, journaled sweeps flush a final
-	// checkpoint, and the process exits 130.
+	// already printed stay on screen, journaled cells stay on disk, and
+	// the process exits 130.
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
 	sigc := make(chan os.Signal, 2)
@@ -106,9 +106,11 @@ func main() {
 	suite.SetContext(ctx)
 
 	if *checkpointDir != "" || *resumeDir != "" {
-		// One journal covers every figure: the digest pins the array and
-		// memory configs plus the full scheme x workload universe, and
-		// each figure's sub-grid addresses cells by scheme/workload key.
+		// One journal covers the PrimeSims grids (fig5c, fig15, fig16,
+		// fig17): the digest pins the array and memory configs plus the
+		// full scheme x workload universe, and each figure's sub-grid
+		// addresses cells by scheme/workload key. The variant sweeps of
+		// fig18-fig20 and ext-fault run outside the engine.
 		dir, resume := *checkpointDir, false
 		if *resumeDir != "" {
 			dir, resume = *resumeDir, true

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,6 +18,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"reramsim/internal/jobs"
 )
 
 // buildDaemon compiles cmd/reramd once per test.
@@ -51,12 +55,22 @@ type daemon struct {
 	cmd    *exec.Cmd
 	base   string // http://host:port
 	stderr *syncBuffer
+
+	exited  chan struct{} // closed once the process has exited
+	waitErr error         // cmd.Wait's result, valid after exited closes
+}
+
+// wait blocks until the daemon exits and returns cmd.Wait's error.
+func (d *daemon) wait() error {
+	<-d.exited
+	return d.waitErr
 }
 
 var servingRe = regexp.MustCompile(`serving on http://(\S+)`)
 
 // startDaemon launches the binary on a kernel-assigned port, waits for
-// /readyz, and returns the live endpoint.
+// /readyz, and returns the live endpoint. A daemon that exits first
+// fails the test at once, with its exit status and stderr.
 func startDaemon(t *testing.T, bin string, env []string, args ...string) *daemon {
 	t.Helper()
 	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
@@ -66,24 +80,35 @@ func startDaemon(t *testing.T, bin string, env []string, args ...string) *daemon
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("start %s: %v", bin, err)
 	}
-	d := &daemon{cmd: cmd, stderr: errBuf}
+	d := &daemon{cmd: cmd, stderr: errBuf, exited: make(chan struct{})}
+	go func() {
+		d.waitErr = cmd.Wait()
+		close(d.exited)
+	}()
 	t.Cleanup(func() {
-		if cmd.ProcessState == nil {
-			cmd.Process.Kill()
-			cmd.Wait()
-		}
+		cmd.Process.Kill()
+		<-d.exited
 	})
 
+	// poll sleeps between probes, failing the test if the daemon exits
+	// or the deadline passes first.
 	deadline := time.Now().Add(60 * time.Second)
+	poll := func(what string, every time.Duration) {
+		select {
+		case <-d.exited:
+			t.Fatalf("daemon exited before %s (%v); stderr:\n%s", what, d.waitErr, errBuf.String())
+		case <-time.After(every):
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon timed out before %s; stderr:\n%s", what, errBuf.String())
+		}
+	}
 	for d.base == "" {
 		if m := servingRe.FindStringSubmatch(errBuf.String()); m != nil {
 			d.base = "http://" + m[1]
 			break
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("daemon never announced its address; stderr:\n%s", errBuf.String())
-		}
-		time.Sleep(10 * time.Millisecond)
+		poll("announcing its address", 10*time.Millisecond)
 	}
 	for {
 		resp, err := http.Get(d.base + "/readyz")
@@ -93,10 +118,7 @@ func startDaemon(t *testing.T, bin string, env []string, args ...string) *daemon
 				return d
 			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("daemon never became ready; stderr:\n%s", errBuf.String())
-		}
-		time.Sleep(20 * time.Millisecond)
+		poll("becoming ready", 20*time.Millisecond)
 	}
 }
 
@@ -405,23 +427,40 @@ func TestDaemonDrainE2E(t *testing.T) {
 		t.Fatal("drain 503 carried no Retry-After")
 	}
 
-	err := d.cmd.Wait()
-	if err != nil {
+	if err := d.wait(); err != nil {
 		t.Fatalf("daemon exit after SIGTERM: %v; stderr:\n%s", err, d.stderr.String())
 	}
 	stderr := d.stderr.String()
 	if !strings.Contains(stderr, "draining") || !strings.Contains(stderr, "drained cleanly") {
 		t.Fatalf("stderr lacks the drain narrative:\n%s", stderr)
 	}
-	// The in-flight sweep checkpointed: its per-digest journal directory
-	// exists and holds journal state.
-	jdir := filepath.Join(root, doc.Digest)
-	entries, derr := os.ReadDir(jdir)
-	if derr != nil {
-		t.Fatalf("journal dir for in-flight sweep: %v", derr)
+	// The in-flight sweep checkpointed: its per-digest journal resumes
+	// with at least one completed cell, and every resumed payload is a
+	// result.
+	eng, err := jobs.Open(jobs.Options{Dir: filepath.Join(root, doc.Digest), Digest: doc.Digest, Resume: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(entries) == 0 {
-		t.Fatalf("journal dir %s is empty — the drained sweep never checkpointed", jdir)
+	var cells []jobs.Cell
+	for _, sc := range []string{"Base", "DRVR", "UDRVR+PR"} {
+		for _, w := range []string{"mcf_m", "mil_m"} {
+			cells = append(cells, jobs.Cell{Key: sc + "/" + w, Run: func(context.Context) ([]byte, error) {
+				return nil, errors.New("not in the journal")
+			}})
+		}
+	}
+	rep, err := eng.Run(context.Background(), cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Resumed) == 0 {
+		t.Fatalf("no completed cell in the drained sweep's journal (quarantined: %v)", rep.Quarantined)
+	}
+	for _, key := range rep.Resumed {
+		var r struct{ IPC float64 }
+		if err := json.Unmarshal(rep.Done[key], &r); err != nil || r.IPC <= 0 {
+			t.Errorf("journaled %s does not decode as a result (IPC %g, err %v): %.200s", key, r.IPC, err, rep.Done[key])
+		}
 	}
 }
 
@@ -438,7 +477,7 @@ func TestDaemonSigtermAtReadyE2E(t *testing.T) {
 	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("SIGTERM: %v", err)
 	}
-	if err := d.cmd.Wait(); err != nil {
+	if err := d.wait(); err != nil {
 		t.Fatalf("daemon exit after SIGTERM at readiness: %v; stderr:\n%s", err, d.stderr.String())
 	}
 	if stderr := d.stderr.String(); !strings.Contains(stderr, "drained cleanly") {

@@ -111,8 +111,8 @@ func TestSigtermResumeByteIdentical(t *testing.T) {
 	// let the run finish — the resume still has to be byte-identical).
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.jrn"))
-		if len(segs) >= 1 {
+		cells, _ := filepath.Glob(filepath.Join(dir, "*.jrn"))
+		if len(cells) >= 1 {
 			_ = cmd.Process.Signal(syscall.SIGTERM)
 			break
 		}

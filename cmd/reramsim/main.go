@@ -133,7 +133,7 @@ func main() {
 
 	// SIGINT/SIGTERM cancel the suite's context with a typed cause: a
 	// running simulation stops inside its event loop, the suite returns
-	// what it has, the sweep journal flushes its final checkpoint, and
+	// what it has (every finished sweep cell is already journaled), and
 	// the process exits 130.
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
@@ -300,7 +300,6 @@ func runSweep(ctx context.Context, suite *experiments.Suite, schemes, workloads 
 	if err != nil {
 		fail(err)
 	}
-	suite.SetEngine(eng)
 	o.stack.SetProgress(eng.Progress)
 	rep, runErr := suite.RunGridContext(ctx, eng, pairs)
 	if runErr != nil {

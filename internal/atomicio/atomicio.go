@@ -1,8 +1,9 @@
-// Package atomicio is the crash-safe file-write primitive shared by the
-// persistent solve cache and the jobs run journal: data is written to a
-// temp file in the destination directory and renamed over the target, so
-// a reader (or a process that crashes mid-write) never observes a torn
-// file.
+// Package atomicio is the crash-safe file format and write primitive
+// shared by the persistent solve cache and the jobs run journal: data is
+// written to a temp file in the destination directory and renamed over
+// the target, so a reader (or a process that crashes mid-write) never
+// observes a torn file, and Seal/Unseal wrap a payload in a checksummed
+// container, so a reader never accepts a damaged one.
 //
 // Temp names embed the writer's pid and a process-local counter, so any
 // number of processes can write into one directory concurrently without
@@ -12,6 +13,8 @@
 package atomicio
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -179,4 +182,38 @@ func writeAll(w io.Writer, data []byte) error {
 		return fmt.Errorf("wrote %d of %d bytes: %w", n, len(data), io.ErrShortWrite)
 	}
 	return nil
+}
+
+// sealHeaderSize is the container header: magic (4) | version (4, LE) |
+// payload length (8, LE) | payload SHA-256 (32). The payload follows.
+const sealHeaderSize = 4 + 4 + 8 + sha256.Size
+
+// Seal wraps payload in the checksummed container, tagged with the
+// caller's file magic and format version.
+func Seal(magic [4]byte, version uint32, payload []byte) []byte {
+	blob := make([]byte, sealHeaderSize+len(payload))
+	copy(blob[:4], magic[:])
+	binary.LittleEndian.PutUint32(blob[4:8], version)
+	binary.LittleEndian.PutUint64(blob[8:16], uint64(len(payload)))
+	sum := sha256.Sum256(payload)
+	copy(blob[16:sealHeaderSize], sum[:])
+	copy(blob[sealHeaderSize:], payload)
+	return blob
+}
+
+// Unseal returns the payload of a container Seal built with the same
+// magic and version. Any defect (truncation, another magic or version,
+// a length or checksum mismatch) returns (nil, false). It never panics
+// on arbitrary bytes.
+func Unseal(magic [4]byte, version uint32, blob []byte) ([]byte, bool) {
+	if len(blob) < sealHeaderSize || [4]byte(blob[:4]) != magic ||
+		binary.LittleEndian.Uint32(blob[4:8]) != version {
+		return nil, false
+	}
+	payload := blob[sealHeaderSize:]
+	if binary.LittleEndian.Uint64(blob[8:16]) != uint64(len(payload)) ||
+		sha256.Sum256(payload) != [sha256.Size]byte(blob[16:sealHeaderSize]) {
+		return nil, false
+	}
+	return payload, true
 }

@@ -71,13 +71,14 @@ func freshSuite(t *testing.T) *Suite {
 	return s
 }
 
-func countSegments(t *testing.T, dir string) int {
+// countCells counts the journal's cell files in dir.
+func countCells(t *testing.T, dir string) int {
 	t.Helper()
-	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.jrn"))
+	cells, err := filepath.Glob(filepath.Join(dir, "*.jrn"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return len(segs)
+	return len(cells)
 }
 
 // testResumeByteIdentical is the satellite-4 scenario: start a journaled
@@ -118,7 +119,7 @@ func testResumeByteIdentical(t *testing.T, jobsN int) {
 	go func() {
 		defer close(stopWatch)
 		for {
-			if countSegments(t, dir) >= 2 {
+			if countCells(t, dir) >= 2 {
 				cancel(errStop)
 				return
 			}
@@ -131,7 +132,7 @@ func testResumeByteIdentical(t *testing.T, jobsN int) {
 	}()
 	perr := s1.PrimeSims(pairs)
 	<-stopWatch
-	journaled := countSegments(t, dir)
+	journaled := countCells(t, dir)
 	if perr != nil && !errors.Is(perr, errStop) {
 		t.Fatalf("interrupted PrimeSims: err = %v, want the cancellation cause", perr)
 	}

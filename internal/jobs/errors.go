@@ -15,7 +15,7 @@ import (
 const (
 	ExitOK          = 0   // every cell completed
 	ExitPartial     = 3   // run finished but quarantined cells remain
-	ExitInterrupted = 130 // SIGINT/SIGTERM stopped the run after a checkpoint flush
+	ExitInterrupted = 130 // SIGINT/SIGTERM stopped the run; its finished cells are on disk
 )
 
 // ErrCellPanic is a panic captured inside one cell's execution. The cell
@@ -64,28 +64,3 @@ func (e *InterruptError) Error() string { return "jobs: interrupted by " + e.Sig
 
 // Is keeps errors.Is(err, context.Canceled) true for interrupt causes.
 func (e *InterruptError) Is(target error) bool { return target == context.Canceled }
-
-// transientError marks an error as retryable by the engine.
-type transientError struct{ err error }
-
-func (t transientError) Error() string { return "transient: " + t.err.Error() }
-func (t transientError) Unwrap() error { return t.err }
-
-// Transient wraps err so the engine retries the cell (with capped
-// exponential backoff) instead of quarantining it. Cell functions wrap
-// failures they know to be momentary — journal I/O contention, a
-// brownout run under the pump fault profile — and leave genuine model
-// errors unwrapped.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return transientError{err}
-}
-
-// IsTransient reports whether err (or anything it wraps) was marked
-// retryable with Transient.
-func IsTransient(err error) bool {
-	var t transientError
-	return errors.As(err, &t)
-}

@@ -5,17 +5,14 @@ import (
 	"testing"
 )
 
-// FuzzJournalDecode: decodeSegment must never panic, and whatever
-// records it does return must be internally consistent — on truncated,
-// bit-flipped or arbitrary input alike.
+// FuzzJournalDecode: decodeCell must never panic on a cell file's bytes,
+// truncated, bit-flipped or arbitrary, and a file it accepts must hold
+// exactly the bytes encodeCell writes for the decoded record.
 func FuzzJournalDecode(f *testing.F) {
-	good := encodeSegment([]record{
-		{kind: recCompleted, key: "UDRVR+PR/mcf_m", data: []byte(`{"IPC":3.25}`)},
-		{kind: recQuarantined, key: "Base/mil_m", data: []byte(`{"Reason":"panic","Error":"x"}`)},
-	})
+	good := encodeCell(record{kind: recCompleted, key: "UDRVR+PR/mcf_m", data: []byte(`{"IPC":3.25}`)})
 	f.Add(good)
+	f.Add(encodeCell(record{kind: recQuarantined, key: "Base/mil_m", data: []byte(`{"Reason":"panic","Error":"x"}`)}))
 	f.Add(good[:len(good)/2])           // truncated mid-payload
-	f.Add(good[:segHeaderSize])         // header only
 	f.Add([]byte{})                     // empty
 	f.Add([]byte("RSJL garbage"))       // magic then junk
 	f.Add(bytes.Repeat([]byte{0}, 128)) // zeros
@@ -24,23 +21,15 @@ func FuzzJournalDecode(f *testing.F) {
 	f.Add(flip) // bit-flipped payload
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		recs, err := decodeSegment(blob)
-		for _, r := range recs {
-			if r.kind != recCompleted && r.kind != recQuarantined {
-				t.Fatalf("decoded record with invalid kind %d", r.kind)
-			}
+		r, ok := decodeCell(blob)
+		if !ok {
+			return
 		}
-		// A cleanly decoded segment must re-encode to an equivalent one.
-		if err == nil && len(recs) > 0 {
-			recs2, err2 := decodeSegment(encodeSegment(recs))
-			if err2 != nil || len(recs2) != len(recs) {
-				t.Fatalf("re-encode round trip failed: %v (%d vs %d records)", err2, len(recs2), len(recs))
-			}
-			for i := range recs {
-				if recs[i].kind != recs2[i].kind || recs[i].key != recs2[i].key || !bytes.Equal(recs[i].data, recs2[i].data) {
-					t.Fatalf("record %d changed across round trip", i)
-				}
-			}
+		if r.kind != recCompleted && r.kind != recQuarantined {
+			t.Fatalf("decoded record with invalid kind %d", r.kind)
+		}
+		if !bytes.Equal(encodeCell(r), blob) {
+			t.Fatal("re-encoding a decoded cell file changed its bytes")
 		}
 	})
 }

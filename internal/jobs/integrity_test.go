@@ -2,131 +2,79 @@ package jobs
 
 import (
 	"context"
-	"sync/atomic"
-	"syscall"
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"reramsim/internal/atomicio"
 )
 
-// appendRecords journals recs through the engine's own journal, one
-// segment per record, as a live run would.
-func appendRecords(t *testing.T, e *Engine, recs ...record) {
-	t.Helper()
+// v1Segment encodes recs as a schema-1 segment file: the sealed
+// container around CRC-framed records, kind (1) | key length (4, LE) |
+// key | data length (8, LE) | data | CRC-32 of the above (4, LE).
+func v1Segment(recs ...record) []byte {
+	var p []byte
 	for _, r := range recs {
-		if err := e.j.append(r); err != nil {
+		start := len(p)
+		p = append(p, r.kind)
+		p = binary.LittleEndian.AppendUint32(p, uint32(len(r.key)))
+		p = append(p, r.key...)
+		p = binary.LittleEndian.AppendUint64(p, uint64(len(r.data)))
+		p = append(p, r.data...)
+		p = binary.LittleEndian.AppendUint32(p, crc32.ChecksumIEEE(p[start:]))
+	}
+	return atomicio.Seal(cellMagic, 1, p)
+}
+
+// TestSchemaV1JournalColdStarts: a journal directory in the schema-1
+// segment format, here holding two completions and a kind-3 retraction
+// record of the removed distributed plane, fails the manifest check on
+// -resume. The engine cold-starts: every cell re-runs, and the old
+// segments are gone from the directory.
+func TestSchemaV1JournalColdStarts(t *testing.T) {
+	dir := t.TempDir()
+	m, err := json.Marshal(manifest{Schema: 1, Digest: "d1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{
+		manifestName:       m,
+		"seg-00000001.jrn": v1Segment(record{kind: recCompleted, key: "cell-00", data: []byte("stale 0")}),
+		"seg-00000002.jrn": v1Segment(record{kind: recCompleted, key: "cell-01", data: []byte("stale 1")}),
+		"seg-00000003.jrn": v1Segment(record{kind: 3, key: "cell-00", data: []byte(`{"Reason":"audit"}`)}),
+	}
+	for name, blob := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-}
 
-// retraction is a kind-3 record as earlier builds wrote it.
-func retraction(key string) record {
-	data, err := marshalQuarantine(quarantineData{Reason: "audit", Error: "divergent results for " + key})
-	if err != nil {
-		panic(err)
-	}
-	return record{kind: recRetracted, key: key, data: data}
-}
-
-// TestRetractReplaysAsNotDone: a legacy retraction record must strike
-// the earlier completion on journal replay — the retracted cell re-runs
-// and is never served from disk — while other completions survive.
-func TestRetractReplaysAsNotDone(t *testing.T) {
-	dir := t.TempDir()
-	eng := mustOpen(t, Options{Dir: dir, Digest: "d1"})
-	appendRecords(t, eng,
-		record{kind: recCompleted, key: "a", data: []byte("pa")},
-		record{kind: recCompleted, key: "b", data: []byte("pb")},
-		retraction("a"),
-	)
-
-	// Replay: a resumed engine must not hold the retracted cell.
-	eng2 := mustOpen(t, Options{Dir: dir, Resume: true, Digest: "d1"})
-	if _, ok := eng2.Resumed("a"); ok {
-		t.Fatal("journal replay resurrected the retracted cell")
-	}
-	if p, _ := eng2.Resumed("b"); string(p) != "pb" {
-		t.Fatalf("replay lost the surviving completion: %q", p)
-	}
-	runs := map[string]int{}
-	var states map[string]CellState
-	cells := []Cell{
-		{Key: "a", Run: func(context.Context) ([]byte, error) {
-			runs["a"]++
-			// While the retracted cell re-runs, the surviving one shows
-			// as resumed and the retracted one as running, not resumed.
-			states = map[string]CellState{}
-			for _, c := range eng2.Progress().Cells {
-				states[c.Key] = c.State
-			}
-			return []byte("pa2"), nil
-		}},
-		{Key: "b", Run: func(context.Context) ([]byte, error) { runs["b"]++; return []byte("pb"), nil }},
-	}
-	rep, err := eng2.Run(context.Background(), cells)
+	e := mustOpen(t, Options{Dir: dir, Digest: "d1", Resume: true})
+	rep, err := e.Run(context.Background(), grid(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runs["a"] != 1 || runs["b"] != 0 {
-		t.Fatalf("runs = %v, want the retracted cell re-run once and the other served from disk", runs)
+	if len(rep.Resumed) != 0 || len(rep.Executed) != 2 || string(rep.Done["cell-01"]) != "payload for cell-01" {
+		t.Fatalf("resumed=%v executed=%v, want every cell re-run", rep.Resumed, rep.Executed)
 	}
-	if len(rep.Resumed) != 1 || rep.Resumed[0] != "b" {
-		t.Fatalf("resumed = %v, want [b]", rep.Resumed)
-	}
-	if len(rep.Executed) != 1 || rep.Executed[0] != "a" || string(rep.Done["a"]) != "pa2" {
-		t.Fatalf("executed = %v, done[a] = %q, want the re-run payload", rep.Executed, rep.Done["a"])
-	}
-	if states["a"] != CellRunning || states["b"] != CellResumed {
-		t.Fatalf("progress during the re-run = %v, want a running and b resumed", states)
-	}
-}
-
-// TestCompletionSupersedesRetraction: a later completion (a cell re-run
-// after its retraction) replays over the retraction, mirroring the
-// completion-supersedes-quarantine rule.
-func TestCompletionSupersedesRetraction(t *testing.T) {
-	dir := t.TempDir()
-	eng := mustOpen(t, Options{Dir: dir, Digest: "d1"})
-	appendRecords(t, eng,
-		record{kind: recCompleted, key: "a", data: []byte("v1")},
-		retraction("a"),
-		record{kind: recCompleted, key: "a", data: []byte("v2")},
-	)
-	eng2 := mustOpen(t, Options{Dir: dir, Resume: true, Digest: "d1"})
-	if p, _ := eng2.Resumed("a"); string(p) != "v2" {
-		t.Fatalf("replayed payload = %q, want the post-retraction completion v2", p)
-	}
-	rep, err := eng2.Run(context.Background(), []Cell{{Key: "a", Run: func(context.Context) ([]byte, error) {
-		t.Error("a cell completed after its retraction was re-run")
-		return nil, nil
-	}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Resumed) != 1 || string(rep.Done["a"]) != "v2" {
-		t.Fatalf("resumed = %v, done[a] = %q, want a served from disk as v2", rep.Resumed, rep.Done["a"])
+	if segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.jrn")); len(segs) != 0 {
+		t.Fatalf("schema-1 segments left behind: %v", segs)
 	}
 }
 
 // TestJournalDiskFullRetries: a journal fsync failing with ENOSPC in
-// the middle of a run is a transient error. The cell re-runs, every cell finishes, nothing is quarantined, and the
-// journal ends up complete: a resumed engine serves every cell from
-// disk. The hook goes in after Open, so the manifest write is spared.
+// the middle of a run is retried in place. Every cell finishes, nothing
+// is quarantined, and the journal ends up complete: a resumed engine
+// serves every cell from disk. The hook goes in after Open, so the
+// manifest write is spared.
 func TestJournalDiskFullRetries(t *testing.T) {
 	dir := t.TempDir()
 	eng := mustOpen(t, Options{Dir: dir, Digest: "d1", sleep: func(context.Context, time.Duration) {}})
-	par1(t)
-	var fails atomic.Int64
-	fails.Store(2)
-	prev := atomicio.SetHook(func(dest, stage string) error {
-		if stage == atomicio.StageSync && fails.Add(-1) >= 0 {
-			return syscall.ENOSPC
-		}
-		return nil
-	})
-	t.Cleanup(func() { atomicio.SetHook(prev) })
+	failSyncs(t, cellName("cell-02"), 2)
 
 	rep, err := eng.Run(context.Background(), grid(4))
 	if err != nil {
@@ -136,7 +84,6 @@ func TestJournalDiskFullRetries(t *testing.T) {
 		t.Fatalf("done=%d retries=%d quarantined=%v, want 4, 2, none", len(rep.Done), rep.Retries, rep.Quarantined)
 	}
 
-	atomicio.SetHook(prev)
 	eng2 := mustOpen(t, Options{Dir: dir, Digest: "d1", Resume: true})
 	rep2, err := eng2.Run(context.Background(), grid(4))
 	if err != nil {

@@ -3,31 +3,33 @@
 // journaled jobs, so a run killed by a crash, OOM or preemption resumes
 // where it stopped instead of starting over.
 //
-// Durability: each completed cell is appended to an on-disk run journal
-// (solvecache-style atomic temp+rename segments with checksummed
-// records, pinned to a schema-versioned digest of the full sweep
-// config). Reopening the journal with the same digest skips finished
-// cells; a corrupt or stale journal silently degrades to a cold start.
-// Because cell payloads are the cells' own deterministic output bytes,
-// a resumed run's results are byte-identical to an uninterrupted one.
+// Durability: each finished cell is written to its own file in the
+// checkpoint directory (atomicio's sealed container, written by temp
+// file, fsync and rename), next to a manifest pinning a schema-versioned
+// digest of the full sweep config. Reopening the journal with the same
+// digest skips finished cells; a stale manifest cold-starts, and a
+// damaged cell file only re-runs its cell. Because cell payloads are
+// the cells' own deterministic output bytes, a resumed run's results
+// are byte-identical to an uninterrupted one.
 //
 // Isolation: a panic inside one cell is captured (stack and all),
 // converted to a typed *ErrCellPanic, recorded in the journal, and the
-// cell is quarantined while the rest of the grid finishes. Transient
-// failures (journal I/O) retry up to 3 times with capped exponential
-// backoff plus deterministic per-key jitter. A per-cell deadline
-// cancels the cell's context; the simulation polls it inside its event
-// loop, so an exceeded cell stops and is quarantined instead of wedging
-// the run.
+// cell is quarantined while the rest of the grid finishes. A failed
+// journal write retries in place up to 3 times with capped exponential
+// backoff plus deterministic per-key jitter; a cell's code runs once. A
+// per-cell deadline cancels the cell's context; the simulation polls it
+// inside its event loop, so an exceeded cell stops and is quarantined
+// instead of wedging the run.
 //
 // Shutdown: cancelling the run context (the CLIs cancel on SIGINT or
 // SIGTERM with an *InterruptError cause) stops dispatch, lets in-flight
-// cells finish or abort, flushes a final checkpoint segment, and
-// returns the partial report.
+// cells finish or abort, and returns the partial report; every cell
+// that finished is already on disk.
 package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -65,7 +67,7 @@ type Report struct {
 	Done        map[string][]byte // key -> payload for every finished cell (fresh + resumed)
 	Resumed     []string          // keys served from the on-disk journal, sorted
 	Executed    []string          // keys run to completion by this call, sorted
-	Retries     int               // transient re-attempts issued
+	Retries     int               // journal-write retries issued
 	Quarantined []CellFailure     // cells isolated by panic/timeout/error, sorted by key
 }
 
@@ -88,7 +90,7 @@ func (r *Report) ExitCode(runErr error) int {
 	return ExitOK
 }
 
-// maxRetries bounds transient-failure re-attempts per cell, the same
+// maxRetries bounds the retries of one cell's journal write, the same
 // for every engine; the backoff between them is retry.Delay.
 const maxRetries = 3
 
@@ -105,9 +107,9 @@ type Options struct {
 	// the journal is only replayed for an identical digest.
 	Digest string
 
-	// CellTimeout bounds each attempt of one cell; 0 disables. An
-	// exceeded deadline quarantines the cell (typed *ErrCellTimeout)
-	// without failing the grid.
+	// CellTimeout bounds each cell's run; 0 disables. An exceeded
+	// deadline quarantines the cell (typed *ErrCellTimeout) without
+	// failing the grid.
 	CellTimeout time.Duration
 
 	// TestPanicKey makes the engine panic inside the named cell's
@@ -116,7 +118,8 @@ type Options struct {
 	// production.
 	TestPanicKey string
 
-	// Tests replace the interruptible backoff sleep.
+	// Tests replace the interruptible backoff sleep between journal
+	// write retries.
 	sleep func(ctx context.Context, d time.Duration)
 }
 
@@ -133,7 +136,6 @@ func (o Options) withDefaults() Options {
 // completed by an earlier Run are skipped by later ones.
 type Engine struct {
 	opts Options
-	j    *journal // nil when journaling is off
 
 	mu       sync.Mutex
 	done     map[string][]byte // key -> payload (disk-resumed + completed here)
@@ -146,10 +148,10 @@ type Engine struct {
 
 // Open prepares an engine. With a Dir it creates the directory, then
 // either replays a matching journal (Resume) or cold-starts — removing
-// stale segments and writing a fresh manifest. Every durable failure
-// mode (missing dir contents, stale digest, corrupt manifest/segments)
-// degrades to a cold start rather than an error; only an unusable
-// directory fails.
+// stale cell files and writing a fresh manifest. Every durable failure
+// mode (missing dir contents, stale digest or schema, corrupt manifest
+// or cell files) degrades to a cold start or a re-run rather than an
+// error; only an unusable directory fails.
 func Open(opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
 	e := &Engine{
@@ -164,41 +166,26 @@ func Open(opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("jobs: checkpoint dir: %w", err)
 	}
 	if opts.Resume {
-		if done, _, next, ok := loadJournal(opts.Dir, opts.Digest); ok {
+		if done, ok := loadJournal(opts.Dir, opts.Digest); ok {
 			e.done = done
 			for k := range done {
 				e.fromDisk[k] = true
 			}
-			e.j = &journal{dir: opts.Dir, nextSeg: next}
 			return e, nil
 		}
 		obsColdStarts.Inc()
 	}
-	j, err := initJournal(opts.Dir, opts.Digest)
-	if err != nil {
+	if err := initJournal(opts.Dir, opts.Digest); err != nil {
 		return nil, fmt.Errorf("jobs: init journal: %w", err)
 	}
-	e.j = j
 	return e, nil
-}
-
-// Resumed returns the journaled payload for key, if the engine loaded
-// one at Open.
-func (e *Engine) Resumed(key string) ([]byte, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.fromDisk[key] {
-		return nil, false
-	}
-	p, ok := e.done[key]
-	return p, ok
 }
 
 // Run executes the grid: journaled cells are skipped (their payloads
 // reported as resumed), the rest fan out on the par worker pool with
-// panic isolation, retries and deadlines. The returned error is non-nil
-// only for a cancelled context (after the final checkpoint flush) or an
-// invalid grid — quarantined cells are reported, not returned as errors.
+// panic isolation and deadlines. The returned error is non-nil only for
+// a cancelled context or an invalid grid — quarantined cells are
+// reported, not returned as errors.
 func (e *Engine) Run(ctx context.Context, cells []Cell) (*Report, error) {
 	ctx, stopSpan := obs.StartSpan(ctx, "jobs.grid")
 	defer stopSpan()
@@ -245,13 +232,11 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) (*Report, error) {
 	quarantine := func(key, reason string, err error, stack string) error {
 		obsQuarantined.Inc()
 		e.prog.markQuarantined(key, reason)
-		q := quarantineData{Reason: reason, Error: err.Error(), Stack: stack}
-		data, merr := marshalQuarantine(q)
-		if merr == nil {
-			// Journal I/O failures here are deliberately non-fatal: the
-			// quarantine record is advisory (a missing one only means
-			// the cell re-runs on resume).
-			_ = e.j.append(record{kind: recQuarantined, key: key, data: data})
+		if data, merr := json.Marshal(quarantineData{Reason: reason, Error: err.Error(), Stack: stack}); merr == nil {
+			// Deliberately non-fatal: the quarantine record is advisory
+			// (a missing one changes nothing, since quarantined cells
+			// re-run on resume).
+			_ = e.journal(record{kind: recQuarantined, key: key, data: data})
 		}
 		repMu.Lock()
 		rep.Quarantined = append(rep.Quarantined, CellFailure{Key: key, Reason: reason, Err: err, Stack: stack})
@@ -261,56 +246,39 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) (*Report, error) {
 
 	ferr := par.ForEach(ctx, len(pending), func(i int) error {
 		c := pending[i]
-		for attempt := 0; ; attempt++ {
-			payload, err := e.attempt(ctx, c)
-			if err == nil {
-				if jerr := e.commit(c.Key, payload); jerr != nil {
-					err = jerr // journal append failed; falls through to retry policy
-				} else {
-					repMu.Lock()
-					rep.Done[c.Key] = payload
-					rep.Executed = append(rep.Executed, c.Key)
-					repMu.Unlock()
-					obsCompleted.Inc()
-					e.prog.markDone(c.Key)
-					return nil
-				}
-			}
-			if cerr := ctx.Err(); cerr != nil {
-				// The whole run is being cancelled; report the cause,
-				// don't quarantine the interrupted cell.
-				if cause := context.Cause(ctx); cause != nil {
-					return cause
-				}
-				return cerr
-			}
-			var pe *ErrCellPanic
-			if errors.As(err, &pe) {
-				obsPanicked.Inc()
-				return quarantine(c.Key, "panic", pe, pe.Stack)
-			}
-			var te *ErrCellTimeout
-			if errors.As(err, &te) {
-				obsTimeouts.Inc()
-				return quarantine(c.Key, "timeout", te, "")
-			}
-			if attempt < maxRetries && IsTransient(err) {
-				obsRetried.Inc()
-				retries.Add(1)
-				e.prog.addRetry()
-				e.opts.sleep(ctx, retry.Delay(c.Key, attempt))
-				continue
-			}
-			return quarantine(c.Key, "error", err, "")
+		payload, err := e.execute(ctx, c)
+		if err == nil {
+			err = e.commit(ctx, c.Key, payload, &retries)
 		}
+		if err == nil {
+			repMu.Lock()
+			rep.Done[c.Key] = payload
+			rep.Executed = append(rep.Executed, c.Key)
+			repMu.Unlock()
+			obsCompleted.Inc()
+			e.prog.markDone(c.Key)
+			return nil
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			// The whole run is being cancelled; report the cause,
+			// don't quarantine the interrupted cell.
+			if cause := context.Cause(ctx); cause != nil {
+				return cause
+			}
+			return cerr
+		}
+		var pe *ErrCellPanic
+		if errors.As(err, &pe) {
+			obsPanicked.Inc()
+			return quarantine(c.Key, "panic", pe, pe.Stack)
+		}
+		var te *ErrCellTimeout
+		if errors.As(err, &te) {
+			obsTimeouts.Inc()
+			return quarantine(c.Key, "timeout", te, "")
+		}
+		return quarantine(c.Key, "error", err, "")
 	})
-
-	// Final checkpoint: whatever the outcome, push buffered records to
-	// disk before handing control back (the graceful SIGINT/SIGTERM
-	// path relies on this).
-	if e.j != nil {
-		_ = e.j.flush()
-	}
 
 	rep.Retries = int(retries.Load())
 	sort.Strings(rep.Resumed)
@@ -324,11 +292,23 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) (*Report, error) {
 	return rep, nil
 }
 
-// commit journals and caches one completed cell. Journal I/O retries
-// ride the normal transient path of the caller.
-func (e *Engine) commit(key string, payload []byte) error {
-	if err := e.j.append(record{kind: recCompleted, key: key, data: payload}); err != nil {
-		return err
+// commit journals and caches one completed cell. A failed journal write
+// (a full disk, say) retries in place up to maxRetries times, waiting
+// retry.Delay between tries and counting each retry; the cell's code
+// never runs again for it.
+func (e *Engine) commit(ctx context.Context, key string, payload []byte, retries *atomic.Int64) error {
+	for attempt := 0; ; attempt++ {
+		err := e.journal(record{kind: recCompleted, key: key, data: payload})
+		if err == nil {
+			break
+		}
+		if attempt == maxRetries || ctx.Err() != nil {
+			return err
+		}
+		obsRetried.Inc()
+		retries.Add(1)
+		e.prog.addRetry()
+		e.opts.sleep(ctx, retry.Delay(key, attempt))
 	}
 	e.mu.Lock()
 	e.done[key] = payload
@@ -337,9 +317,9 @@ func (e *Engine) commit(key string, payload []byte) error {
 	return nil
 }
 
-// attempt executes one try of a cell under its deadline, with a panic
-// converted to *ErrCellPanic.
-func (e *Engine) attempt(ctx context.Context, c Cell) (payload []byte, err error) {
+// execute runs a cell under its deadline, with a panic converted to
+// *ErrCellPanic.
+func (e *Engine) execute(ctx context.Context, c Cell) (payload []byte, err error) {
 	cctx := ctx
 	if e.opts.CellTimeout > 0 {
 		var cancel context.CancelFunc
@@ -363,7 +343,7 @@ func (e *Engine) attempt(ctx context.Context, c Cell) (payload []byte, err error
 	}
 	payload, err = c.Run(cctx)
 	if err != nil && ctx.Err() == nil && cctx.Err() != nil {
-		// The attempt's own deadline fired (the parent is alive):
+		// The cell's own deadline fired (the parent is alive):
 		// surface the typed timeout installed as the cancellation cause.
 		if cause := context.Cause(cctx); cause != nil {
 			err = cause

@@ -2,15 +2,18 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
+	"reramsim/internal/atomicio"
 	"reramsim/internal/par"
 )
 
@@ -55,9 +58,9 @@ func TestJournalAndResume(t *testing.T) {
 	if _, err := e.Run(context.Background(), grid(6)); err != nil {
 		t.Fatal(err)
 	}
-	segs, _ := segFiles(dir)
-	if len(segs) != 6 {
-		t.Fatalf("expected one segment per cell, got %d", len(segs))
+	files, _ := cellFiles(dir)
+	if len(files) != 6 {
+		t.Fatalf("expected one file per cell, got %d", len(files))
 	}
 
 	// A second engine resuming the same digest must skip every cell.
@@ -124,10 +127,15 @@ func TestPanicQuarantinesCellNotGrid(t *testing.T) {
 	}
 
 	// The quarantine record (with stack) must be on disk...
-	_, quarantined, _, ok := loadJournal(dir, "d")
-	if !ok || quarantined["cell-02"].Reason != "panic" ||
-		!strings.Contains(quarantined["cell-02"].Stack, "jobs.") {
-		t.Fatalf("journaled quarantine: ok=%v %+v", ok, quarantined["cell-02"])
+	blob, err := os.ReadFile(filepath.Join(dir, cellName("cell-02")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, ok := decodeCell(blob)
+	var onDisk quarantineData
+	if !ok || r.kind != recQuarantined || json.Unmarshal(r.data, &onDisk) != nil ||
+		onDisk.Reason != "panic" || !strings.Contains(onDisk.Stack, "jobs.") {
+		t.Fatalf("journaled quarantine: ok=%v kind=%d %+v", ok, r.kind, onDisk)
 	}
 
 	// ...and a resume must re-run only the quarantined cell, healing the
@@ -140,6 +148,10 @@ func TestPanicQuarantinesCellNotGrid(t *testing.T) {
 	}
 	if len(rep2.Resumed) != 4 || len(rep2.Executed) != 1 || rep2.Executed[0] != "cell-02" || !rep2.Complete() {
 		t.Fatalf("healing resume: %+v", rep2)
+	}
+	// The healed cell's completion replaced its quarantine file.
+	if done, ok := loadJournal(dir, "d"); !ok || string(done["cell-02"]) != "payload for cell-02" {
+		t.Fatalf("healed cell on disk: ok=%v %q", ok, done["cell-02"])
 	}
 }
 
@@ -154,49 +166,47 @@ func TestInjectedPanicHook(t *testing.T) {
 	}
 }
 
-func TestTransientRetryWithBackoff(t *testing.T) {
-	var fails atomic.Int64
-	fails.Store(2)
+// TestJournalWriteFailureQuarantines: a cell whose journal write keeps
+// failing retries the write in place, with growing jittered backoff,
+// and is quarantined as "error" after maxRetries retries. Its Run
+// executes once.
+func TestJournalWriteFailureQuarantines(t *testing.T) {
+	dir := t.TempDir()
 	var slept []time.Duration
-	cells := grid(2)
-	cells[1].Run = func(ctx context.Context) ([]byte, error) {
-		if fails.Add(-1) >= 0 {
-			return nil, Transient(errors.New("journal contention"))
-		}
-		return []byte("ok after retries"), nil
-	}
-	e := mustOpen(t, Options{
-		sleep: func(ctx context.Context, d time.Duration) { slept = append(slept, d) },
-	})
-	par1(t)
+	e := mustOpen(t, Options{Dir: dir, Digest: "d",
+		sleep: func(ctx context.Context, d time.Duration) { slept = append(slept, d) }})
+	failSyncs(t, cellName("cell-00"), maxRetries+1)
+	runs := 0
+	cells := grid(1)
+	cells[0].Run = func(ctx context.Context) ([]byte, error) { runs++; return []byte("lost"), nil }
 	rep, err := e.Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Complete() || rep.Retries != 2 || string(rep.Done["cell-01"]) != "ok after retries" {
-		t.Fatalf("report: %+v", rep)
+	if runs != 1 || rep.Retries != maxRetries || len(rep.Quarantined) != 1 || rep.Quarantined[0].Reason != "error" {
+		t.Fatalf("runs=%d retries=%d quarantined=%+v, want 1 run, %d retries, one error", runs, rep.Retries, rep.Quarantined, maxRetries)
 	}
-	if len(slept) != 2 || slept[0] <= 0 {
-		t.Fatalf("backoff sleeps: %v", slept)
+	if !atomicio.IsDiskFull(rep.Quarantined[0].Err) {
+		t.Fatalf("quarantine error %v does not carry the write failure", rep.Quarantined[0].Err)
 	}
-	if slept[0] == slept[1] {
-		t.Fatalf("no growth/jitter across attempts: %v", slept)
+	if len(slept) != maxRetries || slept[0] <= 0 || slept[0] == slept[1] {
+		t.Fatalf("backoff sleeps = %v, want %d growing, jittered waits", slept, maxRetries)
 	}
 }
 
-func TestTransientExhaustionQuarantines(t *testing.T) {
-	cells := grid(1)
-	cells[0].Run = func(ctx context.Context) ([]byte, error) {
-		return nil, Transient(errors.New("always down"))
-	}
-	e := mustOpen(t, Options{sleep: func(context.Context, time.Duration) {}})
-	rep, err := e.Run(context.Background(), cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Retries != maxRetries || len(rep.Quarantined) != 1 || rep.Quarantined[0].Reason != "error" {
-		t.Fatalf("report: %+v retries=%d", rep.Quarantined, rep.Retries)
-	}
+// failSyncs makes the next n fsyncs of the journal file name fail with
+// ENOSPC, until the test ends.
+func failSyncs(t *testing.T, name string, n int64) {
+	t.Helper()
+	var left atomic.Int64
+	left.Store(n)
+	prev := atomicio.SetHook(func(dest, stage string) error {
+		if stage == atomicio.StageSync && filepath.Base(dest) == name && left.Add(-1) >= 0 {
+			return syscall.ENOSPC
+		}
+		return nil
+	})
+	t.Cleanup(func() { atomicio.SetHook(prev) })
 }
 
 func TestNonTransientErrorQuarantinesWithoutRetry(t *testing.T) {
@@ -267,7 +277,7 @@ func TestCancelFlushesCheckpoint(t *testing.T) {
 	if rep.ExitCode(err) != ExitInterrupted {
 		t.Fatalf("exit code %d, want %d", rep.ExitCode(err), ExitInterrupted)
 	}
-	done, _, _, ok := loadJournal(dir, "d")
+	done, ok := loadJournal(dir, "d")
 	if !ok || len(done) != 3 {
 		t.Fatalf("journal after cancel: ok=%v done=%d want 3", ok, len(done))
 	}
@@ -289,18 +299,18 @@ func TestCorruptSegmentDegrades(t *testing.T) {
 	if _, err := e.Run(context.Background(), grid(4)); err != nil {
 		t.Fatal(err)
 	}
-	segs, _ := segFiles(dir)
-	blob, err := os.ReadFile(segs[1])
+	files, _ := cellFiles(dir)
+	blob, err := os.ReadFile(files[1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	blob[len(blob)-5] ^= 0xff // flip a payload bit
-	if err := os.WriteFile(segs[1], blob, 0o644); err != nil {
+	if err := os.WriteFile(files[1], blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	done, _, _, ok := loadJournal(dir, "d")
+	done, ok := loadJournal(dir, "d")
 	if !ok {
-		t.Fatal("one corrupt segment must not kill the whole journal")
+		t.Fatal("one corrupt cell file must not kill the whole journal")
 	}
 	if len(done) != 3 {
 		t.Fatalf("replayed %d cells, want 3 (corrupt one dropped)", len(done))

@@ -89,20 +89,15 @@ func TestProgressLifecycle(t *testing.T) {
 }
 
 // TestProgressQuarantineAndRetries: failures surface as quarantined
-// state with a reason, and transient retries count.
+// state with a reason, and journal-write retries count.
 func TestProgressQuarantineAndRetries(t *testing.T) {
-	eng, err := Open(Options{sleep: func(context.Context, time.Duration) {}})
+	eng, err := Open(Options{Dir: t.TempDir(), Digest: "d", sleep: func(context.Context, time.Duration) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	attempts := 0
+	failSyncs(t, cellName("flaky"), 2)
 	cells := []Cell{
-		{Key: "flaky", Run: func(ctx context.Context) ([]byte, error) {
-			if attempts++; attempts < 3 {
-				return nil, Transient(errors.New("blip"))
-			}
-			return []byte("ok"), nil
-		}},
+		{Key: "flaky", Run: func(ctx context.Context) ([]byte, error) { return []byte("ok"), nil }},
 		{Key: "dead", Run: func(ctx context.Context) ([]byte, error) {
 			return nil, errors.New("hard failure")
 		}},
@@ -125,8 +120,8 @@ func TestProgressQuarantineAndRetries(t *testing.T) {
 	if got := states["dead"]; got.State != CellQuarantined || got.Reason != "error" {
 		t.Errorf("dead cell = %+v, want quarantined/error", got)
 	}
-	if got := states["flaky"]; got.State != CellCompleted || got.Attempts != 3 {
-		t.Errorf("flaky cell = %+v, want completed after 3 attempts", got)
+	if got := states["flaky"]; got.State != CellCompleted || got.Attempts != 1 {
+		t.Errorf("flaky cell = %+v, want completed after 1 attempt", got)
 	}
 	if p.Quarantined != 1 || p.Fraction != 1 {
 		t.Errorf("progress = %+v, want 1 quarantined, fraction 1", p)

@@ -200,7 +200,8 @@ func (s *Server) SetReady(ready bool) { s.http.SetReady(ready) }
 //  2. In-flight requests and sweep jobs run to completion; finished
 //     cells checkpoint through the normal journal machinery.
 //  3. When ctx expires first, the base context is cancelled: engines
-//     observe it, flush a final checkpoint segment, and return.
+//     observe it and return (their finished cells are already on
+//     disk).
 //  4. SSE streams end and the listener shuts down.
 //
 // Idempotent; concurrent calls share one drain. The error reports a
@@ -217,8 +218,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	select {
 	case <-idle:
 	case <-ctx.Done():
-		// Too slow: cut the compute off underneath. Engines flush their
-		// final checkpoint on the way out.
+		// Too slow: cut the compute off underneath. Cells already
+		// finished are journaled; the rest stop inside their event loop.
 		fmt.Fprintf(s.opts.log, "serve: drain deadline reached; cancelling in-flight work\n")
 		s.baseCancel(errDraining)
 		forceCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

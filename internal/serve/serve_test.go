@@ -349,6 +349,7 @@ func TestSweepDedupExactness(t *testing.T) {
 	b := &stubBackend{sweepDelay: 50 * time.Millisecond}
 	s := startTestServer(t, b, nil)
 	url := "http://" + s.Addr() + "/v1/sweep"
+	wantDeduped := obsDeduped.Value() + 31 // the registry is process-global: count from here
 	req := map[string]any{
 		"schemes":   []string{"A", "B"},
 		"workloads": []string{"w1", "w2"},
@@ -405,8 +406,8 @@ func TestSweepDedupExactness(t *testing.T) {
 	}
 	// The metric series agrees with the registry-exact count.
 	_, metrics := get(t, "http://"+s.Addr()+"/metrics")
-	if !strings.Contains(string(metrics), "serve_deduped 31") {
-		t.Fatalf("metrics lack serve_deduped 31:\n%s", grepLines(string(metrics), "serve_"))
+	if line := fmt.Sprintf("serve_deduped %d\n", wantDeduped); !strings.Contains(string(metrics), line) {
+		t.Fatalf("metrics lack %q:\n%s", line, grepLines(string(metrics), "serve_"))
 	}
 }
 

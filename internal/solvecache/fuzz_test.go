@@ -5,13 +5,23 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"reramsim/internal/atomicio"
 )
 
-// FuzzEntryDecode mirrors the jobs journal's FuzzJournalDecode for the
-// solve cache's on-disk container: decodeEntry must never panic, and a
-// corrupt, truncated or arbitrary blob must decode as a miss — the
-// behaviour the whole cache contract rests on (a bad entry silently
-// falls back to a live solve, it never poisons a result).
+// headerSize is the length of an entry with an empty payload: the
+// sealed container's header.
+var headerSize = len(encodeEntry(nil))
+
+func encodeEntry(payload []byte) []byte { return atomicio.Seal(magic, SchemaVersion, payload) }
+
+func decodeEntry(blob []byte) ([]byte, bool) { return atomicio.Unseal(magic, SchemaVersion, blob) }
+
+// FuzzEntryDecode fuzzes the sealed container (atomicio.Seal/Unseal,
+// shared with the jobs journal) as the solve cache reads it: Unseal must
+// never panic, and a corrupt, truncated or arbitrary blob must decode as
+// a miss — the behaviour the whole cache contract rests on (a bad entry
+// silently falls back to a live solve, it never poisons a result).
 func FuzzEntryDecode(f *testing.F) {
 	good := encodeEntry([]byte(`{"levels":[3.25,3.4,3.55],"memo":"..."}`))
 	f.Add(good)

@@ -16,8 +16,6 @@
 package solvecache
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"os"
 	"path/filepath"
 
@@ -31,12 +29,9 @@ import (
 // for format changes of the payload itself.
 const SchemaVersion = 1
 
-// magic identifies reramsim solve-cache files.
+// magic identifies reramsim solve-cache files, each one payload in
+// atomicio's sealed container.
 var magic = [4]byte{'R', 'S', 'S', 'C'}
-
-// header layout: magic (4) | schema (4, LE) | payload length (8, LE) |
-// payload SHA-256 (32) | payload.
-const headerSize = 4 + 4 + 8 + sha256.Size
 
 var (
 	obsHits   = obs.C("solvecache.hits")
@@ -86,49 +81,13 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 		obsMisses.Inc()
 		return nil, false
 	}
-	payload, ok := decodeEntry(blob)
+	payload, ok := atomicio.Unseal(magic, SchemaVersion, blob)
 	if !ok {
 		obsMisses.Inc()
 		return nil, false
 	}
 	obsHits.Inc()
 	return payload, true
-}
-
-// decodeEntry validates one on-disk container and returns its payload.
-// Any defect — truncation, wrong magic, stale schema, length mismatch,
-// checksum mismatch — returns (nil, false): the entry is treated as a
-// miss and the caller re-solves live. It must never panic on arbitrary
-// bytes (FuzzEntryDecode holds it to that).
-func decodeEntry(blob []byte) ([]byte, bool) {
-	if len(blob) < headerSize || [4]byte(blob[:4]) != magic {
-		return nil, false
-	}
-	if binary.LittleEndian.Uint32(blob[4:8]) != SchemaVersion {
-		return nil, false
-	}
-	n := binary.LittleEndian.Uint64(blob[8:16])
-	payload := blob[headerSize:]
-	if uint64(len(payload)) != n {
-		return nil, false
-	}
-	if sha256.Sum256(payload) != [sha256.Size]byte(blob[16:headerSize]) {
-		return nil, false
-	}
-	return payload, true
-}
-
-// encodeEntry builds the on-disk container around payload (the inverse
-// of decodeEntry).
-func encodeEntry(payload []byte) []byte {
-	blob := make([]byte, headerSize+len(payload))
-	copy(blob[:4], magic[:])
-	binary.LittleEndian.PutUint32(blob[4:8], SchemaVersion)
-	binary.LittleEndian.PutUint64(blob[8:16], uint64(len(payload)))
-	sum := sha256.Sum256(payload)
-	copy(blob[16:headerSize], sum[:])
-	copy(blob[headerSize:], payload)
-	return blob
 }
 
 // Put stores payload under key atomically (per-process-unique temp file
@@ -140,7 +99,7 @@ func (c *Cache) Put(key string, payload []byte) {
 	if c == nil {
 		return
 	}
-	if err := atomicio.WriteFile(c.dir, key+".bin", encodeEntry(payload), 0o644); err != nil {
+	if err := atomicio.WriteFile(c.dir, key+".bin", atomicio.Seal(magic, SchemaVersion, payload), 0o644); err != nil {
 		obsErrors.Inc()
 		return
 	}

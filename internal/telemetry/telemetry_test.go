@@ -84,12 +84,14 @@ func TestEndpoints(t *testing.T) {
 		t.Errorf("/readyz after SetReady = %d, want 200", code)
 	}
 
-	obs.C("telemetry.test.counter").Add(7)
+	c := obs.C("telemetry.test.counter")
+	want := c.Value() + 7 // the registry is process-global: count from here
+	c.Add(7)
 	code, body := get(t, base+"/metrics")
 	if code != 200 {
 		t.Fatalf("/metrics = %d, want 200", code)
 	}
-	if !strings.Contains(body, "telemetry_test_counter 7") {
+	if !strings.Contains(body, fmt.Sprintf("telemetry_test_counter %d\n", want)) {
 		t.Errorf("/metrics missing counter line:\n%s", body)
 	}
 	if !strings.Contains(body, "# TYPE telemetry_test_counter counter") {
@@ -256,6 +258,7 @@ func TestScrapeDuringSweepRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.SetProgress(eng.Progress)
+	wantOps := obs.C("telemetry.race.ops").Value() + 24*200
 
 	var cells []jobs.Cell
 	for i := 0; i < 24; i++ {
@@ -318,7 +321,7 @@ func TestScrapeDuringSweepRace(t *testing.T) {
 	}
 	// The scrape totals must still be exact once the sweep settles.
 	code, body := get(t, base+"/metrics")
-	if code != 200 || !strings.Contains(body, fmt.Sprintf("telemetry_race_ops %d", 24*200)) {
+	if code != 200 || !strings.Contains(body, fmt.Sprintf("telemetry_race_ops %d\n", wantOps)) {
 		t.Errorf("final scrape missing exact counter total:\n%.400s", body)
 	}
 }
