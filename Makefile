@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race race-fault race-par test-resume test-telemetry test-serve bench-smoke vuln staticcheck bench bench-guard
+.PHONY: ci fmt vet build test race race-fault race-par test-resume test-telemetry test-serve bench-smoke figures-check vuln staticcheck bench bench-guard
 
-ci: fmt vet build test race-fault race-par test-resume test-telemetry test-serve bench-smoke bench-guard vuln staticcheck
+ci: fmt vet build test race-fault race-par test-resume test-telemetry test-serve bench-smoke bench-guard figures-check vuln staticcheck
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -38,16 +38,18 @@ race-par:
 # package (cell-file replay, schema-1 directories cold-starting, panic
 # isolation, cell deadlines, in-place journal-write retries) and the
 # atomic-write primitive with its stage-fault hook and sealed container;
-# then the suite's resume byte-identity, quarantine, grid-digest,
-# CLI-path disk-full retry and stop-signal tests (a cell deadline, a shared run and a
-# reliability sweep stopped inside the event loop), also under -race;
-# then the CLI exit-code smoke tests (quarantined cell -> exit 3,
-# SIGTERM -> exit 130 -> byte-identical resume, -cell-timeout on running
-# cells -> exit 3, SIGINT into a single cell -> exit 130).
+# then the suite's resume byte-identity (a grid and a sweep figure),
+# quarantine, grid-digest, CLI-path disk-full retry and stop-signal
+# tests (a cell deadline, a shared run and a reliability sweep stopped
+# inside the event loop), also under -race; then the CLI exit-code
+# smoke tests (quarantined cell -> exit 3, SIGTERM -> exit 130 ->
+# byte-identical resume, -cell-timeout on running cells -> exit 3,
+# SIGINT into a single cell -> exit 130, figures -cell-timeout without
+# a checkpoint directory -> exit 3).
 test-resume:
 	$(GO) test -race ./internal/jobs/ ./internal/atomicio/
 	$(GO) test -race -run 'TestResume|TestPrimeSimsQuarantine|TestGridDigest|TestRunGridRetries|TestStop' ./internal/experiments/
-	$(GO) test -run 'TestQuarantineExitCodeSmoke|TestSigtermResumeByteIdentical|TestCellTimeoutStopsCells|TestSigintStopsSingleCell' ./cmd/reramsim/
+	$(GO) test -run 'TestQuarantineExitCodeSmoke|TestSigtermResumeByteIdentical|TestCellTimeoutStopsCells|TestSigintStopsSingleCell|TestCellTimeoutAlone' ./cmd/reramsim/ ./cmd/figures/
 
 # The live telemetry plane under the race detector — the lock-free
 # /metrics snapshot hammered against running sweeps, the span
@@ -82,6 +84,22 @@ test-serve:
 # the next benchmark run.
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Every table and figure, regenerated at 4,000 accesses and diffed
+# against figures_output.txt. Each "== id (title, 3.541s)" header loses
+# its duration on both sides; any other difference fails. The file's
+# bytes come from an amd64 host with FMA: math.Exp picks an FMA branch
+# at run time there, so a host without FMA or another GOARCH can differ
+# in the last printed digit. Takes about 90 s on 2 vCPUs.
+FIGURES_STRIP = sed -E '/^== /s/, [0-9][^ ,)]*\)$$/)/'
+
+figures-check:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) run ./cmd/figures -accesses 4000 -jobs 2 > "$$dir/raw"; \
+	$(FIGURES_STRIP) figures_output.txt > "$$dir/want"; \
+	$(FIGURES_STRIP) "$$dir/raw" > "$$dir/got"; \
+	diff -u "$$dir/want" "$$dir/got"; \
+	echo "figures-check: output matches figures_output.txt"
 
 # govulncheck when installed; advisory otherwise so offline CI passes.
 vuln:

@@ -41,9 +41,9 @@ func main() {
 		jobsFlag = flag.Int("jobs", 0, "max parallel simulations/solves (0 = GOMAXPROCS); output is identical at any setting")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 
-		checkpointDir = flag.String("checkpoint-dir", "", "journal the scheme x workload cells of fig5c, fig15, fig16 and fig17 to this directory (crash-safe; cold start); other experiments are not journaled")
+		checkpointDir = flag.String("checkpoint-dir", "", "journal every simulation cell to this directory (crash-safe; cold start)")
 		resumeDir     = flag.String("resume", "", "resume journaled sweeps from this checkpoint directory, skipping finished cells")
-		cellTimeout   = flag.Duration("cell-timeout", 0, "per-cell deadline for the journaled cells of a -checkpoint-dir or -resume run (0 = none); other experiments run without one")
+		cellTimeout   = flag.Duration("cell-timeout", 0, "per-cell deadline for every simulation cell (0 = none)")
 
 		solveCacheDir = flag.String("solve-cache", "", "directory for the persistent solve cache (default: disabled); results are identical with or without it")
 
@@ -105,33 +105,31 @@ func main() {
 	}
 	suite.SetContext(ctx)
 
-	if *checkpointDir != "" || *resumeDir != "" {
-		// One journal covers the PrimeSims grids (fig5c, fig15, fig16,
-		// fig17): the digest pins the array and memory configs plus the
-		// full scheme x workload universe, and each figure's sub-grid
-		// addresses cells by scheme/workload key. The variant sweeps of
-		// fig18-fig20 and ext-fault run outside the engine.
-		dir, resume := *checkpointDir, false
-		if *resumeDir != "" {
-			dir, resume = *resumeDir, true
-		}
-		universe := make([]experiments.SimPair, 0)
-		for _, sc := range experiments.SchemeNames() {
-			for _, w := range experiments.Workloads() {
-				universe = append(universe, experiments.SimPair{Scheme: sc, Workload: w})
-			}
-		}
-		digest, err := suite.GridDigest(universe)
-		if err != nil {
-			fail(err)
-		}
-		eng, err := jobs.Open(jobs.Options{Dir: dir, Resume: resume, Digest: digest, CellTimeout: *cellTimeout})
-		if err != nil {
-			fail(err)
-		}
-		suite.SetEngine(eng)
-		stack.SetProgress(eng.Progress)
+	// Every figure's grid runs through one engine, which journals when
+	// -checkpoint-dir or -resume names a directory. The digest pins the
+	// suite's array and memory configs plus the full scheme x workload
+	// universe; a sweep cell on any other config carries a digest of its
+	// own configs in its key.
+	dir, resume := *checkpointDir, false
+	if *resumeDir != "" {
+		dir, resume = *resumeDir, true
 	}
+	universe := make([]experiments.SimPair, 0)
+	for _, sc := range experiments.SchemeNames() {
+		for _, w := range experiments.Workloads() {
+			universe = append(universe, experiments.SimPair{Scheme: sc, Workload: w})
+		}
+	}
+	digest, err := suite.GridDigest(universe)
+	if err != nil {
+		fail(err)
+	}
+	eng, err := jobs.Open(jobs.Options{Dir: dir, Resume: resume, Digest: digest, CellTimeout: *cellTimeout})
+	if err != nil {
+		fail(err)
+	}
+	suite.SetEngine(eng)
+	stack.SetProgress(eng.Progress)
 	stack.SetReady(true) // suite calibrated: work can be admitted
 
 	var selected []experiments.Experiment

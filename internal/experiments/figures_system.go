@@ -6,7 +6,6 @@ import (
 
 	"reramsim/internal/device"
 	"reramsim/internal/energy"
-	"reramsim/internal/par"
 	"reramsim/internal/stats"
 	"reramsim/internal/trace"
 	"reramsim/internal/wear"
@@ -288,48 +287,61 @@ func (s *Suite) Fig17() (string, error) {
 	return perf + t.String(), nil
 }
 
-// sweep runs UDRVR+PR vs Hard+Sys across configuration variants and
-// reports the geometric-mean speedup per variant. All (variant, scheme,
-// workload) simulations fan out together in one flattened batch before
-// the serial rendering loop reads them back from the caches.
-func (s *Suite) sweep(title string, variants []struct {
+// sweepRow is one row of a Fig. 18-20 sweep: the suite's
+// calibrated array config with one parameter changed.
+type sweepRow struct {
 	label string
 	mod   func(*xpoint.Config)
-}) (string, error) {
-	subs := make([]*Suite, len(variants))
-	for i, v := range variants {
-		sub, err := s.Variant(v.label, v.mod)
-		if err != nil {
-			return "", err
-		}
-		subs[i] = sub
-	}
+}
+
+// sweepConfig applies mod to a copy of the suite's calibrated array
+// config. The Eq. 1 constants stay as fitted on the default array, as
+// in the paper: device constants are fitted once and held fixed while
+// geometry or selector parameters vary.
+func (s *Suite) sweepConfig(mod func(*xpoint.Config)) (xpoint.Config, error) {
+	cfg := s.Cfg
+	mod(&cfg)
+	return cfg, cfg.Validate()
+}
+
+// sweep runs UDRVR+PR vs Hard+Sys across configuration variants and
+// reports the geometric-mean speedup per variant. The cells of every
+// variant run as one grid before the serial rendering loop reads them
+// back from the cache; a variant equal to the suite's own config reuses
+// the cells other figures already ran.
+func (s *Suite) sweep(title string, variants []sweepRow) (string, error) {
 	pairs := crossPairs([]string{"Hard+Sys", "UDRVR+PR"}, Workloads())
-	err := par.ForEach(s.Context(), len(subs)*len(pairs), func(idx int) error {
-		p := pairs[idx%len(pairs)]
-		_, err := subs[idx/len(pairs)].Sim(p.Scheme, p.Workload)
-		return err
-	})
-	if err != nil {
+	mem := s.MemCfg
+	cfgs := make([]xpoint.Config, len(variants))
+	var cs []cell
+	for i, v := range variants {
+		cfg, err := s.sweepConfig(v.mod)
+		if err != nil {
+			return "", fmt.Errorf("experiments: %s: %w", v.label, err)
+		}
+		cfgs[i] = cfg
+		cs = append(cs, cells(cfg, mem, pairs)...)
+	}
+	ctx := s.Context()
+	if err := s.grid(ctx, cs); err != nil {
 		return "", err
 	}
 
 	t := stats.NewTable(title, "variant", "UDRVR+PR vs Hard+Sys (gmean)", "worst write rst (ns)")
 	for i, v := range variants {
-		sub := subs[i]
 		var sps []float64
 		for _, w := range Workloads() {
-			ref, err := sub.Sim("Hard+Sys", w)
+			ref, err := s.sim(ctx, cell{cfgs[i], mem, "Hard+Sys", w})
 			if err != nil {
 				return "", err
 			}
-			r, err := sub.Sim("UDRVR+PR", w)
+			r, err := s.sim(ctx, cell{cfgs[i], mem, "UDRVR+PR", w})
 			if err != nil {
 				return "", err
 			}
 			sps = append(sps, r.Speedup(ref))
 		}
-		up, err := sub.Scheme("UDRVR+PR")
+		up, err := s.scheme(cfgs[i], "UDRVR+PR")
 		if err != nil {
 			return "", err
 		}
@@ -345,10 +357,7 @@ func (s *Suite) sweep(title string, variants []struct {
 // Fig18 sweeps the MAT size.
 func (s *Suite) Fig18() (string, error) {
 	return s.sweep("Fig. 18: UDRVR+PR on various array sizes (vs Hard+Sys)",
-		[]struct {
-			label string
-			mod   func(*xpoint.Config)
-		}{
+		[]sweepRow{
 			{"256x256", func(c *xpoint.Config) { c.Size = 256 }},
 			{"512x512", func(c *xpoint.Config) { c.Size = 512 }},
 			{"1024x1024", func(c *xpoint.Config) { c.Size = 1024 }},
@@ -358,10 +367,7 @@ func (s *Suite) Fig18() (string, error) {
 // Fig19 sweeps the wire resistance (technology node).
 func (s *Suite) Fig19() (string, error) {
 	return s.sweep("Fig. 19: UDRVR+PR with various wire resistances (vs Hard+Sys)",
-		[]struct {
-			label string
-			mod   func(*xpoint.Config)
-		}{
+		[]sweepRow{
 			{"32nm", func(c *xpoint.Config) { c.Rwire = device.WireResistance(device.Node32nm) }},
 			{"20nm", func(c *xpoint.Config) { c.Rwire = device.WireResistance(device.Node20nm) }},
 			{"10nm", func(c *xpoint.Config) { c.Rwire = device.WireResistance(device.Node10nm) }},
@@ -371,10 +377,7 @@ func (s *Suite) Fig19() (string, error) {
 // Fig20 sweeps the access-device ON/OFF ratio.
 func (s *Suite) Fig20() (string, error) {
 	return s.sweep("Fig. 20: UDRVR+PR with various access-device ON/OFF ratios (vs Hard+Sys)",
-		[]struct {
-			label string
-			mod   func(*xpoint.Config)
-		}{
+		[]sweepRow{
 			{"0.5K", func(c *xpoint.Config) { c.Params.Kr = 500 }},
 			{"1K", func(c *xpoint.Config) { c.Params.Kr = 1000 }},
 			{"2K", func(c *xpoint.Config) { c.Params.Kr = 2000 }},

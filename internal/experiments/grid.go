@@ -11,6 +11,27 @@ import (
 	"reramsim/internal/xpoint"
 )
 
+// key names a cell in journals, cell spans and reports. A cell on the
+// suite's own configs is "scheme/workload", so reramsim's and reramd's
+// keys and the journals written before every figure ran as cells stay
+// as they were. Any other cell appends "@" and 12 hex digits of the
+// SHA-256 of its JSON-encoded (array, memory) configs.
+func (s *Suite) key(c cell) (string, error) {
+	k := c.Scheme + "/" + c.Workload
+	if c.Array == s.Cfg && c.Mem == s.MemCfg {
+		return k, nil
+	}
+	blob, err := json.Marshal(struct {
+		Array xpoint.Config
+		Mem   memsys.Config
+	}{c.Array, c.Mem})
+	if err != nil {
+		return "", fmt.Errorf("experiments: cell %s: %w", k, err)
+	}
+	sum := sha256.Sum256(blob)
+	return fmt.Sprintf("%s@%x", k, sum[:6]), nil
+}
+
 // gridDigestVersion versions the digest document below. Bump it when
 // the document's shape (or the meaning of a field) changes, so journals
 // written under the old interpretation are not replayed.
@@ -36,52 +57,56 @@ func (s *Suite) GridDigest(pairs []SimPair) (string, error) {
 	return fmt.Sprintf("grid-v%d-%x", gridDigestVersion, sha256.Sum256(blob)), nil
 }
 
-// RunGridContext executes the pairs through eng under ctx as
-// journaled cells keyed "scheme/workload". Each cell's payload is its
-// Result marshalled as JSON — float64 values survive the round trip
-// bit-exactly, so a resumed payload renders byte-identically to a live
-// simulation. Payloads resumed from the journal are decoded back into
-// the suite's result cache, so the serial render loop behind PrimeSims
-// reads them as ordinary cache hits. Duplicate pairs collapse onto one
-// cell. ctx may bound a run tighter than the suite's own lifetime: the
-// reramd daemon passes each request's deadline, so one slow client's
-// sweep times out without touching the suite-wide context shared by
-// every other request.
+// RunGridContext executes the pairs on the suite's own configs through
+// eng under ctx, as journaled cells keyed "scheme/workload", and
+// returns the engine's report. ctx may bound a run tighter than the
+// suite's own lifetime: the reramd daemon passes each request's
+// deadline, so one slow client's sweep times out without touching the
+// suite-wide context shared by every other request.
 func (s *Suite) RunGridContext(ctx context.Context, eng *jobs.Engine, pairs []SimPair) (*jobs.Report, error) {
-	cells := make([]jobs.Cell, 0, len(pairs))
-	seen := make(map[string]bool, len(pairs))
-	for _, p := range pairs {
-		p := p
-		key := p.Scheme + "/" + p.Workload
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		cells = append(cells, jobs.Cell{
-			Key: key,
-			// RunCell is the one producer of cell payload bytes.
-			Run: func(ctx context.Context) ([]byte, error) { return s.RunCell(ctx, key) },
-		})
-	}
-	rep, err := eng.Run(ctx, cells)
-	if rep != nil {
-		s.seedResumed(rep)
-	}
-	return rep, err
+	return s.runCells(ctx, eng, cells(s.Cfg, s.MemCfg, pairs))
 }
 
-// seedResumed installs journal-served payloads into the result cache
-// (never overwriting a live result).
-func (s *Suite) seedResumed(rep *jobs.Report) {
+// runCells is the one cell runner. Each cell's payload is its Result
+// marshalled as JSON: float64 values survive the round trip
+// bit-exactly, so a resumed payload renders byte-identically to a live
+// simulation. Payloads served from the journal are decoded into the
+// result cache (never over a live result), where renderers read them
+// as ordinary cache hits. Duplicate cells collapse onto one.
+func (s *Suite) runCells(ctx context.Context, eng *jobs.Engine, cs []cell) (*jobs.Report, error) {
+	byKey := make(map[string]cell, len(cs))
+	jcs := make([]jobs.Cell, 0, len(cs))
+	for _, c := range cs {
+		key, err := s.key(c)
+		if err != nil {
+			return nil, err
+		}
+		if _, dup := byKey[key]; dup {
+			continue
+		}
+		byKey[key] = c
+		jcs = append(jcs, jobs.Cell{Key: key, Run: func(ctx context.Context) ([]byte, error) {
+			r, err := s.sim(ctx, c)
+			if err != nil {
+				return nil, err
+			}
+			return json.Marshal(r)
+		}})
+	}
+	rep, err := eng.Run(ctx, jcs)
+	if rep == nil {
+		return nil, err
+	}
 	for _, key := range rep.Resumed {
 		var r memsys.Result
 		if json.Unmarshal(rep.Done[key], &r) != nil {
 			continue
 		}
 		s.mu.Lock()
-		if _, ok := s.sims[key]; !ok {
-			s.sims[key] = &r
+		if _, ok := s.sims[byKey[key]]; !ok {
+			s.sims[byKey[key]] = &r
 		}
 		s.mu.Unlock()
 	}
+	return rep, err
 }

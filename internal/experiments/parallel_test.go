@@ -6,12 +6,15 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
+	"reramsim/internal/core"
 	"reramsim/internal/memsys"
 	"reramsim/internal/obs"
 	"reramsim/internal/par"
+	"reramsim/internal/trace"
 	"reramsim/internal/xpoint"
 )
 
@@ -133,11 +136,12 @@ func TestSimSingleflight(t *testing.T) {
 	}
 }
 
-// TestSuiteParallelHammer drives Sim/Scheme/Variant from many goroutines
-// at once with observability on; run under -race (make race-par) it is
-// the suite's data-race detector. The registry must neither lose nor
-// double-count the memory traffic of instrumented sims running in
-// parallel.
+// TestSuiteParallelHammer drives Sim/Scheme and a scheme on a 256x256
+// sweep config from many goroutines at once with observability on; run
+// under -race (make race-par) it is the suite's data-race detector. The
+// registry must neither lose nor double-count the memory traffic of
+// instrumented sims running in parallel, and the goroutines must share
+// one build of the 256x256 scheme.
 func TestSuiteParallelHammer(t *testing.T) {
 	obs.SetEnabled(true)
 	t.Cleanup(func() {
@@ -149,10 +153,15 @@ func TestSuiteParallelHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg256, err := s.sweepConfig(func(c *xpoint.Config) { c.Size = 256 })
+	if err != nil {
+		t.Fatal(err)
+	}
 	pairs := crossPairs([]string{"Base", "Hard"}, []string{"mcf_m", "mil_m"})
 	before := obs.Default().Snapshot()
+	built := make([]*core.Scheme, 12)
 	var wg sync.WaitGroup
-	for g := 0; g < 12; g++ {
+	for g := range built {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
@@ -163,17 +172,22 @@ func TestSuiteParallelHammer(t *testing.T) {
 			if _, err := s.Scheme(p.Scheme); err != nil {
 				t.Error(err)
 			}
-			v, err := s.Variant("hammer-256", func(c *xpoint.Config) { c.Size = 256 })
+			sc, err := s.scheme(cfg256, "Base")
 			if err != nil {
 				t.Error(err)
-				return
 			}
-			if _, err := v.Scheme("Base"); err != nil {
-				t.Error(err)
-			}
+			built[g] = sc
 		}(g)
 	}
 	wg.Wait()
+	for g := range built {
+		if built[g] != built[0] {
+			t.Fatalf("goroutine %d got its own 256x256 Base scheme: one (array config, name) must build once", g)
+		}
+	}
+	if root, err := s.Scheme("Base"); err != nil || root == built[0] {
+		t.Errorf("the 256x256 config shares the suite config's Base scheme (err %v)", err)
+	}
 
 	// Every pair ran exactly once (12 goroutines cover all 4), so the
 	// registry delta must equal the sum over the distinct cells.
@@ -233,8 +247,9 @@ func TestInstrumentedSimsOverlap(t *testing.T) {
 	}
 }
 
-// TestVariantInheritsMemCfg: a variant must simulate the same system as
-// its parent — including fault-injection settings — not a default one.
+// TestVariantInheritsMemCfg: a sweep variant's cells simulate the
+// suite's whole system, on the suite's full memory config (fault
+// settings included), not a default one.
 func TestVariantInheritsMemCfg(t *testing.T) {
 	s, err := NewSuite(200)
 	if err != nil {
@@ -245,38 +260,61 @@ func TestVariantInheritsMemCfg(t *testing.T) {
 	s.MemCfg.FaultProfile = "endurance"
 	s.MemCfg.FaultSeed = 5
 	s.MemCfg.MaxWriteRetries = 7
-
-	v, err := s.Variant("t-memcfg", func(c *xpoint.Config) { c.Size = 256 })
+	mod := func(c *xpoint.Config) { c.Size = 256 }
+	out, err := s.sweep("t-system", []sweepRow{{"256x256", mod}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(v.MemCfg, s.MemCfg) {
-		t.Errorf("variant MemCfg = %+v\nparent MemCfg = %+v", v.MemCfg, s.MemCfg)
+	if !strings.Contains(out, "256x256") {
+		t.Fatalf("sweep rendered no 256x256 row:\n%s", out)
+	}
+
+	cfg, err := s.sweepConfig(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	for c := range s.sims {
+		if c.Mem != s.MemCfg || c.Array != cfg {
+			t.Errorf("sweep cell %s/%s ran on array %+v, memory %+v", c.Scheme, c.Workload, c.Array, c.Mem)
+		}
+	}
+	s.mu.Unlock()
+	got, err := s.sim(s.Context(), cell{cfg, s.MemCfg, "Hard+Sys", "mcf_m"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Reliability == nil {
+		t.Error("sweep cell ran without the suite's fault profile")
+	}
+	sc, err := s.scheme(cfg, "Hard+Sys")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := trace.ByName("mcf_m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := memsys.Simulate(sc, b, s.MemCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("sweep cell result differs from a direct simulation on the suite's memory config:\n got %+v\nwant %+v", got, want)
 	}
 }
 
-// TestVariantFollowsParentCancellation: cancelling the parent's context
-// must stop sweeps on variant suites created before the cancellation.
-func TestVariantFollowsParentCancellation(t *testing.T) {
+// TestSweepStopsUnderSuiteContext: sweep cells run under the suite's
+// context, so cancelling it stops a sweep figure before its cells run.
+func TestSweepStopsUnderSuiteContext(t *testing.T) {
 	s, err := NewSuite(200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := s.Variant("t-cancel", func(c *xpoint.Config) { c.Size = 256 })
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	ctx, cancel := context.WithCancel(context.Background())
 	s.SetContext(ctx)
 	cancel()
-	if _, err := v.Sim("Base", "mcf_m"); !errors.Is(err, context.Canceled) {
-		t.Errorf("variant Sim after parent cancellation: err = %v, want context.Canceled", err)
-	}
-
-	// A variant with its own context is independent of the parent's.
-	v.SetContext(context.Background())
-	if _, err := v.Sim("Base", "mcf_m"); err != nil {
-		t.Errorf("variant with own context should run: %v", err)
+	if _, err := s.Fig18(); !errors.Is(err, context.Canceled) {
+		t.Errorf("Fig18 after cancellation: err = %v, want context.Canceled", err)
 	}
 }

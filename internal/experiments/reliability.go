@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"reramsim/internal/memsys"
-	"reramsim/internal/trace"
 )
 
 // ReliabilityRow is one scheme's fault-handling outcome in a sweep.
@@ -28,36 +27,28 @@ type ReliabilityReport struct {
 
 // ReliabilitySweep simulates workload under each scheme with the given
 // fault profile active and reports the per-scheme retry/degradation
-// outcome. It bypasses the Suite's result cache: those entries are
-// fault-free, and the sweep must not pollute them. ctx stops a running
-// simulation as well as the ones not yet started; a cancelled sweep
-// returns the completed rows with Aborted set rather than an error.
+// outcome. Its cells differ from the suite's fault-free ones only in
+// the memory config's fault profile, so they run and cache as cells of
+// their own. ctx stops a running simulation as well as the ones not yet
+// started; a cancelled sweep returns the completed rows with Aborted
+// set rather than an error.
 func (s *Suite) ReliabilitySweep(ctx context.Context, profile, workload string, schemes []string) (*ReliabilityReport, error) {
 	rep := &ReliabilityReport{Profile: profile, Workload: workload}
-	mc := s.MemCfg
-	mc.FaultProfile = profile
-	b, err := trace.ByName(workload)
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range schemes {
-		if ctx.Err() != nil {
-			rep.Aborted = true
-			return rep, nil
-		}
-		sc, err := s.Scheme(name)
-		if err != nil {
+	mem := s.MemCfg
+	mem.FaultProfile = profile
+	cs := cells(s.Cfg, mem, crossPairs(schemes, []string{workload}))
+	if err := s.grid(ctx, cs); err != nil {
+		if ctx.Err() == nil {
 			return nil, err
 		}
-		r, err := memsys.SimulateContext(ctx, sc, b, mc)
+		rep.Aborted = true
+	}
+	for _, c := range cs {
+		r, err := s.sim(ctx, c) // a cache hit, or an error for a stopped cell
 		if err != nil {
-			if ctx.Err() != nil {
-				rep.Aborted = true
-				return rep, nil
-			}
-			return nil, fmt.Errorf("experiments: reliability %s on %s: %w", name, workload, err)
+			continue
 		}
-		row := ReliabilityRow{Scheme: name, IPC: r.IPC}
+		row := ReliabilityRow{Scheme: c.Scheme, IPC: r.IPC}
 		if r.Reliability != nil {
 			row.Rel = *r.Reliability
 		}

@@ -48,9 +48,14 @@ func TestReliabilitySweep(t *testing.T) {
 
 // TestReliabilitySweepCancelled pins the partial-results contract: a
 // cancelled context aborts the sweep between runs without an error,
-// returning whatever completed and setting Aborted.
+// returning whatever completed and setting Aborted. The suite is fresh:
+// fault cells cache like any other cell, so the shared suite would
+// serve the rows TestReliabilitySweep computed.
 func TestReliabilitySweepCancelled(t *testing.T) {
-	s := suite()
+	s, err := NewSuite(800)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	rep, err := s.ReliabilitySweep(ctx, "margin", "mcf_m", []string{"Base"})

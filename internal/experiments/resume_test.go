@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -185,6 +186,73 @@ func TestResumeByteIdenticalJobs8(t *testing.T) {
 	testResumeByteIdentical(t, 8)
 }
 
+// TestResumeSweepFigure: a sweep figure's cells are journaled like any
+// other grid's. A Fig. 20 run journals all 66 of its cells; with every
+// other cell file deleted, a fresh suite on a resumed engine serves the
+// remaining 33 from disk, cells on the non-default ON/OFF ratios
+// ("@"-suffixed keys) among them, and renders a byte-identical table.
+func TestResumeSweepFigure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a sweep figure twice")
+	}
+	dir := t.TempDir()
+	open := func(resume bool) (*Suite, *jobs.Engine) {
+		s, err := NewSuite(200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digest, err := s.GridDigest(crossPairs(SchemeNames(), Workloads()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := jobs.Open(jobs.Options{Dir: dir, Digest: digest, Resume: resume})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetEngine(eng)
+		return s, eng
+	}
+
+	s1, _ := open(false)
+	want, err := s1.Fig20()
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.jrn"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 66 {
+		t.Fatalf("Fig. 20 journaled %d cell files, want 66", len(files))
+	}
+	for i := 0; i < len(files); i += 2 {
+		if err := os.Remove(files[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s2, eng2 := open(true)
+	got, err := s2.Fig20()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("resumed Fig. 20 differs from the journaled run:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+	var resumed, variants int
+	for _, c := range eng2.Progress().Cells {
+		if c.State == jobs.CellResumed {
+			resumed++
+			if strings.Contains(c.Key, "@") {
+				variants++
+			}
+		}
+	}
+	if resumed != 33 || variants == 0 {
+		t.Errorf("resumed %d cells, %d of them with an @ key; want 33, some with an @ key", resumed, variants)
+	}
+}
+
 // TestPrimeSimsQuarantineWrapsErr: a panicking cell must not fail the
 // grid mid-flight — the other cells finish, and PrimeSims reports the
 // quarantine as an error wrapping jobs.ErrQuarantined.
@@ -319,6 +387,11 @@ func TestGridDigestPinsConfig(t *testing.T) {
 		t.Error("digest ignored a memory-config change")
 	}
 	b.MemCfg.Seed = a.MemCfg.Seed
+	b.Cfg.Size = 256
+	if d, _ := b.GridDigest(pairs); d == da {
+		t.Error("digest ignored an array-config change")
+	}
+	b.Cfg = a.Cfg
 	if d, _ := b.GridDigest(pairs[:3]); d == da {
 		t.Error("digest ignored a grid change")
 	}

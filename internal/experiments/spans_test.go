@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"reramsim/internal/jobs"
@@ -146,5 +147,35 @@ func TestSweepSpanHierarchyEngine(t *testing.T) {
 	}
 	if p := byID[sim.ParentID]; p.Name != "cell:Base/mcf_m" {
 		t.Errorf("sim parent = %q, want the cell span", p.Name)
+	}
+}
+
+// TestSweepReusesSuiteCells: a sweep variant equal to the suite's own
+// config is the same cell as another figure's, so it is simulated once.
+// Fig. 15 runs 77 cells; Fig. 20 runs 66, of which the 22 on the
+// default ON/OFF ratio are Fig. 15's. Together they record 121
+// memsys.sim spans.
+func TestSweepReusesSuiteCells(t *testing.T) {
+	sink := &obs.MemorySpanSink{}
+	obs.SetSpanSink(sink)
+	t.Cleanup(func() { obs.SetSpanSink(nil) })
+
+	s, err := NewSuite(200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fig := range []func() (string, error){s.Fig15, s.Fig20} {
+		if _, err := fig(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sims := 0
+	for _, sp := range sink.Spans() {
+		if strings.HasPrefix(sp.Name, "memsys.sim:") {
+			sims++
+		}
+	}
+	if sims != 121 {
+		t.Errorf("Fig. 15 then Fig. 20 recorded %d memsys.sim spans, want 121", sims)
 	}
 }

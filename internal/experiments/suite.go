@@ -21,46 +21,52 @@ import (
 // Suite owns a calibrated configuration plus lazily built schemes and
 // cached simulation results, so figures sharing inputs do not recompute
 // them. A Suite is safe for concurrent use: cache misses are deduplicated
-// per key (two callers racing on the same scheme, simulation or variant
-// share one execution instead of running it twice), and sweeps fan their
-// independent simulations out on the internal/par worker pool.
+// per key (two callers racing on the same scheme or simulation share one
+// execution instead of running it twice), and every figure's grid fans
+// out as jobs cells on the internal/par worker pool.
 type Suite struct {
 	Cfg    xpoint.Config // calibrated baseline array configuration
 	MemCfg memsys.Config
 
 	mu      sync.Mutex
 	ctx     context.Context // stops simulations; nil = Background
-	parent  *Suite          // variant suites follow their parent's context
-	schemes map[string]*core.Scheme
-	sims    map[string]*memsys.Result
+	schemes map[schemeKey]*core.Scheme
+	sims    map[cell]*memsys.Result
 
-	// variant suites for the sweep figures (array size, node, Kr).
-	variants map[string]*Suite
-
-	// engine, when attached, makes PrimeSims run grids as crash-safe
+	// engine, when attached, runs every grid of the suite as crash-safe
 	// journaled jobs (internal/jobs): completed cells are checkpointed,
 	// resumed runs skip them, and panics quarantine a cell instead of
-	// failing the sweep. Only the root suite carries an engine — variant
-	// sub-suites simulate under different array configs but share cell
-	// keys, so routing them through the same journal would collide.
+	// failing the sweep.
 	engine *jobs.Engine
 
 	// Per-key in-flight tracking: a second caller that misses a cache
 	// while the first caller is still computing the same key waits for
 	// that result instead of running the computation twice.
-	schemeFlight  par.Group[string, *core.Scheme]
-	simFlight     par.Group[string, *memsys.Result]
-	variantFlight par.Group[string, *Suite]
+	schemeFlight par.Group[schemeKey, *core.Scheme]
+	simFlight    par.Group[cell, *memsys.Result]
+}
+
+// cell identifies one simulation: a scheme on a workload, under an
+// array and a memory configuration. Both configs are flat comparable
+// structs, so a cell is a map key as it stands.
+type cell struct {
+	Array    xpoint.Config
+	Mem      memsys.Config
+	Scheme   string
+	Workload string
+}
+
+// schemeKey identifies one scheme build: a named scheme on an array
+// configuration.
+type schemeKey struct {
+	Array xpoint.Config
+	Name  string
 }
 
 // NewSuite calibrates the default configuration and prepares caches.
 // accessesPerCore bounds each simulation's length (0 selects the default).
 func NewSuite(accessesPerCore int) (*Suite, error) {
-	return NewSuiteWithConfig(xpoint.DefaultConfig(), accessesPerCore)
-}
-
-// NewSuiteWithConfig calibrates an arbitrary array configuration.
-func NewSuiteWithConfig(cfg xpoint.Config, accessesPerCore int) (*Suite, error) {
+	cfg := xpoint.DefaultConfig()
 	p, err := xpoint.CalibrateLatency(cfg, xpoint.BestCaseLatency, xpoint.WorstCaseLatency)
 	if err != nil {
 		return nil, err
@@ -70,48 +76,38 @@ func NewSuiteWithConfig(cfg xpoint.Config, accessesPerCore int) (*Suite, error) 
 }
 
 // newSuitePrecalibrated wraps a configuration whose Eq. 1 constants are
-// already fitted. The Fig. 18-20 sweeps use this: device constants are
-// fitted once on the default array and held fixed while geometry or
-// selector parameters vary, exactly as in the paper.
+// already fitted.
 func newSuitePrecalibrated(cfg xpoint.Config, accessesPerCore int) *Suite {
 	mc := memsys.DefaultConfig()
 	if accessesPerCore > 0 {
 		mc.AccessesPerCore = accessesPerCore
 	}
 	return &Suite{
-		Cfg:      cfg,
-		MemCfg:   mc,
-		schemes:  make(map[string]*core.Scheme),
-		sims:     make(map[string]*memsys.Result),
-		variants: make(map[string]*Suite),
+		Cfg:     cfg,
+		MemCfg:  mc,
+		schemes: make(map[schemeKey]*core.Scheme),
+		sims:    make(map[cell]*memsys.Result),
 	}
 }
 
 // SetContext attaches a cancellation context: it stops a running
 // simulation inside its event loop and skips the ones not yet started,
 // so an interrupted sweep returns promptly with the runs it completed
-// instead of finishing the whole grid. Variant sub-suites follow their
-// parent's context live (unless they are given one of their own), so
-// cancelling the parent also stops in-flight variant sweeps.
+// instead of finishing the whole grid.
 func (s *Suite) SetContext(ctx context.Context) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.ctx = ctx
 }
 
-// Context returns the attached context; a variant suite without its own
-// context inherits its parent's, and Background is the fallback.
+// Context returns the attached context, or Background when none is.
 func (s *Suite) Context() context.Context {
 	s.mu.Lock()
-	ctx, parent := s.ctx, s.parent
-	s.mu.Unlock()
-	if ctx != nil {
-		return ctx
+	defer s.mu.Unlock()
+	if s.ctx == nil {
+		return context.Background()
 	}
-	if parent != nil {
-		return parent.Context()
-	}
-	return context.Background()
+	return s.ctx
 }
 
 // schemeBuilders maps the §VI configuration names to constructors.
@@ -137,20 +133,28 @@ func SchemeNames() []string {
 	}
 }
 
-// Scheme returns (building and caching on first use) a named scheme.
-// Concurrent first uses of the same name share one calibration.
+// Scheme returns (building and caching on first use) a named scheme on
+// the suite's array config.
 func (s *Suite) Scheme(name string) (*core.Scheme, error) {
+	return s.scheme(s.Cfg, name)
+}
+
+// scheme returns (building and caching on first use) a named scheme on
+// an array config. Concurrent first uses of one (config, name) share
+// one calibration.
+func (s *Suite) scheme(array xpoint.Config, name string) (*core.Scheme, error) {
+	k := schemeKey{array, name}
 	s.mu.Lock()
-	sc, ok := s.schemes[name]
+	sc, ok := s.schemes[k]
 	s.mu.Unlock()
 	if ok {
 		return sc, nil
 	}
-	sc, _, err := s.schemeFlight.Do(name, func() (*core.Scheme, error) {
+	sc, _, err := s.schemeFlight.Do(k, func() (*core.Scheme, error) {
 		// Re-check: this flight may start after a previous one for the
-		// same name already stored its result.
+		// same key already stored its result.
 		s.mu.Lock()
-		sc, ok := s.schemes[name]
+		sc, ok := s.schemes[k]
 		s.mu.Unlock()
 		if ok {
 			return sc, nil
@@ -162,12 +166,12 @@ func (s *Suite) Scheme(name string) (*core.Scheme, error) {
 		if obs.SpansEnabled() {
 			defer obs.SpanScope("scheme:" + name)()
 		}
-		sc, err := build(s.Cfg)
+		sc, err := build(array)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: building %s: %w", name, err)
 		}
 		s.mu.Lock()
-		s.schemes[name] = sc
+		s.schemes[k] = sc
 		s.mu.Unlock()
 		return sc, nil
 	})
@@ -184,22 +188,27 @@ func (s *Suite) Sim(scheme, workload string) (*memsys.Result, error) {
 
 // SimContext is Sim under an explicit context: the run is skipped when
 // ctx is already cancelled, and ctx stops a running simulation inside
-// its event loop. Concurrent callers for one key share a single
-// execution, governed by the context of the caller that started it. A
-// failed run is never cached, so a caller whose shared run failed while
-// its own context is alive runs the key again: it sees its own result
-// or its own error, never another caller's cancellation.
+// its event loop.
 func (s *Suite) SimContext(ctx context.Context, scheme, workload string) (*memsys.Result, error) {
-	key := scheme + "/" + workload
+	return s.sim(ctx, cell{s.Cfg, s.MemCfg, scheme, workload})
+}
+
+// sim runs (and caches) one cell. Concurrent callers for one cell share
+// a single execution, governed by the context of the caller that
+// started it. A failed run is never cached, so a caller whose shared
+// run failed while its own context is alive runs the cell again: it
+// sees its own result or its own error, never another caller's
+// cancellation.
+func (s *Suite) sim(ctx context.Context, c cell) (*memsys.Result, error) {
 	for {
 		s.mu.Lock()
-		r, ok := s.sims[key]
+		r, ok := s.sims[c]
 		s.mu.Unlock()
 		if ok {
 			return r, nil
 		}
-		r, shared, err := s.simFlight.Do(key, func() (*memsys.Result, error) {
-			return s.runSim(ctx, key, scheme, workload)
+		r, shared, err := s.simFlight.Do(c, func() (*memsys.Result, error) {
+			return s.runSim(ctx, c)
 		})
 		if err == nil || !shared || ctx.Err() != nil {
 			return r, err
@@ -209,11 +218,11 @@ func (s *Suite) SimContext(ctx context.Context, scheme, workload string) (*memsy
 
 // runSim executes one simulation and stores its result. It re-checks
 // the cache first: a caller that missed the cache may enter a fresh
-// flight only after the previous flight for the same key already stored
-// its result.
-func (s *Suite) runSim(ctx context.Context, key, scheme, workload string) (*memsys.Result, error) {
+// flight only after the previous flight for the same cell already
+// stored its result.
+func (s *Suite) runSim(ctx context.Context, c cell) (*memsys.Result, error) {
 	s.mu.Lock()
-	r, ok := s.sims[key]
+	r, ok := s.sims[c]
 	s.mu.Unlock()
 	if ok {
 		return r, nil
@@ -222,32 +231,33 @@ func (s *Suite) runSim(ctx context.Context, key, scheme, workload string) (*mems
 		if cause := context.Cause(ctx); cause != nil {
 			err = cause
 		}
-		return nil, fmt.Errorf("experiments: %s on %s: %w", scheme, workload, err)
+		return nil, fmt.Errorf("experiments: %s on %s: %w", c.Scheme, c.Workload, err)
 	}
 	if obs.SpansEnabled() {
 		var stop func()
-		ctx, stop = obs.StartSpan(ctx, "sim:"+key)
+		ctx, stop = obs.StartSpan(ctx, "sim:"+c.Scheme+"/"+c.Workload)
 		defer stop()
 	}
-	sc, err := s.Scheme(scheme)
+	sc, err := s.scheme(c.Array, c.Scheme)
 	if err != nil {
 		return nil, err
 	}
-	b, err := trace.ByName(workload)
+	b, err := trace.ByName(c.Workload)
 	if err != nil {
 		return nil, err
 	}
-	r, err = memsys.SimulateContext(ctx, sc, b, s.MemCfg)
+	r, err = memsys.SimulateContext(ctx, sc, b, c.Mem)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s on %s: %w", scheme, workload, err)
+		return nil, fmt.Errorf("experiments: %s on %s: %w", c.Scheme, c.Workload, err)
 	}
 	s.mu.Lock()
-	s.sims[key] = r
+	s.sims[c] = r
 	s.mu.Unlock()
 	return r, nil
 }
 
-// SimPair identifies one (scheme, workload) simulation of a sweep.
+// SimPair identifies one (scheme, workload) simulation of a sweep on
+// the suite's own configs.
 type SimPair struct {
 	Scheme   string
 	Workload string
@@ -265,89 +275,68 @@ func crossPairs(schemes, workloads []string) []SimPair {
 	return pairs
 }
 
-// PrimeSims fans the given simulations out across the par worker pool,
-// filling the Suite's result cache. Sweep renderers call it before
-// their serial formatting loop: the loop then reads cache hits, so the
-// rendered output is byte-identical to a fully serial (-jobs=1) run
-// while the simulations themselves use every worker. Duplicate pairs
-// collapse onto one execution via the per-key in-flight tracking.
+// cells places pairs on an array and a memory config.
+func cells(array xpoint.Config, mem memsys.Config, pairs []SimPair) []cell {
+	cs := make([]cell, len(pairs))
+	for i, p := range pairs {
+		cs[i] = cell{array, mem, p.Scheme, p.Workload}
+	}
+	return cs
+}
+
+// PrimeSims runs the given simulations on the suite's own configs as
+// one grid, filling the Suite's result cache. Sweep renderers call it
+// before their serial formatting loop: the loop then reads cache hits,
+// so the rendered output is byte-identical to a fully serial (-jobs=1)
+// run while the simulations themselves use every worker. Duplicate
+// pairs collapse onto one cell.
 //
-// With an engine attached (SetEngine), the grid instead runs as
-// crash-safe journaled jobs: completed cells checkpoint to disk, a
-// resumed engine serves them without re-simulating, and a quarantined
-// cell (panic/timeout/exhausted retries) yields an error wrapping
-// jobs.ErrQuarantined after the rest of the grid finishes.
+// With an engine attached (SetEngine), the grid's completed cells
+// checkpoint to disk and a resumed engine serves them without
+// re-simulating. A quarantined cell (panic, timeout, error) yields an
+// error wrapping jobs.ErrQuarantined after the rest of the grid
+// finishes.
 func (s *Suite) PrimeSims(pairs []SimPair) error {
-	ctx, stopSpan := obs.StartSpan(s.Context(), "experiments.sweep")
+	return s.grid(s.Context(), cells(s.Cfg, s.MemCfg, pairs))
+}
+
+// grid is the one fan-out path of the suite's figures: it runs cells
+// through the attached engine, or through a journal-less one when none
+// is attached.
+func (s *Suite) grid(ctx context.Context, cs []cell) error {
+	ctx, stopSpan := obs.StartSpan(ctx, "experiments.sweep")
 	defer stopSpan()
 	s.mu.Lock()
 	eng := s.engine
 	s.mu.Unlock()
-	if eng != nil {
-		rep, err := s.RunGridContext(ctx, eng, pairs)
-		if err != nil {
+	if eng == nil {
+		var err error
+		if eng, err = jobs.Open(jobs.Options{}); err != nil {
 			return err
 		}
-		if !rep.Complete() {
-			keys := make([]string, len(rep.Quarantined))
-			for i, q := range rep.Quarantined {
-				keys[i] = q.Key
-			}
-			return fmt.Errorf("experiments: %d cell(s) quarantined (%s): %w",
-				len(keys), strings.Join(keys, ", "), jobs.ErrQuarantined)
-		}
-		return nil
 	}
-	return par.ForEach(ctx, len(pairs), func(i int) error {
-		_, err := s.SimContext(ctx, pairs[i].Scheme, pairs[i].Workload)
+	rep, err := s.runCells(ctx, eng, cs)
+	if err != nil {
 		return err
-	})
+	}
+	if !rep.Complete() {
+		keys := make([]string, len(rep.Quarantined))
+		for i, q := range rep.Quarantined {
+			keys[i] = q.Key
+		}
+		return fmt.Errorf("experiments: %d cell(s) quarantined (%s): %w",
+			len(keys), strings.Join(keys, ", "), jobs.ErrQuarantined)
+	}
+	return nil
 }
 
-// SetEngine attaches a jobs engine: subsequent PrimeSims calls run
-// their grids through it (journaled, resumable, panic-isolated). Pass
-// nil to detach. Variant sub-suites never inherit the engine.
+// SetEngine attaches a jobs engine: every later grid of the suite runs
+// through it (journaled, resumable, panic-isolated, bounded by its cell
+// deadline). Pass nil to detach.
 func (s *Suite) SetEngine(eng *jobs.Engine) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.engine = eng
-}
-
-// Variant returns a cached sub-suite with a modified array configuration
-// (used by the Fig. 18-20 sweeps). The key must uniquely identify the
-// modification. The sub-suite simulates the same system as its parent —
-// the full memory configuration (access budget, caches, seeds, fault
-// settings) carries over — and follows the parent's cancellation
-// context live. Concurrent first uses of the same key share one
-// construction.
-func (s *Suite) Variant(key string, mod func(*xpoint.Config)) (*Suite, error) {
-	s.mu.Lock()
-	v, ok := s.variants[key]
-	s.mu.Unlock()
-	if ok {
-		return v, nil
-	}
-	v, _, err := s.variantFlight.Do(key, func() (*Suite, error) {
-		s.mu.Lock()
-		v, ok := s.variants[key]
-		s.mu.Unlock()
-		if ok {
-			return v, nil
-		}
-		cfg := s.Cfg
-		mod(&cfg)
-		if err := cfg.Validate(); err != nil {
-			return nil, fmt.Errorf("experiments: variant %s: %w", key, err)
-		}
-		v = newSuitePrecalibrated(cfg, 0)
-		v.MemCfg = s.MemCfg
-		v.parent = s // sub-suite sweeps honour the parent's cancellation
-		s.mu.Lock()
-		s.variants[key] = v
-		s.mu.Unlock()
-		return v, nil
-	})
-	return v, err
 }
 
 // Workloads returns the Table IV workload names in paper order.

@@ -1,10 +1,11 @@
 package experiments
 
 import (
-	"reramsim/internal/xpoint"
 	"strings"
 	"sync"
 	"testing"
+
+	"reramsim/internal/xpoint"
 )
 
 // suite is shared across the package tests: the fast-path experiments run
@@ -145,21 +146,48 @@ func TestFig15Subset(t *testing.T) {
 	}
 }
 
+// TestVariantCaching: a sweep variant's array config is the suite's
+// config with the mod applied, and what is built on it is cached like
+// the suite's own: asking for the same variant again builds no second
+// scheme and runs no second simulation.
 func TestVariantCaching(t *testing.T) {
 	s := suite()
-	v1, err := s.Variant("t256", func(c *xpoint.Config) { c.Size = 256 })
+	mod := func(c *xpoint.Config) { c.Size = 256 }
+	v1, err := s.sweepConfig(mod)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := s.Variant("t256", func(c *xpoint.Config) { c.Size = 256 })
+	v2, err := s.sweepConfig(mod)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v1 != v2 {
-		t.Error("variant suite not cached")
+		t.Errorf("one mod gave two variant configs:\n%+v\n%+v", v1, v2)
 	}
-	if v1.Cfg.Size != 256 {
-		t.Errorf("variant config size = %d", v1.Cfg.Size)
+	if v1.Size != 256 {
+		t.Errorf("variant config size = %d", v1.Size)
+	}
+	sc1, err := s.scheme(v1, "Base")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc2, err := s.scheme(v2, "Base")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc1 != sc2 {
+		t.Error("variant scheme not cached")
+	}
+	r1, err := s.sim(s.Context(), cell{v1, s.MemCfg, "Base", "mcf_m"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := s.sim(s.Context(), cell{v2, s.MemCfg, "Base", "mcf_m"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1 != r2 {
+		t.Error("variant cell not cached")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"reramsim/internal/device"
 	"reramsim/internal/xpoint"
 )
 
@@ -14,17 +15,17 @@ func sweepGmeans(t *testing.T, s *Suite, mods map[string]func(*xpoint.Config)) m
 	t.Helper()
 	out := map[string]float64{}
 	for label, mod := range mods {
-		sub, err := s.Variant(label, mod)
+		cfg, err := s.sweepConfig(mod)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// One representative write-heavy workload keeps the test fast;
 		// the full sweep runs in cmd/figures and the bench harness.
-		ref, err := sub.Sim("Hard+Sys", "mcf_m")
+		ref, err := s.sim(s.Context(), cell{cfg, s.MemCfg, "Hard+Sys", "mcf_m"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		up, err := sub.Sim("UDRVR+PR", "mcf_m")
+		up, err := s.sim(s.Context(), cell{cfg, s.MemCfg, "UDRVR+PR", "mcf_m"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,6 +46,24 @@ func TestFig18Direction(t *testing.T) {
 	})
 	if g["t-1024"] <= g["t-256"] {
 		t.Errorf("gain should grow with array size: 256 -> %.3f, 1024 -> %.3f", g["t-256"], g["t-1024"])
+	}
+}
+
+// TestFig19Direction: UDRVR+PR's advantage is smaller on the wider,
+// lower-resistance 32 nm wires than at 20 nm. Nothing is asserted about
+// 10 nm: the RESET solver's outer loop cycles there, so that row
+// follows the parity of its iteration cap.
+func TestFig19Direction(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep variants are expensive")
+	}
+	s := suite()
+	g := sweepGmeans(t, s, map[string]func(*xpoint.Config){
+		"t-32nm": func(c *xpoint.Config) { c.Rwire = device.WireResistance(device.Node32nm) },
+		"t-20nm": func(c *xpoint.Config) { c.Rwire = device.WireResistance(device.Node20nm) },
+	})
+	if g["t-32nm"] >= g["t-20nm"] {
+		t.Errorf("gain should be smaller at 32 nm than at 20 nm: 32nm -> %.3f, 20nm -> %.3f", g["t-32nm"], g["t-20nm"])
 	}
 }
 
@@ -114,11 +133,11 @@ func TestPROptimalityHeadroom(t *testing.T) {
 // constants fixed (the paper fits device constants once).
 func TestVariantKeepsDeviceConstants(t *testing.T) {
 	s := suite()
-	v, err := s.Variant("t-const", func(c *xpoint.Config) { c.Size = 256 })
+	cfg, err := s.sweepConfig(func(c *xpoint.Config) { c.Size = 256 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Cfg.Params.K != s.Cfg.Params.K || v.Cfg.Params.Trst0 != s.Cfg.Params.Trst0 {
-		t.Error("variant recalibrated the device constants")
+	if cfg.Params != s.Cfg.Params {
+		t.Errorf("variant config params = %+v, want the suite's calibrated %+v", cfg.Params, s.Cfg.Params)
 	}
 }

@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"strings"
 
 	"reramsim/internal/memsys"
 	"reramsim/internal/xpoint"
@@ -28,19 +25,4 @@ func NewWorkerSuite(cfg xpoint.Config, mem memsys.Config, solver string) (*Suite
 	s := newSuitePrecalibrated(cfg, 0)
 	s.MemCfg = mem
 	return s, nil
-}
-
-// RunCell executes one grid cell by its journal key ("scheme/workload")
-// and returns the cell's journal payload: the cell's Result marshalled
-// as JSON (SimContext + JSON marshal).
-func (s *Suite) RunCell(ctx context.Context, key string) ([]byte, error) {
-	scheme, workload, ok := strings.Cut(key, "/")
-	if !ok || scheme == "" || workload == "" {
-		return nil, fmt.Errorf("experiments: malformed cell key %q (want scheme/workload)", key)
-	}
-	r, err := s.SimContext(ctx, scheme, workload)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(r)
 }

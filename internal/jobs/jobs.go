@@ -1,6 +1,6 @@
 // Package jobs is the crash-safe sweep execution engine: it runs a grid
-// of independent cells — one (scheme, workload) simulation each — as
-// journaled jobs, so a run killed by a crash, OOM or preemption resumes
+// of independent cells — one simulation each, a scheme on a workload
+// under one array and memory configuration — as journaled jobs, so a run killed by a crash, OOM or preemption resumes
 // where it stopped instead of starting over.
 //
 // Durability: each finished cell is written to its own file in the
@@ -45,7 +45,9 @@ import (
 )
 
 // Cell is one unit of the sweep grid: a stable key (e.g.
-// "UDRVR+PR/mcf_m") and the function producing its result payload. Run
+// "UDRVR+PR/mcf_m", or "UDRVR+PR/mcf_m@" plus a config digest for a cell
+// off the sweep's own configs) and the function producing its result
+// payload. Run
 // must be deterministic in its payload bytes — the journal replays them
 // verbatim on resume — and should return promptly once ctx is done: the
 // context carries the per-cell deadline and the run's cancellation.

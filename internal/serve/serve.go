@@ -434,13 +434,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	obsSweepReqs.Inc()
 
 	budget := deadlineFor(req.DeadlineMs)
+	// A fresh job's executor holds a drain-gate unit for the job's whole
+	// life, so Drain waits for background (non-wait) jobs too. The unit
+	// is taken here, before the response goes out, so a drain that
+	// begins once the client holds the job id finds the job in flight.
+	if !s.gate.enter() {
+		obsSaturated.Inc()
+		writeError(w, http.StatusServiceUnavailable, s.adm.retryAfterSaturated(clientID(r)),
+			"draining: not accepting new work")
+		return
+	}
 	j, attached := s.reg.openOrAttach(digest, pairs, func(j *swJob) {
-		// The executor goroutine holds the drain gate for the job's whole
-		// life, so Drain waits for background (non-wait) jobs too.
-		if !s.gate.enter() {
-			j.finish(nil, errDraining)
-			return
-		}
 		defer s.gate.exit()
 		ctx, cancel := s.computeCtx(budget)
 		defer cancel()
@@ -455,6 +459,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		j.finish(rep, err)
 	})
 	if attached {
+		s.gate.exit()
 		obsDeduped.Inc()
 	}
 
