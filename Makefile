@@ -64,16 +64,17 @@ test-telemetry:
 	$(GO) test -run 'TestTelemetryE2ESmoke' ./cmd/reramsim/
 
 # The service layer under the race detector: the serve package
-# (admission shedding with 429/503 + Retry-After, dedup exactness of
-# 32 identical sweeps -> one execution, drain under load, panic
-# isolation, strict body decoding), the telemetry package the daemon
-# runs on (its one HTTP server: listener, health, readiness, metrics,
-# pprof, the SSE loop and a shutdown that ends open streams) and the
-# retry package (the jittered backoff schedule behind Retry-After and
+# (admission shedding with 429/503 + Retry-After, saturation, deadlines,
+# drain under load and forced drain of a held solve, panic isolation,
+# strict body decoding), the telemetry package the daemon runs on (its
+# one HTTP server: listener, health, readiness, metrics, pprof, the
+# /progress SSE stream and a shutdown that ends open streams) and the
+# retry package (the jittered backoff schedule behind the 429 hint and
 # journal-write retries); then the reramd daemon e2e tests (real suite
-# over HTTP, the fixed 429 bucket, six flags and one port, SIGTERM
-# drain with a decodable journaled cell, exit 0). The package tests run
-# twice in one process, as in test-telemetry.
+# over HTTP: 32 identical solves give one simulation, the fixed 429
+# bucket, five flags and one port, a SIGTERM drain that lets the
+# in-flight solve finish with 200, exit 0). The package tests run twice
+# in one process, as in test-telemetry.
 test-serve:
 	$(GO) test -race -count=2 ./internal/serve/ ./internal/telemetry/ ./internal/retry/
 	$(GO) test -race -run 'TestDaemon' ./cmd/reramd/

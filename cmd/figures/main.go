@@ -42,7 +42,7 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 
 		checkpointDir = flag.String("checkpoint-dir", "", "journal every simulation cell to this directory (crash-safe; cold start)")
-		resumeDir     = flag.String("resume", "", "resume journaled sweeps from this checkpoint directory, skipping finished cells")
+		resumeDir     = flag.String("resume", "", "resume journaled sweeps from this checkpoint directory, skipping finished cells; without -solve-cache on both runs, RESET ops the killed run priced are solved again")
 		cellTimeout   = flag.Duration("cell-timeout", 0, "per-cell deadline for every simulation cell (0 = none)")
 
 		solveCacheDir = flag.String("solve-cache", "", "directory for the persistent solve cache (default: disabled); results are identical with or without it")

@@ -2,9 +2,7 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,8 +16,6 @@ import (
 	"syscall"
 	"testing"
 	"time"
-
-	"reramsim/internal/jobs"
 )
 
 // buildDaemon compiles cmd/reramd once per test.
@@ -128,9 +124,19 @@ func (d *daemon) post(t *testing.T, path, client string, body any) (*http.Respon
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	req, err := http.NewRequest(http.MethodPost, d.base+path, bytes.NewReader(blob))
+	resp, out, err := post(d.base+path, client, blob)
 	if err != nil {
-		t.Fatalf("request: %v", err)
+		t.Fatalf("POST %s: %v", path, err)
+	}
+	return resp, out
+}
+
+// post sends blob to url as client and reads the whole answer. It
+// reports failures as an error, so a test's own goroutines can call it.
+func post(url, client string, blob []byte) (*http.Response, []byte, error) {
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(blob))
+	if err != nil {
+		return nil, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if client != "" {
@@ -138,14 +144,11 @@ func (d *daemon) post(t *testing.T, path, client string, body any) (*http.Respon
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatalf("POST %s: %v", path, err)
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("read body: %v", err)
-	}
-	return resp, out
+	return resp, out, err
 }
 
 func (d *daemon) get(t *testing.T, path string) (*http.Response, []byte) {
@@ -174,29 +177,20 @@ func metricValue(t *testing.T, text, name string) (float64, bool) {
 	return 0, false
 }
 
-// TestDaemonDedupE2E: 32 concurrent identical sweeps against the real
-// suite must execute exactly one grid — asserted both registry-exact
-// (one job id, 31 responses marked deduped) and via the serve.deduped /
-// serve.jobs_run metric series.
-func TestDaemonDedupE2E(t *testing.T) {
+// TestDaemonSolveDedupE2E: 32 concurrent identical solves, each from
+// its own client, share one simulation through the suite's per-cell
+// singleflight. Every request answers 200 with the same bytes, and the
+// daemon's memsys_reads counter equals the one result's Reads.
+func TestDaemonSolveDedupE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and drives the daemon")
 	}
 	bin := buildDaemon(t)
 	d := startDaemon(t, bin, nil, "-accesses", "2000", "-jobs", "2")
 
-	req := map[string]any{
-		"schemes":   []string{"Base", "UDRVR+PR"},
-		"workloads": []string{"mcf_m", "mil_m"},
-		"wait":      true,
-	}
+	blob := []byte(`{"scheme":"UDRVR+PR","workload":"mcf_m"}`)
 	const n = 32
-	type result struct {
-		JobID   string `json:"job_id"`
-		State   string `json:"state"`
-		Deduped bool   `json:"deduped"`
-	}
-	results := make([]result, n)
+	bodies := make([][]byte, n)
 	errs := make(chan error, n)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -205,13 +199,14 @@ func TestDaemonDedupE2E(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			resp, body := d.post(t, "/v1/sweep", fmt.Sprintf("client-%d", i), req)
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("request %d: status %d (%s)", i, resp.StatusCode, body)
-				return
-			}
-			if err := json.Unmarshal(body, &results[i]); err != nil {
+			resp, body, err := post(d.base+"/v1/solve", fmt.Sprintf("client-%d", i), blob)
+			switch {
+			case err != nil:
 				errs <- fmt.Errorf("request %d: %v", i, err)
+			case resp.StatusCode != http.StatusOK:
+				errs <- fmt.Errorf("request %d: status %d (%s)", i, resp.StatusCode, body)
+			default:
+				bodies[i] = body
 			}
 		}(i)
 	}
@@ -221,29 +216,19 @@ func TestDaemonDedupE2E(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-
-	deduped := 0
-	for i, r := range results {
-		if r.State != "done" {
-			t.Fatalf("request %d: state %q, want done", i, r.State)
-		}
-		if r.JobID != results[0].JobID {
-			t.Fatalf("requests split across jobs: %q vs %q", r.JobID, results[0].JobID)
-		}
-		if r.Deduped {
-			deduped++
+	for i, body := range bodies {
+		if !bytes.Equal(body, bodies[0]) {
+			t.Fatalf("request %d answered different bytes:\n%s\nvs request 0:\n%s", i, body, bodies[0])
 		}
 	}
-	if deduped != n-1 {
-		t.Fatalf("%d responses deduped, want exactly %d", deduped, n-1)
-	}
 
+	var out struct{ Result struct{ Reads uint64 } }
+	if err := json.Unmarshal(bodies[0], &out); err != nil || out.Result.Reads == 0 {
+		t.Fatalf("result does not decode with reads (reads %d, err %v): %.200s", out.Result.Reads, err, bodies[0])
+	}
 	_, metrics := d.get(t, "/metrics")
-	if v, ok := metricValue(t, string(metrics), "serve_jobs_run"); !ok || v != 1 {
-		t.Fatalf("serve_jobs_run = %v (found=%v), want exactly 1", v, ok)
-	}
-	if v, ok := metricValue(t, string(metrics), "serve_deduped"); !ok || v != n-1 {
-		t.Fatalf("serve_deduped = %v (found=%v), want %d", v, ok, n-1)
+	if v, ok := metricValue(t, string(metrics), "memsys_reads"); !ok || v != float64(out.Result.Reads) {
+		t.Fatalf("memsys_reads = %v (found=%v), want %d: one simulation for %d requests", v, ok, out.Result.Reads, n)
 	}
 }
 
@@ -291,7 +276,7 @@ func TestDaemonShedE2E(t *testing.T) {
 	}
 }
 
-// TestDaemonOneSurfaceE2E: reramd has six flags and one port, which
+// TestDaemonOneSurfaceE2E: reramd has five flags and one port, which
 // answers the operational endpoints beside the API.
 func TestDaemonOneSurfaceE2E(t *testing.T) {
 	if testing.Short() {
@@ -308,7 +293,7 @@ func TestDaemonOneSurfaceE2E(t *testing.T) {
 			flags = append(flags, strings.Fields(line)[0])
 		}
 	}
-	want := []string{"-accesses", "-addr", "-checkpoint-root", "-jobs", "-solve-cache", "-trace-spans"}
+	want := []string{"-accesses", "-addr", "-jobs", "-solve-cache", "-trace-spans"}
 	if !slices.Equal(flags, want) {
 		t.Fatalf("reramd -h lists %v, want %v", flags, want)
 	}
@@ -374,32 +359,44 @@ func TestDaemonSolveDeadlineE2E(t *testing.T) {
 	}
 }
 
-// TestDaemonDrainE2E: SIGTERM mid-sweep drains gracefully — new
-// requests are refused with 503, the in-flight sweep finishes and its
-// journal is on disk, and the process exits 0.
+// TestDaemonDrainE2E: SIGTERM while a solve holds its compute slot
+// drains gracefully. /readyz and new solves answer 503 with
+// Retry-After, the in-flight solve answers 200 with its result, and the
+// process exits 0.
 func TestDaemonDrainE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and drives the daemon")
 	}
 	bin := buildDaemon(t)
-	root := t.TempDir()
-	// -jobs 1 serialises the grid so the sweep reliably outlives the
-	// SIGTERM we send right after submission.
-	d := startDaemon(t, bin, nil, "-accesses", "20000", "-jobs", "1", "-checkpoint-root", root)
+	// A cold UDRVR+PR/mcf_m solve at 120,000 accesses runs ~2.8 s on a
+	// 2-vCPU host (TestDaemonSolveDeadlineE2E), so the signal lands
+	// while it runs.
+	d := startDaemon(t, bin, nil, "-accesses", "120000")
 
-	resp, body := d.post(t, "/v1/sweep", "", map[string]any{
-		"schemes":   []string{"Base", "DRVR", "UDRVR+PR"},
-		"workloads": []string{"mcf_m", "mil_m"},
-	})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d (%s)", resp.StatusCode, body)
+	type answer struct {
+		status int
+		body   []byte
+		err    error
 	}
-	var doc struct {
-		JobID  string `json:"job_id"`
-		Digest string `json:"digest"`
-	}
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatalf("submit doc: %v", err)
+	inflight := make(chan answer, 1)
+	go func() {
+		resp, body, err := post(d.base+"/v1/solve", "", []byte(`{"scheme":"UDRVR+PR","workload":"mcf_m"}`))
+		a := answer{body: body, err: err}
+		if resp != nil {
+			a.status = resp.StatusCode
+		}
+		inflight <- a
+	}()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		_, metrics := d.get(t, "/metrics")
+		if v, ok := metricValue(t, string(metrics), "serve_inflight"); ok && v == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the solve never held a compute slot")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
@@ -408,9 +405,9 @@ func TestDaemonDrainE2E(t *testing.T) {
 
 	// While draining, readiness and new compute must both answer 503.
 	// The flip happens moments after signal delivery, so poll for it.
-	deadline := time.Now().Add(5 * time.Second)
+	deadline = time.Now().Add(5 * time.Second)
 	for {
-		resp, _ = d.get(t, "/readyz")
+		resp, _ := d.get(t, "/readyz")
 		if resp.StatusCode == http.StatusServiceUnavailable {
 			break
 		}
@@ -419,7 +416,7 @@ func TestDaemonDrainE2E(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	resp, _ = d.post(t, "/v1/solve", "", map[string]any{"scheme": "Base", "workload": "mcf_m"})
+	resp, _ := d.post(t, "/v1/solve", "", map[string]any{"scheme": "Base", "workload": "mcf_m"})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("compute during drain: %d, want 503", resp.StatusCode)
 	}
@@ -427,40 +424,20 @@ func TestDaemonDrainE2E(t *testing.T) {
 		t.Fatal("drain 503 carried no Retry-After")
 	}
 
+	a := <-inflight
+	if a.err != nil || a.status != http.StatusOK {
+		t.Fatalf("in-flight solve across the drain: status %d, err %v (%.200s), want 200", a.status, a.err, a.body)
+	}
+	var out struct{ Result struct{ IPC float64 } }
+	if err := json.Unmarshal(a.body, &out); err != nil || out.Result.IPC <= 0 {
+		t.Fatalf("in-flight solve's answer is not a result (IPC %g, err %v): %.200s", out.Result.IPC, err, a.body)
+	}
 	if err := d.wait(); err != nil {
 		t.Fatalf("daemon exit after SIGTERM: %v; stderr:\n%s", err, d.stderr.String())
 	}
 	stderr := d.stderr.String()
 	if !strings.Contains(stderr, "draining") || !strings.Contains(stderr, "drained cleanly") {
 		t.Fatalf("stderr lacks the drain narrative:\n%s", stderr)
-	}
-	// The in-flight sweep checkpointed: its per-digest journal resumes
-	// with at least one completed cell, and every resumed payload is a
-	// result.
-	eng, err := jobs.Open(jobs.Options{Dir: filepath.Join(root, doc.Digest), Digest: doc.Digest, Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cells []jobs.Cell
-	for _, sc := range []string{"Base", "DRVR", "UDRVR+PR"} {
-		for _, w := range []string{"mcf_m", "mil_m"} {
-			cells = append(cells, jobs.Cell{Key: sc + "/" + w, Run: func(context.Context) ([]byte, error) {
-				return nil, errors.New("not in the journal")
-			}})
-		}
-	}
-	rep, err := eng.Run(context.Background(), cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Resumed) == 0 {
-		t.Fatalf("no completed cell in the drained sweep's journal (quarantined: %v)", rep.Quarantined)
-	}
-	for _, key := range rep.Resumed {
-		var r struct{ IPC float64 }
-		if err := json.Unmarshal(rep.Done[key], &r); err != nil || r.IPC <= 0 {
-			t.Errorf("journaled %s does not decode as a result (IPC %g, err %v): %.200s", key, r.IPC, err, rep.Done[key])
-		}
 	}
 }
 

@@ -1,14 +1,15 @@
 // Command reramd serves the calibrated reramsim suite as a hardened
-// HTTP daemon: POST /v1/solve and /v1/sweep with admission control
-// (per-client token buckets, bounded queue, 429/503 + Retry-After),
-// per-request deadlines (504), content-addressed dedup of identical
-// in-flight sweeps, panic isolation, and graceful drain on
-// SIGINT/SIGTERM (in-flight work checkpoints, then exit 0). One port
-// serves it all: the /v1 API beside /healthz, /readyz, /metrics and
+// HTTP daemon: POST /v1/solve answers one (scheme, workload) cell, with
+// admission control (per-client token buckets, bounded queue, 429/503
+// + Retry-After), per-request deadlines (504), one shared simulation
+// for identical in-flight solves, panic isolation, and graceful drain
+// on SIGINT/SIGTERM (in-flight solves finish, then exit 0). A client
+// that wants a grid sends its cells as concurrent solves. One port
+// serves it all: the API beside /healthz, /readyz, /metrics and
 // /debug/pprof/. The intake, deadline and drain policy is fixed, not
 // flag-set (DESIGN §13).
 //
-//	reramd -addr localhost:8080 -checkpoint-root /var/lib/reramd
+//	reramd -addr localhost:8080 -solve-cache /var/cache/reramsim
 //
 // Exit status: 0 after a clean (or forced-but-successful) drain, 1 on
 // startup or serve failure, 130 on a second signal before the drain
@@ -47,9 +48,8 @@ func run() int {
 		accesses = flag.Int("accesses", 20000, "memory accesses simulated per core")
 		jobsFlag = flag.Int("jobs", 0, "max parallel solves (0 = GOMAXPROCS)")
 
-		checkpointRoot = flag.String("checkpoint-root", "", "journal each sweep under <root>/<digest>/ (crash-safe; identical re-requested sweeps resume)")
-		solveCacheDir  = flag.String("solve-cache", "", "directory for the persistent solve cache (default: disabled)")
-		traceSpans     = flag.String("trace-spans", "", "write hierarchical spans as a Chrome trace-event file (load in ui.perfetto.dev)")
+		solveCacheDir = flag.String("solve-cache", "", "directory for the persistent solve cache (default: disabled)")
+		traceSpans    = flag.String("trace-spans", "", "write hierarchical spans as a Chrome trace-event file (load in ui.perfetto.dev)")
 	)
 	flag.Parse()
 
@@ -79,7 +79,7 @@ func run() int {
 
 	srv, err := serve.Start(serve.Options{
 		Addr:    *addr,
-		Backend: &serve.SuiteBackend{Suite: suite, CheckpointRoot: *checkpointRoot},
+		Backend: &serve.SuiteBackend{Suite: suite},
 		// Test hook for the panic-isolation e2e; unset in production.
 		TestPanicWorkload: os.Getenv("RERAMD_PANIC_WORKLOAD"),
 	})
@@ -95,7 +95,7 @@ func run() int {
 	fmt.Fprintf(os.Stderr, "reramd: serving on http://%s\n", srv.Addr())
 
 	s := <-sig
-	fmt.Fprintf(os.Stderr, "reramd: %v: draining (in-flight work finishes and checkpoints; new requests get 503)\n", s)
+	fmt.Fprintf(os.Stderr, "reramd: %v: draining (in-flight solves finish; new requests get 503)\n", s)
 
 	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()

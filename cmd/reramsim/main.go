@@ -71,7 +71,7 @@ func main() {
 		jobsFlag = flag.Int("jobs", 0, "max parallel simulations/solves (0 = GOMAXPROCS); output is identical at any setting")
 
 		checkpointDir = flag.String("checkpoint-dir", "", "journal sweep cells to this directory (crash-safe; cold start)")
-		resumeDir     = flag.String("resume", "", "resume a journaled sweep from this checkpoint directory, skipping finished cells")
+		resumeDir     = flag.String("resume", "", "resume a journaled sweep from this checkpoint directory, skipping finished cells; without -solve-cache on both runs, RESET ops the killed run priced are solved again")
 		cellTimeout   = flag.Duration("cell-timeout", 0, "per-cell deadline in a sweep (0 = none); an exceeded cell is quarantined, not fatal")
 
 		solveCacheDir = flag.String("solve-cache", "", "directory for the persistent solve cache (default: disabled); results are identical with or without it")

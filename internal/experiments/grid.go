@@ -12,9 +12,9 @@ import (
 )
 
 // key names a cell in journals, cell spans and reports. A cell on the
-// suite's own configs is "scheme/workload", so reramsim's and reramd's
-// keys and the journals written before every figure ran as cells stay
-// as they were. Any other cell appends "@" and 12 hex digits of the
+// suite's own configs is "scheme/workload", so reramsim's keys and the
+// journals written before every figure ran as cells stay as they
+// were. Any other cell appends "@" and 12 hex digits of the
 // SHA-256 of its JSON-encoded (array, memory) configs.
 func (s *Suite) key(c cell) (string, error) {
 	k := c.Scheme + "/" + c.Workload
@@ -59,10 +59,9 @@ func (s *Suite) GridDigest(pairs []SimPair) (string, error) {
 
 // RunGridContext executes the pairs on the suite's own configs through
 // eng under ctx, as journaled cells keyed "scheme/workload", and
-// returns the engine's report. ctx may bound a run tighter than the
-// suite's own lifetime: the reramd daemon passes each request's
-// deadline, so one slow client's sweep times out without touching the
-// suite-wide context shared by every other request.
+// returns the engine's report. ctx stops the grid's running cells
+// inside their event loops; reramsim passes the context its SIGINT and
+// SIGTERM handler cancels.
 func (s *Suite) RunGridContext(ctx context.Context, eng *jobs.Engine, pairs []SimPair) (*jobs.Report, error) {
 	return s.runCells(ctx, eng, cells(s.Cfg, s.MemCfg, pairs))
 }

@@ -1,8 +1,8 @@
 // Package retry is the repository's single definition of the
 // capped-exponential-backoff-with-deterministic-jitter policy. The jobs
 // engine uses it to space the retries of a failed journal write; the
-// reramd daemon uses the same math to compute Retry-After hints for shed
-// clients, so retrying clients and retrying journal writes spread out
+// reramd daemon uses the same math to compute the Retry-After hint of a
+// 429, so retrying clients and retrying journal writes spread out
 // the same way and the policy exists in exactly one place.
 //
 // The jitter is deterministic in (key, attempt): no global RNG, so

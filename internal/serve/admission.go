@@ -14,10 +14,9 @@ import (
 // and only tests set fields, to make shedding reachable in a handful of
 // requests.
 type admissionConfig struct {
-	// maxInflight bounds concurrently executing compute requests (solve
-	// calls and sweep jobs): 2 x GOMAXPROCS — the underlying solver pool
-	// is GOMAXPROCS-wide, so more in-flight work only adds queueing
-	// inside the process.
+	// maxInflight bounds concurrently executing solves: 2 x GOMAXPROCS
+	// — the underlying solver pool is GOMAXPROCS-wide, so more
+	// in-flight work only adds queueing inside the process.
 	maxInflight int
 	// maxQueue bounds requests parked waiting for a slot; one past it is
 	// shed with 503. 64.
@@ -198,10 +197,10 @@ func (a *admission) releaseFn() func() {
 	}
 }
 
-// retryAfterSaturated is the hint attached to 503 shed responses: the
-// shared backoff policy keyed by client, escalating with the queue
-// pressure is not tracked per client here, so attempt 0 — the jitter
-// alone already de-synchronises the herd.
-func (a *admission) retryAfterSaturated(client string) time.Duration {
-	return a.cfg.queueWait/2 + retry.Delay("saturated/"+client, 0)
+// retryAfterSaturated is the hint attached to every 503 (a full queue,
+// a queue wait that ran out, a drain): half the queue wait, the same
+// for every client. Rounded up to whole seconds it reads 3 under the
+// fixed policy. Only the 429 hint is jittered per client (allow).
+func (a *admission) retryAfterSaturated() time.Duration {
+	return a.cfg.queueWait / 2
 }

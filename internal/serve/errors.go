@@ -8,16 +8,13 @@ import (
 	"net/http"
 	"strconv"
 	"time"
-
-	"reramsim/internal/jobs"
 )
 
 // DeadlineError is the cancellation cause installed on every
 // per-request compute context. It matches
 // errors.Is(err, context.DeadlineExceeded), so anything downstream that
-// already classifies deadline errors (the jobs engine, par.ForEach)
-// keeps working, while the HTTP layer maps it to 504 with the budget
-// that was exceeded.
+// already classifies deadline errors keeps working, while the HTTP
+// layer maps it to 504 with the budget that was exceeded.
 type DeadlineError struct {
 	Budget time.Duration
 }
@@ -64,15 +61,14 @@ func writeError(w http.ResponseWriter, status int, retryAfter time.Duration, for
 
 // statusFromErr maps an execution error onto the HTTP contract:
 //
-//	504 — the request's own deadline fired (typed *DeadlineError, a
-//	      cell timeout, or a bare context.DeadlineExceeded)
+//	504 — the request's own deadline fired (typed *DeadlineError or a
+//	      bare context.DeadlineExceeded)
 //	503 — the server is draining or saturated (retryable elsewhere/later)
 //	500 — anything else (a genuine backend failure)
 func statusFromErr(err error) int {
 	var de *DeadlineError
-	var te *jobs.ErrCellTimeout
 	switch {
-	case errors.As(err, &de), errors.As(err, &te), errors.Is(err, context.DeadlineExceeded):
+	case errors.As(err, &de), errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, errDraining), errors.Is(err, errSaturated), errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable

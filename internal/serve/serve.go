@@ -1,38 +1,32 @@
 // Package serve is the API of the reramd simulation-as-a-service
 // daemon, mounted on the telemetry server (package telemetry), which
-// owns the listener, /healthz, /readyz, /metrics, /debug/pprof/ and the
-// SSE loop. The compute underneath (calibrated suite, journaled jobs,
-// content-addressed caches, bounded worker pool) already exists; this
-// package is deliberately only the robustness spine wrapped around it:
+// owns the listener, /healthz, /readyz, /metrics and /debug/pprof/.
+// Its one endpoint, POST /v1/solve, answers one (scheme, workload) cell
+// of a calibrated suite. The compute underneath (calibrated suite,
+// per-cell singleflight, content-addressed caches, bounded worker pool)
+// already exists; this package is deliberately only the robustness
+// spine wrapped around it:
 //
 //   - Admission control: per-client token buckets (fair queuing by
 //     client identity) in front of a bounded compute queue. Over-quota
-//     clients are shed with 429, a saturated queue sheds with 503, and
-//     both carry Retry-After hints computed from the shared
-//     internal/retry backoff+jitter schedule. The intake policy is
-//     fixed (see admissionConfig).
-//   - Deadlines: every compute request runs under a context deadline
-//     (its own, capped at 10m, or a 1m default), installed with a typed
-//     cause and mapped to 504. The deadline propagates as plain context
-//     through Suite -> jobs -> the memsys event loop, which polls it
-//     every 4,096 events, so a timed-out solve stops mid-simulation and
-//     a timed-out sweep checkpoints what it finished.
-//   - In-flight dedup: sweep requests are identified by the suite's
-//     content-addressed grid digest; identical concurrent requests
-//     attach to one running job, so N clients asking the same question
-//     cost one grid execution (and the suite's own singleflight dedups
-//     at the cell level below that).
+//     clients are shed with 429 and a Retry-After hint from the shared
+//     internal/retry backoff+jitter schedule; a saturated queue sheds
+//     with 503 and a fixed hint. The intake policy is fixed (see
+//     admissionConfig).
+//   - Deadlines: every solve runs under a context deadline (its own,
+//     capped at 10m, or a 1m default), installed with a typed cause and
+//     mapped to 504. The deadline propagates as plain context through
+//     the Suite to the memsys event loop, which polls it every 4,096
+//     events, so a timed-out solve stops mid-simulation.
+//   - Shared runs: identical in-flight solves share one simulation
+//     through the suite's per-cell singleflight, so N clients asking
+//     the same question cost one run. A client that wants a grid sends
+//     its cells as concurrent solves.
 //   - Panic isolation: a panicking handler is quarantined by recovery
 //     middleware — stack logged, 500 returned, process still serving.
 //   - Graceful drain: Drain refuses new compute, flips /readyz to 503,
-//     waits for in-flight requests and jobs (which checkpoint through
-//     the normal journal machinery), then force-cancels stragglers and
+//     waits for in-flight solves, then force-cancels stragglers and
 //     stops the server.
-//
-// Endpoints: POST /v1/solve, POST /v1/sweep, GET /v1/jobs and
-// /v1/jobs/{id} (JSON, ?wait=1, or SSE with ?stream=1), beside the
-// telemetry server's own, so one port is fully operable behind a load
-// balancer.
 package serve
 
 import (
@@ -44,11 +38,9 @@ import (
 	"net/http"
 	"os"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"time"
 
-	"reramsim/internal/experiments"
 	"reramsim/internal/telemetry"
 )
 
@@ -79,10 +71,10 @@ const (
 	maxDeadline     = 10 * time.Minute
 )
 
-// drainGate counts in-flight compute requests and job executors, and
-// atomically flips to "draining": once flipped, enter fails (the
-// request is shed with 503) and the channel from beginDrain closes when
-// the last unit leaves. It is the server's one drain state.
+// drainGate counts in-flight compute requests and atomically flips to
+// "draining": once flipped, enter fails (the request is shed with 503)
+// and the channel from beginDrain closes when the last unit leaves. It
+// is the server's one drain state.
 type drainGate struct {
 	mu       sync.Mutex
 	draining bool
@@ -141,11 +133,10 @@ type Server struct {
 	http *telemetry.Server
 
 	adm  *admission
-	reg  *jobRegistry
 	gate *drainGate
 
 	// baseCtx parents every compute context, so one cancel (forced
-	// drain) reaches every in-flight solve and sweep.
+	// drain) reaches every in-flight solve.
 	baseCtx    context.Context
 	baseCancel context.CancelCauseFunc
 }
@@ -164,20 +155,13 @@ func Start(opts Options) (*Server, error) {
 	s := &Server{
 		opts:       opts,
 		adm:        newAdmission(opts.admission),
-		reg:        newJobRegistry(),
 		gate:       &drainGate{},
 		baseCtx:    ctx,
 		baseCancel: cancel,
 	}
 	srv, err := telemetry.Start(opts.Addr,
 		telemetry.Route{Pattern: "POST /v1/solve", Doc: "one (scheme, workload) simulation",
-			Handler: s.compute(s.handleSolve)},
-		telemetry.Route{Pattern: "POST /v1/sweep", Doc: "a schemes x workloads grid (dedup'd, journaled)",
-			Handler: s.compute(s.handleSweep)},
-		telemetry.Route{Pattern: "GET /v1/jobs", Doc: "sweep jobs",
-			Handler: s.recovered(s.handleJobsList)},
-		telemetry.Route{Pattern: "GET /v1/jobs/{id}", Doc: "one job (?wait=1 blocks; ?stream=1 for SSE)",
-			Handler: s.recovered(s.handleJob)})
+			Handler: s.compute(s.handleSolve)})
 	if err != nil {
 		cancel(errDraining)
 		return nil, err
@@ -197,12 +181,11 @@ func (s *Server) SetReady(ready bool) { s.http.SetReady(ready) }
 //
 //  1. New compute requests are refused (503 + Retry-After) and /readyz
 //     goes 503 — load balancers stop routing here.
-//  2. In-flight requests and sweep jobs run to completion; finished
-//     cells checkpoint through the normal journal machinery.
-//  3. When ctx expires first, the base context is cancelled: engines
-//     observe it and return (their finished cells are already on
-//     disk).
-//  4. SSE streams end and the listener shuts down.
+//  2. In-flight solves run to completion.
+//  3. When ctx expires first, the base context is cancelled: running
+//     simulations stop inside their event loop, and their requests
+//     answer 503.
+//  4. The listener shuts down.
 //
 // Idempotent; concurrent calls share one drain. The error reports a
 // forced (rather than clean) drain.
@@ -218,8 +201,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	select {
 	case <-idle:
 	case <-ctx.Done():
-		// Too slow: cut the compute off underneath. Cells already
-		// finished are journaled; the rest stop inside their event loop.
+		// Too slow: cut the compute off underneath. Running
+		// simulations stop inside their event loop.
 		fmt.Fprintf(s.opts.log, "serve: drain deadline reached; cancelling in-flight work\n")
 		s.baseCancel(errDraining)
 		forceCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -230,15 +213,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		}
 		cancel()
 	}
-	// Jobs spawned by non-waiting requests also hold the gate, but wait
-	// for the registry too in case a job executor outlives its request
-	// bookkeeping.
-	regCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	if werr := s.reg.wait(regCtx); werr != nil && err == nil {
-		err = fmt.Errorf("serve: drain: job executors still running: %w", werr)
-	}
-	cancel()
-
 	s.baseCancel(errDraining) // nothing new may use the base context
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -300,7 +274,7 @@ func (s *Server) compute(h http.HandlerFunc) http.HandlerFunc {
 		client := clientID(r)
 		if !s.gate.enter() {
 			obsSaturated.Inc()
-			writeError(w, http.StatusServiceUnavailable, s.adm.retryAfterSaturated(client),
+			writeError(w, http.StatusServiceUnavailable, s.adm.retryAfterSaturated(),
 				"draining: not accepting new work")
 			return
 		}
@@ -391,120 +365,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, solveResponse{Scheme: req.Scheme, Workload: req.Workload, Result: result})
 }
 
-type sweepRequest struct {
-	Schemes    []string `json:"schemes"`
-	Workloads  []string `json:"workloads"`
-	DeadlineMs int64    `json:"deadline_ms,omitempty"`
-	// Wait blocks the response until the job finishes (bounded by the
-	// request deadline) instead of returning 202 immediately.
-	Wait bool `json:"wait,omitempty"`
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req sweepRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	if len(req.Schemes) == 0 || len(req.Workloads) == 0 {
-		writeError(w, http.StatusBadRequest, 0, "schemes and workloads must both be non-empty")
-		return
-	}
-	for _, sc := range req.Schemes {
-		for _, wl := range req.Workloads {
-			if err := s.opts.Backend.Validate(sc, wl); err != nil {
-				writeError(w, http.StatusBadRequest, 0, "%v", err)
-				return
-			}
-			if s.opts.TestPanicWorkload != "" && wl == s.opts.TestPanicWorkload {
-				panic("serve: injected test panic for workload " + wl)
-			}
-		}
-	}
-	pairs := make([]experiments.SimPair, 0, len(req.Schemes)*len(req.Workloads))
-	for _, sc := range req.Schemes {
-		for _, wl := range req.Workloads {
-			pairs = append(pairs, experiments.SimPair{Scheme: sc, Workload: wl})
-		}
-	}
-	digest, err := s.opts.Backend.Digest(pairs)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, 0, "digest: %v", err)
-		return
-	}
-	obsSweepReqs.Inc()
-
-	budget := deadlineFor(req.DeadlineMs)
-	// A fresh job's executor holds a drain-gate unit for the job's whole
-	// life, so Drain waits for background (non-wait) jobs too. The unit
-	// is taken here, before the response goes out, so a drain that
-	// begins once the client holds the job id finds the job in flight.
-	if !s.gate.enter() {
-		obsSaturated.Inc()
-		writeError(w, http.StatusServiceUnavailable, s.adm.retryAfterSaturated(clientID(r)),
-			"draining: not accepting new work")
-		return
-	}
-	j, attached := s.reg.openOrAttach(digest, pairs, func(j *swJob) {
-		defer s.gate.exit()
-		ctx, cancel := s.computeCtx(budget)
-		defer cancel()
-		release, err := s.adm.slot(ctx)
-		if err != nil {
-			j.finish(nil, err)
-			return
-		}
-		defer release()
-		obsJobsRun.Inc()
-		rep, err := s.opts.Backend.Sweep(ctx, digest, pairs, j.setProgress)
-		j.finish(rep, err)
-	})
-	if attached {
-		s.gate.exit()
-		obsDeduped.Inc()
-	}
-
-	if !req.Wait {
-		doc := j.doc(false)
-		doc.Deduped = attached
-		writeJSON(w, http.StatusAccepted, doc)
-		return
-	}
-	// Waiting requests are bounded by their own deadline, not the job's:
-	// a parked waiter that gives up leaves the job running for everyone
-	// else.
-	waitCtx, cancel := context.WithTimeoutCause(r.Context(), budget, &DeadlineError{Budget: budget})
-	defer cancel()
-	select {
-	case <-j.done:
-		doc := j.doc(true)
-		doc.Deduped = attached
-		writeJSON(w, s.statusForJob(&doc), doc)
-	case <-waitCtx.Done():
-		s.writeComputeErr(w, context.Cause(waitCtx))
-	}
-}
-
-// statusForJob maps a finished job document to a response status: a
-// failed run surfaces its error's status, everything else (done,
-// partial) is 200 and the document's state field tells the rest.
-func (s *Server) statusForJob(doc *jobDoc) int {
-	if doc.State != JobFailed {
-		return http.StatusOK
-	}
-	j := s.reg.get(doc.JobID)
-	if j == nil {
-		return http.StatusInternalServerError
-	}
-	j.mu.Lock()
-	err := j.err
-	j.mu.Unlock()
-	st := statusFromErr(err)
-	if st == http.StatusGatewayTimeout {
-		obsTimeouts.Inc()
-	}
-	return st
-}
-
 func (s *Server) writeComputeErr(w http.ResponseWriter, err error) {
 	st := statusFromErr(err)
 	switch st {
@@ -512,62 +372,10 @@ func (s *Server) writeComputeErr(w http.ResponseWriter, err error) {
 		obsTimeouts.Inc()
 	case http.StatusServiceUnavailable:
 		obsSaturated.Inc()
-		writeError(w, st, s.adm.retryAfterSaturated("retry"), "%v", err)
+		writeError(w, st, s.adm.retryAfterSaturated(), "%v", err)
 		return
 	}
 	writeError(w, st, 0, "%v", err)
-}
-
-func (s *Server) handleJobsList(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.reg.list()})
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	j := s.reg.get(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, 0, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	q := r.URL.Query()
-	if q.Get("stream") != "" || strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
-		streamJob(w, r, j)
-		return
-	}
-	if q.Get("wait") != "" {
-		waitCtx, cancel := context.WithTimeout(r.Context(), defaultDeadline)
-		defer cancel()
-		select {
-		case <-j.done:
-		case <-waitCtx.Done():
-			// fall through: report whatever state the job is in now
-		}
-	}
-	doc := j.doc(true)
-	writeJSON(w, http.StatusOK, doc)
-}
-
-// streamInterval is the SSE poll period for /v1/jobs streams.
-const streamInterval = 250 * time.Millisecond
-
-// streamJob pushes the job as SSE: a "progress" snapshot immediately
-// and on every progress epoch change, and a final "result" document
-// (with cell payloads) when the job finishes. The stream ends at client
-// disconnect, job completion or server shutdown.
-func streamJob(w http.ResponseWriter, r *http.Request, j *swJob) {
-	obsSSEOpened.Inc()
-	telemetry.Stream(w, r, streamInterval, j.done, func() (string, any, uint64, bool) {
-		select {
-		case <-j.done:
-			return "result", j.doc(true), 0, true
-		default:
-		}
-		doc := j.doc(false)
-		var epoch uint64
-		if doc.Progress != nil {
-			epoch = doc.Progress.Epoch
-		}
-		return "progress", doc, epoch, false
-	})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

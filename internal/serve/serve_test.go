@@ -1,41 +1,27 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
-
-	"reramsim/internal/experiments"
-	"reramsim/internal/jobs"
-	"reramsim/internal/obs"
 )
 
-// stubBackend is a controllable Backend double: per-call latency, a
-// barrier that holds sweeps open, and exact execution counters — the
-// instrument the dedup-exactness and drain tests read.
+// stubBackend is a controllable Backend double: per-call latency and a
+// barrier that holds solves open.
 type stubBackend struct {
 	solveDelay time.Duration
-	sweepDelay time.Duration
-	// sweepGate, when non-nil, blocks every sweep until closed (or the
-	// sweep's ctx dies) — holds work in flight for drain/saturation tests.
-	sweepGate chan struct{}
-	// sweepStarted, when non-nil, receives one value per sweep execution
-	// as it begins.
-	sweepStarted chan struct{}
-
-	solves atomic.Int64
-	sweeps atomic.Int64
+	// solveGate, when non-nil, blocks every solve until closed (or the
+	// solve's ctx dies) — holds work in flight for drain/saturation tests.
+	solveGate chan struct{}
+	// solveStarted, when non-nil, receives one value per solve as it
+	// begins.
+	solveStarted chan struct{}
 }
 
 func (b *stubBackend) Validate(scheme, workload string) error {
@@ -45,16 +31,17 @@ func (b *stubBackend) Validate(scheme, workload string) error {
 	return nil
 }
 
-func (b *stubBackend) Digest(pairs []experiments.SimPair) (string, error) {
-	h := sha256.New()
-	for _, p := range pairs {
-		fmt.Fprintf(h, "%s\x00%s\x00", p.Scheme, p.Workload)
-	}
-	return "stub-" + hex.EncodeToString(h.Sum(nil)), nil
-}
-
 func (b *stubBackend) Solve(ctx context.Context, scheme, workload string) (json.RawMessage, error) {
-	b.solves.Add(1)
+	if b.solveStarted != nil {
+		b.solveStarted <- struct{}{}
+	}
+	if b.solveGate != nil {
+		select {
+		case <-b.solveGate:
+		case <-ctx.Done():
+			return nil, context.Cause(ctx)
+		}
+	}
 	if b.solveDelay > 0 {
 		t := time.NewTimer(b.solveDelay)
 		defer t.Stop()
@@ -65,41 +52,6 @@ func (b *stubBackend) Solve(ctx context.Context, scheme, workload string) (json.
 		}
 	}
 	return json.Marshal(map[string]string{"scheme": scheme, "workload": workload})
-}
-
-func (b *stubBackend) Sweep(ctx context.Context, digest string, pairs []experiments.SimPair,
-	onProgress func(func() jobs.Progress)) (*jobs.Report, error) {
-	b.sweeps.Add(1)
-	if b.sweepStarted != nil {
-		b.sweepStarted <- struct{}{}
-	}
-	if onProgress != nil {
-		total := len(pairs)
-		onProgress(func() jobs.Progress { return jobs.Progress{Total: total} })
-	}
-	if b.sweepGate != nil {
-		select {
-		case <-b.sweepGate:
-		case <-ctx.Done():
-			return nil, context.Cause(ctx)
-		}
-	}
-	if b.sweepDelay > 0 {
-		t := time.NewTimer(b.sweepDelay)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			return nil, context.Cause(ctx)
-		}
-	}
-	rep := &jobs.Report{Done: make(map[string][]byte, len(pairs))}
-	for _, p := range pairs {
-		key := p.Scheme + "/" + p.Workload
-		rep.Done[key] = []byte(fmt.Sprintf(`{"cell":%q}`, key))
-		rep.Executed = append(rep.Executed, key)
-	}
-	return rep, nil
 }
 
 func startTestServer(t *testing.T, b Backend, mod func(*Options)) *Server {
@@ -166,6 +118,24 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 		t.Fatalf("read body: %v", err)
 	}
 	return resp, out
+}
+
+// solveAsync posts one solve from its own goroutine. The channel yields
+// the response status once the request finishes, or 0 on a transport
+// error.
+func solveAsync(url string) <-chan int {
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(url, "application/json", strings.NewReader(`{"scheme":"A","workload":"w"}`))
+		if err != nil {
+			status <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	return status
 }
 
 func TestSolveOK(t *testing.T) {
@@ -296,7 +266,7 @@ func TestAdmissionForgetsFullBuckets(t *testing.T) {
 // the next request must shed immediately with 503 + Retry-After.
 func TestSaturation503(t *testing.T) {
 	gate := make(chan struct{})
-	b := &stubBackend{sweepGate: gate, sweepStarted: make(chan struct{}, 8)}
+	b := &stubBackend{solveGate: gate, solveStarted: make(chan struct{}, 2)}
 	s := startTestServer(t, b, func(o *Options) {
 		o.admission = admissionConfig{
 			maxInflight: 1, maxQueue: 1, queueWait: 30 * time.Second,
@@ -304,22 +274,13 @@ func TestSaturation503(t *testing.T) {
 		}
 	})
 	solveURL := "http://" + s.Addr() + "/v1/solve"
-	sweepURL := "http://" + s.Addr() + "/v1/sweep"
 
-	// Occupy the only slot with a gated sweep job...
-	resp, body := postJSON(t, sweepURL, "", map[string]any{
-		"schemes": []string{"A"}, "workloads": []string{"w"}})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("sweep submit: %d (%s)", resp.StatusCode, body)
-	}
-	<-b.sweepStarted // slot held
+	// Occupy the only slot with a gated solve...
+	running := solveAsync(solveURL)
+	<-b.solveStarted // slot held
 
 	// ...park one solve in the queue (it will wait on QueueWait)...
-	queued := make(chan struct{})
-	go func() {
-		defer close(queued)
-		postJSON(t, solveURL, "", map[string]any{"scheme": "A", "workload": "w"})
-	}()
+	queued := solveAsync(solveURL)
 	deadline := time.Now().Add(5 * time.Second)
 	for s.adm.queuedNow() == 0 {
 		if time.Now().After(deadline) {
@@ -329,7 +290,7 @@ func TestSaturation503(t *testing.T) {
 	}
 
 	// ...and the next one must bounce with 503 + Retry-After.
-	resp, body = postJSON(t, solveURL, "", map[string]any{"scheme": "A", "workload": "w"})
+	resp, body := postJSON(t, solveURL, "", map[string]any{"scheme": "A", "workload": "w"})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("saturated: status = %d (%s), want 503", resp.StatusCode, body)
 	}
@@ -337,77 +298,10 @@ func TestSaturation503(t *testing.T) {
 		t.Fatal("503 carried no Retry-After header")
 	}
 	close(gate)
-	<-queued
-}
-
-// TestSweepDedupExactness is the core dedup contract: 32 concurrent
-// identical sweep requests execute the backend exactly once, every
-// response carries the same result, and exactly 31 report deduped.
-func TestSweepDedupExactness(t *testing.T) {
-	obs.SetEnabled(true)
-	defer obs.SetEnabled(false)
-	b := &stubBackend{sweepDelay: 50 * time.Millisecond}
-	s := startTestServer(t, b, nil)
-	url := "http://" + s.Addr() + "/v1/sweep"
-	wantDeduped := obsDeduped.Value() + 31 // the registry is process-global: count from here
-	req := map[string]any{
-		"schemes":   []string{"A", "B"},
-		"workloads": []string{"w1", "w2"},
-		"wait":      true,
-	}
-
-	const n = 32
-	docs := make([]jobDoc, n)
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, body := postJSON(t, url, fmt.Sprintf("client-%d", i), req)
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("request %d: status %d (%s)", i, resp.StatusCode, body)
-				return
-			}
-			if err := json.Unmarshal(body, &docs[i]); err != nil {
-				errs <- fmt.Errorf("request %d: %v", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	if got := b.sweeps.Load(); got != 1 {
-		t.Fatalf("backend executed %d sweeps for %d identical requests, want exactly 1", got, n)
-	}
-	deduped := 0
-	for i, d := range docs {
-		if d.State != JobDone {
-			t.Fatalf("request %d: state %q, want done", i, d.State)
+	for name, ch := range map[string]<-chan int{"running": running, "queued": queued} {
+		if st := <-ch; st != http.StatusOK {
+			t.Errorf("%s solve after the gate opened: status %d, want 200", name, st)
 		}
-		if len(d.Cells) != 4 {
-			t.Fatalf("request %d: %d cells, want 4", i, len(d.Cells))
-		}
-		if d.JobID != docs[0].JobID {
-			t.Fatalf("request %d: job id %q != %q — requests split across jobs", i, d.JobID, docs[0].JobID)
-		}
-		if d.Deduped {
-			deduped++
-		}
-	}
-	if deduped != n-1 {
-		t.Fatalf("%d responses report deduped, want exactly %d", deduped, n-1)
-	}
-	if docs[0].Clients != n {
-		t.Fatalf("job counted %d clients, want %d", docs[0].Clients, n)
-	}
-	// The metric series agrees with the registry-exact count.
-	_, metrics := get(t, "http://"+s.Addr()+"/metrics")
-	if line := fmt.Sprintf("serve_deduped %d\n", wantDeduped); !strings.Contains(string(metrics), line) {
-		t.Fatalf("metrics lack %q:\n%s", line, grepLines(string(metrics), "serve_"))
 	}
 }
 
@@ -448,25 +342,18 @@ func TestDeadline504(t *testing.T) {
 	}
 }
 
-// TestDrainUnderLoad: with a sweep in flight, Drain refuses new
-// compute (503), waits for the job, and finishes cleanly; /readyz
-// reports draining throughout.
+// TestDrainUnderLoad: with a solve in flight, Drain refuses new
+// compute (503 with the fixed Retry-After), waits for the solve, which
+// answers 200, and finishes cleanly; /readyz reports draining
+// throughout.
 func TestDrainUnderLoad(t *testing.T) {
 	gate := make(chan struct{})
-	b := &stubBackend{sweepGate: gate, sweepStarted: make(chan struct{}, 1)}
+	b := &stubBackend{solveGate: gate, solveStarted: make(chan struct{}, 1)}
 	s := startTestServer(t, b, nil)
 	base := "http://" + s.Addr()
 
-	resp, body := postJSON(t, base+"/v1/sweep", "", map[string]any{
-		"schemes": []string{"A"}, "workloads": []string{"w"}})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d (%s)", resp.StatusCode, body)
-	}
-	var doc jobDoc
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatalf("submit doc: %v", err)
-	}
-	<-b.sweepStarted
+	inflight := solveAsync(base + "/v1/solve")
+	<-b.solveStarted
 
 	drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -485,160 +372,55 @@ func TestDrainUnderLoad(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	resp, _ = postJSON(t, base+"/v1/solve", "", map[string]any{"scheme": "A", "workload": "w"})
+	resp, _ := postJSON(t, base+"/v1/solve", "", map[string]any{"scheme": "A", "workload": "w"})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("new compute during drain: %d, want 503", resp.StatusCode)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("drain 503 carried no Retry-After")
+	// Half the default 5 s queue wait, rounded up to whole seconds.
+	if ra := resp.Header.Get("Retry-After"); ra != "3" {
+		t.Fatalf("drain 503 Retry-After = %q, want 3", ra)
 	}
 
 	select {
 	case err := <-drained:
-		t.Fatalf("drain returned before in-flight job finished: %v", err)
+		t.Fatalf("drain returned before the in-flight solve finished: %v", err)
 	case <-time.After(50 * time.Millisecond):
 	}
 
-	close(gate) // let the in-flight sweep finish
+	close(gate) // let the in-flight solve finish
 	select {
 	case err := <-drained:
 		if err != nil {
 			t.Fatalf("drain: %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("drain never completed after the job finished")
+		t.Fatal("drain never completed after the solve finished")
 	}
-	// The in-flight job ran to a terminal state, not cancellation.
-	j := s.reg.get(doc.JobID)
-	if j == nil {
-		t.Fatalf("job %s evicted during drain", doc.JobID)
-	}
-	if got := j.doc(false).State; got != JobDone {
-		t.Fatalf("in-flight job state after drain = %q, want done", got)
+	// The in-flight solve ran to its answer, not to cancellation.
+	if st := <-inflight; st != http.StatusOK {
+		t.Fatalf("in-flight solve across the drain: status %d, want 200", st)
 	}
 }
 
-// TestDrainForcesStragglers: a job slower than the drain budget is
-// cancelled via the base context (it observes errDraining) and the
-// drain still completes.
+// TestDrainForcesStragglers: a solve slower than the drain budget is
+// cancelled via the base context (it observes errDraining and answers
+// 503) and the drain still completes.
 func TestDrainForcesStragglers(t *testing.T) {
-	gate := make(chan struct{}) // never closed: the sweep only ends by cancellation
-	b := &stubBackend{sweepGate: gate, sweepStarted: make(chan struct{}, 1)}
+	gate := make(chan struct{}) // never closed: the solve only ends by cancellation
+	b := &stubBackend{solveGate: gate, solveStarted: make(chan struct{}, 1)}
 	s := startTestServer(t, b, nil)
 
-	if resp, body := postJSON(t, "http://"+s.Addr()+"/v1/sweep", "", map[string]any{
-		"schemes": []string{"A"}, "workloads": []string{"w"}}); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d (%s)", resp.StatusCode, body)
-	}
-	<-b.sweepStarted
+	straggler := solveAsync("http://" + s.Addr() + "/v1/solve")
+	<-b.solveStarted
 
 	drainCtx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	if err := s.Drain(drainCtx); err != nil {
 		t.Fatalf("forced drain should still complete cleanly once work stops, got %v", err)
 	}
-}
-
-// TestJobsEndpoints covers the read side: list, get, wait and the SSE
-// stream shape.
-func TestJobsEndpoints(t *testing.T) {
-	b := &stubBackend{sweepDelay: 30 * time.Millisecond}
-	s := startTestServer(t, b, nil)
-	base := "http://" + s.Addr()
-
-	resp, body := postJSON(t, base+"/v1/sweep", "", map[string]any{
-		"schemes": []string{"A"}, "workloads": []string{"w"}})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d (%s)", resp.StatusCode, body)
+	if st := <-straggler; st != http.StatusServiceUnavailable {
+		t.Fatalf("solve cut off by the forced drain: status %d, want 503", st)
 	}
-	var doc jobDoc
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatalf("submit doc: %v", err)
-	}
-
-	resp, body = get(t, base+"/v1/jobs/"+doc.JobID+"?wait=1")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("job wait: %d (%s)", resp.StatusCode, body)
-	}
-	var done jobDoc
-	if err := json.Unmarshal(body, &done); err != nil {
-		t.Fatalf("job doc: %v", err)
-	}
-	if done.State != JobDone || len(done.Cells) != 1 {
-		t.Fatalf("waited job = state %q cells %d, want done/1", done.State, len(done.Cells))
-	}
-
-	resp, body = get(t, base+"/v1/jobs")
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), doc.JobID) {
-		t.Fatalf("jobs list (%d) missing %s: %s", resp.StatusCode, doc.JobID, body)
-	}
-	if resp, _ := get(t, base+"/v1/jobs/unknown"); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown job: %d, want 404", resp.StatusCode)
-	}
-
-	// SSE: a finished job's stream ends immediately with a result event.
-	resp, body = get(t, base+"/v1/jobs/"+doc.JobID+"?stream=1")
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("stream content-type %q", ct)
-	}
-	if !strings.Contains(string(body), "event: result") {
-		t.Fatalf("stream lacked a result event:\n%s", body)
-	}
-}
-
-// TestJobStreamLive: a stream opened on a running job sends a progress
-// event at once, and the job's completion ends it with the result
-// event.
-func TestJobStreamLive(t *testing.T) {
-	gate := make(chan struct{})
-	b := &stubBackend{sweepGate: gate, sweepStarted: make(chan struct{}, 1)}
-	s := startTestServer(t, b, nil)
-	base := "http://" + s.Addr()
-
-	resp, body := postJSON(t, base+"/v1/sweep", "", map[string]any{
-		"schemes": []string{"A"}, "workloads": []string{"w"}})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d (%s)", resp.StatusCode, body)
-	}
-	var doc jobDoc
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatalf("submit doc: %v", err)
-	}
-	<-b.sweepStarted
-
-	stream, err := http.Get(base + "/v1/jobs/" + doc.JobID + "?stream=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Body.Close()
-	sc := bufio.NewScanner(stream.Body)
-	sc.Buffer(nil, 1<<20)
-	var events []string
-	for sc.Scan() {
-		ev, ok := strings.CutPrefix(sc.Text(), "event: ")
-		if !ok {
-			continue
-		}
-		events = append(events, ev)
-		if ev == "progress" && len(events) == 1 {
-			close(gate) // the job finishes while the stream is open
-		}
-	}
-	if len(events) < 2 || events[0] != "progress" || events[len(events)-1] != "result" {
-		t.Fatalf("stream events %v, want progress first and result last", events)
-	}
-}
-
-// grepLines filters text to lines containing sub (test failure output).
-func grepLines(text, sub string) string {
-	var b strings.Builder
-	for _, line := range strings.Split(text, "\n") {
-		if strings.Contains(line, sub) {
-			b.WriteString(line)
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
 }
 
 // BenchmarkServedSolve measures full-stack served-request latency:

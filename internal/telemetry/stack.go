@@ -105,10 +105,7 @@ func (st *Stack) handleProgress(w http.ResponseWriter, r *http.Request) {
 	src := *p
 	if r.URL.Query().Get("stream") != "" ||
 		strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
-		Stream(w, r, st.streamInterval, nil, func() (string, any, uint64, bool) {
-			p := src()
-			return "", p, p.Epoch, false
-		})
+		st.streamProgress(w, r, src)
 		return
 	}
 	blob, err := json.MarshalIndent(src(), "", "  ")
@@ -119,6 +116,44 @@ func (st *Stack) handleProgress(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(blob)
 	w.Write([]byte("\n"))
+}
+
+// streamProgress serves src as a server-sent-event stream: one event at
+// once, then one whenever the progress epoch has moved, checked every
+// streamInterval. The stream ends when the client goes away or the
+// server shuts down.
+func (st *Stack) streamProgress(w http.ResponseWriter, r *http.Request, src func() jobs.Progress) {
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+
+	t := time.NewTicker(st.streamInterval)
+	defer t.Stop()
+	var sent uint64
+	first := true
+	for {
+		if p := src(); first || p.Epoch != sent {
+			first, sent = false, p.Epoch
+			blob, err := json.Marshal(p)
+			if err != nil {
+				return
+			}
+			if _, err := fmt.Fprintf(w, "data: %s\n\n", blob); err != nil {
+				return
+			}
+			fl.Flush()
+		}
+		select {
+		case <-r.Context().Done():
+			return
+		case <-t.C:
+		}
+	}
 }
 
 // Close tears the stack down: detaches and finalizes the span trace

@@ -1,9 +1,9 @@
 // Package telemetry is the repository's one HTTP server: it owns the
 // listener, the process's health, readiness, metrics and profiling
-// endpoints, the server-sent-event loop, and a shutdown that ends open
-// streams. A host adds its own routes at Start: the CLIs add /progress
-// behind -obs-addr (see Stack), and reramd adds its /v1 API (package
-// serve), so every binary serves everything on one port.
+// endpoints, and a shutdown that ends open streams. A host adds its own
+// routes at Start: the CLIs add /progress, the one server-sent-event
+// stream, behind -obs-addr (see Stack), and reramd adds POST /v1/solve
+// (package serve), so every binary serves everything on one port.
 //
 // Built-in endpoints:
 //
@@ -26,14 +26,12 @@ package telemetry
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"reramsim/internal/obs"
 )
@@ -161,55 +159,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// single write, and no intermediate copy is needed.
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = obs.Default().Snapshot().WriteText(w)
-}
-
-// Stream serves r as a server-sent-event stream. It calls poll at once,
-// then every interval or as soon as wake fires, and sends poll's event
-// whenever its epoch moved since the last one sent; an empty event name
-// sends an unnamed (message) event. An event marked last is always sent
-// and ends the stream. The stream also ends when the client goes away
-// or the server shuts down. A nil wake never fires.
-func Stream(w http.ResponseWriter, r *http.Request, interval time.Duration, wake <-chan struct{},
-	poll func() (event string, data any, epoch uint64, last bool)) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	var sent uint64
-	first := true
-	for {
-		event, data, epoch, last := poll()
-		if first || last || epoch != sent {
-			first, sent = false, epoch
-			blob, err := json.Marshal(data)
-			if err != nil {
-				return
-			}
-			if event != "" {
-				if _, err := fmt.Fprintf(w, "event: %s\n", event); err != nil {
-					return
-				}
-			}
-			if _, err := fmt.Fprintf(w, "data: %s\n\n", blob); err != nil {
-				return
-			}
-			fl.Flush()
-		}
-		if last {
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-wake:
-		case <-t.C:
-		}
-	}
 }

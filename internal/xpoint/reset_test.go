@@ -77,8 +77,15 @@ func TestFastModelMatchesFullSolver(t *testing.T) {
 		{"dsgb", 10e-3, func(c *Config) { c.DSGB = true }},
 		{"dswd", 5e-3, func(c *Config) { c.DSWD = true }},
 		{"mixed-data", 5e-3, func(c *Config) { c.LRSFrac = 0.5 }},
+		// The corners where IR drop is largest: thinner wires, a longer
+		// line, and both.
+		{"10nm", 5e-3, func(c *Config) { c.Rwire = device.WireResistance(device.Node10nm) }},
+		{"128x128", 5e-3, func(c *Config) { c.Size = 128 }},
+		{"128x128-10nm", 5e-3, func(c *Config) {
+			c.Size = 128
+			c.Rwire = device.WireResistance(device.Node10nm)
+		}},
 	}
-	positions := [][2]int{{0, 0}, {63, 63}, {0, 63}, {63, 0}, {31, 31}, {10, 50}}
 	for _, vt := range variants {
 		cfg := smallConfig()
 		vt.mod(&cfg)
@@ -86,6 +93,9 @@ func TestFastModelMatchesFullSolver(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", vt.name, err)
 		}
+		// The four corners, the centre and one interior cell.
+		n := cfg.Size - 1
+		positions := [][2]int{{0, 0}, {n, n}, {0, n}, {n, 0}, {n / 2, n / 2}, {cfg.Size * 10 / 64, cfg.Size * 50 / 64}}
 		for _, pos := range positions {
 			res, err := arr.SimulateReset(oneBit(pos[0], pos[1], 3.0))
 			if err != nil {
