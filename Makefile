@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race race-fault race-par test-resume test-telemetry test-serve bench-smoke figures-check vuln staticcheck bench bench-guard
+.PHONY: ci fmt vet build test race race-fault race-par test-resume test-telemetry test-serve bench-smoke solvecache-check figures-check vuln staticcheck bench bench-guard
 
-ci: fmt vet build test race-fault race-par test-resume test-telemetry test-serve bench-smoke bench-guard figures-check vuln staticcheck
+ci: fmt vet build test race-fault race-par test-resume test-telemetry test-serve bench-smoke bench-guard solvecache-check figures-check vuln staticcheck
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -85,6 +85,25 @@ test-serve:
 # the next benchmark run.
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# The solve cache's directory contract, end to end: grid G filled into
+# two fresh directories at -jobs 1 and -jobs 2 leaves identical files
+# (one memo dump per scheme among them) and identical JSON, and a warm
+# third run over the filled directory prints the cold JSON byte for
+# byte. Takes about 6 s on 2 vCPUs.
+GRID_G = -scheme Base,Hard+Sys,UDRVR+PR -workload ast_m,mcf_m,mil_m,zeu_m -accesses 1200 -json -seed 1
+
+solvecache-check:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/reramsim" ./cmd/reramsim; \
+	"$$dir/reramsim" $(GRID_G) -jobs 1 -solve-cache "$$dir/c1" > "$$dir/cold1.json"; \
+	"$$dir/reramsim" $(GRID_G) -jobs 2 -solve-cache "$$dir/c2" > "$$dir/cold2.json"; \
+	diff -r "$$dir/c1" "$$dir/c2"; \
+	test "$$(ls "$$dir/c1" | grep -c '^memo-')" -eq 3; \
+	cmp "$$dir/cold1.json" "$$dir/cold2.json"; \
+	"$$dir/reramsim" $(GRID_G) -jobs 2 -solve-cache "$$dir/c1" > "$$dir/warm.json"; \
+	cmp "$$dir/cold1.json" "$$dir/warm.json"; \
+	echo "solvecache-check: -jobs 1 and -jobs 2 fill identical directories; warm output matches cold"
 
 # Every table and figure, regenerated at 4,000 accesses and diffed
 # against figures_output.txt. Each "== id (title, 3.541s)" header loses

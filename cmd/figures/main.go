@@ -28,9 +28,10 @@ import (
 	"reramsim/internal/telemetry"
 )
 
-// cleanup tears the observability stack down before the process exits;
-// os.Exit skips deferred calls, so every exit path routes through it
-// (it is idempotent). Installed in main once the stack is up.
+// cleanup writes the solve cache's pending memo dumps and tears the
+// observability stack down before the process exits; os.Exit skips
+// deferred calls, so every exit path routes through it (it is
+// idempotent). Installed in main once the stack is up.
 var cleanup = func() {}
 
 func main() {
@@ -77,7 +78,11 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	var suite *experiments.Suite // set once calibrated
 	cleanup = func() {
+		if suite != nil {
+			suite.FlushSolveCache() // ops priced outside a simulation (Figs. 5b, 18-20)
+		}
 		if err := stack.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "figures:", err)
 		}
@@ -99,7 +104,7 @@ func main() {
 		}
 	}()
 
-	suite, err := experiments.NewSuite(*accesses)
+	suite, err = experiments.NewSuite(*accesses)
 	if err != nil {
 		fail(err)
 	}

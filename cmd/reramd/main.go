@@ -48,7 +48,7 @@ func run() int {
 		accesses = flag.Int("accesses", 20000, "memory accesses simulated per core")
 		jobsFlag = flag.Int("jobs", 0, "max parallel solves (0 = GOMAXPROCS)")
 
-		solveCacheDir = flag.String("solve-cache", "", "directory for the persistent solve cache (default: disabled)")
+		solveCacheDir = flag.String("solve-cache", "", "directory for the persistent solve cache (default: disabled); results are identical with or without it")
 		traceSpans    = flag.String("trace-spans", "", "write hierarchical spans as a Chrome trace-event file (load in ui.perfetto.dev)")
 	)
 	flag.Parse()

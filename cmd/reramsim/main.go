@@ -48,9 +48,10 @@ import (
 	"reramsim/internal/wear"
 )
 
-// cleanup tears the observability stack down before the process exits;
-// os.Exit skips deferred calls, so every exit path routes through it
-// (it is idempotent). Installed in main once the stack is up.
+// cleanup writes the solve cache's pending memo dumps and tears the
+// observability stack down before the process exits; os.Exit skips
+// deferred calls, so every exit path routes through it (it is
+// idempotent). Installed in main once the stack is up.
 var cleanup = func() {}
 
 func main() {
@@ -124,7 +125,11 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	var suite *experiments.Suite // set once calibrated
 	cleanup = func() {
+		if suite != nil {
+			suite.FlushSolveCache() // ops priced outside a simulation, on any exit
+		}
 		if err := stack.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "reramsim:", err)
 		}
@@ -146,7 +151,7 @@ func main() {
 		}
 	}()
 
-	suite, err := experiments.NewSuite(*accesses)
+	suite, err = experiments.NewSuite(*accesses)
 	if err != nil {
 		fail(err)
 	}
@@ -184,6 +189,15 @@ func main() {
 		}
 		fail(err)
 	}
+	var years float64
+	if *lifetime {
+		if years, err = wear.Lifetime(sc, wear.DefaultLifetimeParams()); err != nil {
+			fail(err)
+		}
+		// The estimate prices ops outside the simulation: write them
+		// now, so -metrics counts every solve-cache write.
+		suite.FlushSolveCache()
+	}
 
 	if *jsonOut {
 		out := map[string]any{
@@ -207,10 +221,6 @@ func main() {
 			out["reliability"] = res.Reliability
 		}
 		if *lifetime {
-			years, err := wear.Lifetime(sc, wear.DefaultLifetimeParams())
-			if err != nil {
-				fail(err)
-			}
 			out["lifetimeYears"] = years
 		}
 		enc := json.NewEncoder(os.Stdout)
@@ -242,10 +252,6 @@ func main() {
 	}
 
 	if *lifetime {
-		years, err := wear.Lifetime(sc, wear.DefaultLifetimeParams())
-		if err != nil {
-			fail(err)
-		}
 		fmt.Printf("lifetime    %.2f years under worst-case non-stop writes\n", years)
 	}
 	dumpMetrics(*metrics, *metricsFmt)

@@ -139,3 +139,44 @@ func TestMetricsDumpSamplesRuntime(t *testing.T) {
 		t.Errorf("runtime.heap_sys_bytes = %g, want > 0", g)
 	}
 }
+
+// TestLifetimeReachesSolveCache: -lifetime prices its worst-case write
+// after the simulation, outside it. A 20-access simulation leaves four
+// of the worst-case ops unpriced, so the first run's -metrics must
+// count two cache writes (the simulation's memo dump, then the
+// estimate's), and a second run on the same directory solves nothing
+// and prints the same result.
+func TestLifetimeReachesSolveCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the CLI twice")
+	}
+	bin := buildBinary(t)
+	args := []string{"-scheme", "Base", "-workload", "mcf_m", "-accesses", "20", "-lifetime", "-json",
+		"-solve-cache", t.TempDir(), "-metrics", "-metrics-format", "json"}
+	var results [2]json.RawMessage
+	for i := range results {
+		out, code := runCLI(t, bin, nil, args...)
+		if code != 0 {
+			t.Fatalf("run %d: exit = %d, want 0", i+1, code)
+		}
+		var snap struct {
+			Counters map[string]uint64 `json:"counters"`
+		}
+		dec := json.NewDecoder(bytes.NewReader(out))
+		if err := dec.Decode(&results[i]); err != nil {
+			t.Fatalf("run %d: result: %v\n%s", i+1, err, out)
+		}
+		if err := dec.Decode(&snap); err != nil {
+			t.Fatalf("run %d: registry dump: %v\n%s", i+1, err, out)
+		}
+		if w := snap.Counters["solvecache.writes"]; i == 0 && w != 2 {
+			t.Errorf("first run: solvecache.writes = %d, want 2", w)
+		}
+		if m := snap.Counters["core.memo.misses"]; i == 1 && m != 0 {
+			t.Errorf("second run missed the memo %d times, want 0", m)
+		}
+	}
+	if !bytes.Equal(results[0], results[1]) {
+		t.Errorf("cold and warm results differ:\n%s\n%s", results[0], results[1])
+	}
+}

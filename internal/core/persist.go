@@ -172,14 +172,24 @@ func (s *Scheme) preloadMemo(b []byte) {
 	}
 }
 
-// flushMemo persists the current memo table. Serialised by flushMu so
-// concurrent cold misses do not interleave temp files; each flush is a
-// full sorted dump, so the last writer always leaves a complete table.
-func (s *Scheme) flushMemo() {
+// FlushMemo writes the scheme's memo dump to the persistent solve cache
+// when live solves have added entries since its last write, and does
+// nothing otherwise or when no cache is installed. The caller flushes
+// once a batch of pricing ends: experiments.Suite after every
+// simulation, the CLIs at exit for ops priced outside one. Serialised
+// by flushMu; each write is the full sorted dump, and every solve
+// counted before the lock is in it, so the last flush after the last
+// solve leaves the complete table, whatever the flush order.
+func (s *Scheme) FlushMemo() {
 	if s.cache == nil {
 		return
 	}
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
+	n := s.solved.Load()
+	if n == s.flushed {
+		return
+	}
 	s.cache.Put(s.memoKey, s.encodeMemo())
+	s.flushed = n
 }

@@ -136,13 +136,15 @@ func TestSchemeCacheByteIdentity(t *testing.T) {
 	SetSolveCache(sc)
 	defer SetSolveCache(nil)
 
-	// Cold: empty directory, live solves, entries written behind us.
+	// Cold: empty directory, live solves; the level table is written at
+	// construction and the memo when the pricing batch is flushed.
 	cold, err := NewScheme("cold", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameLevels(t, "cold levels", cold.Levels(), ref.Levels())
 	sameCosts(t, "cold", priceGrid(t, cold), refCosts)
+	cold.FlushMemo()
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -190,8 +192,12 @@ func TestSchemeCacheByteIdentity(t *testing.T) {
 	sameCosts(t, "corrupt", priceGrid(t, burnt), refCosts)
 }
 
-// TestSchemeCacheEscalation: escalated retry entries persist too.
+// TestSchemeCacheEscalation: escalated retry entries persist too. The
+// warm scheme must preload them and price the retry without a memo miss
+// (a scheme that merely re-solved would also return the right cost).
 func TestSchemeCacheEscalation(t *testing.T) {
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
 	opt := persistOptions()
 	SetSolveCache(nil)
 	ref, err := NewScheme("ref", opt)
@@ -218,13 +224,21 @@ func TestSchemeCacheEscalation(t *testing.T) {
 	if _, err := cold.CostWriteRetry(cold.Array().Config().Size-1, 0, lw, 2); err != nil {
 		t.Fatal(err)
 	}
+	cold.FlushMemo()
 	warm, err := NewScheme("warm", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if warm.MemoSize() == 0 {
+		t.Fatal("warm scheme has an empty memo before any pricing")
+	}
+	before := obs.Default().Snapshot()
 	got, err := warm.CostWriteRetry(warm.Array().Config().Size-1, 0, lw, 2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if misses := obs.Default().Snapshot().Delta(before).Counters["core.memo.misses"]; misses != 0 {
+		t.Errorf("warm retry missed the memo %d times, want 0", misses)
 	}
 	if got != want {
 		t.Errorf("escalated cost from warm cache differs:\n got  %+v\n want %+v", got, want)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"reramsim/internal/chargepump"
 	"reramsim/internal/obs"
@@ -73,10 +74,14 @@ type Scheme struct {
 
 	// Persistent solve cache (nil when disabled). Captured from the
 	// process-wide handle at construction; memoKey addresses this
-	// scheme's memo dump and flushMu serialises its rewrites.
+	// scheme's memo dump and flushMu serialises its rewrites. solved
+	// counts live solves stored in the memo; flushed is its value at
+	// the last dump written (guarded by flushMu).
 	cache   *solvecache.Cache
 	memoKey string
 	flushMu sync.Mutex
+	solved  atomic.Uint64
+	flushed uint64
 }
 
 type opKey struct {
@@ -392,9 +397,9 @@ const (
 
 // opCost returns the memoized cost of one array RESET operation.
 // Concurrent cold misses of the same key collapse onto one solve via the
-// scheme's singleflight; with a persistent cache installed, each newly
-// solved entry triggers a full (sorted, atomic) memo flush so the next
-// process starts warm.
+// scheme's singleflight. A newly solved entry only bumps the scheme's
+// solve count; FlushMemo writes the entries to the persistent cache,
+// once per finished simulation, not once per solve.
 func (s *Scheme) opCost(k opKey) (opCost, error) {
 	if !s.opt.ExactMasks {
 		k.mask = canonicalMasks[k.mask]
@@ -415,7 +420,7 @@ func (s *Scheme) opCost(k opKey) (opCost, error) {
 			return opCost{}, err
 		}
 		s.memo.store(k, c)
-		s.flushMemo()
+		s.solved.Add(1)
 		return c, nil
 	})
 	if err != nil {

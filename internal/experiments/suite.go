@@ -247,6 +247,10 @@ func (s *Suite) runSim(ctx context.Context, c cell) (*memsys.Result, error) {
 		return nil, err
 	}
 	r, err = memsys.SimulateContext(ctx, sc, b, c.Mem)
+	// The ops this run solved reach the solve cache before the caller
+	// (the jobs engine) can journal the cell, whether the run finished
+	// or stopped.
+	sc.FlushMemo()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s on %s: %w", c.Scheme, c.Workload, err)
 	}
@@ -254,6 +258,24 @@ func (s *Suite) runSim(ctx context.Context, c cell) (*memsys.Result, error) {
 	s.sims[c] = r
 	s.mu.Unlock()
 	return r, nil
+}
+
+// FlushSolveCache writes the memo dump of every scheme the suite has
+// built whose memo grew since its last write (core.Scheme.FlushMemo).
+// Simulations flush their own ops; this covers ops priced outside any
+// simulation, such as WorstWriteCost under Fig. 5b, the lifetime
+// estimate and the worst-write column of Figs. 18-20. The CLIs call it
+// on every exit path.
+func (s *Suite) FlushSolveCache() {
+	s.mu.Lock()
+	scs := make([]*core.Scheme, 0, len(s.schemes))
+	for _, sc := range s.schemes {
+		scs = append(scs, sc)
+	}
+	s.mu.Unlock()
+	for _, sc := range scs {
+		sc.FlushMemo()
+	}
 }
 
 // SimPair identifies one (scheme, workload) simulation of a sweep on

@@ -88,9 +88,13 @@ func newAdmission(cfg admissionConfig) *admission {
 
 // allow charges one request to client's token bucket. When the bucket
 // is empty it returns ok=false and a Retry-After hint: the exact time
-// until the next token plus the shared capped-backoff jitter keyed by
-// client — deterministic per (client, consecutive sheds), so a shed
-// herd spreads out instead of re-synchronising on the hint.
+// until the next token (at most 20 ms at 50/s) plus the shared
+// capped-backoff jitter keyed by client, deterministic per (client,
+// consecutive sheds). writeError rounds the hint up to whole seconds.
+// The first three backoffs (100, 200 and 400 ms, jittered to at most
+// 150, 300 and 600 ms) all round to 1 s, so every client's first three
+// consecutive sheds read Retry-After: 1; hints spread across clients
+// only from the fourth shed (1 or 2 s), as TestRetryAfterSchedule pins.
 func (a *admission) allow(client string, now time.Time) (ok bool, retryAfter time.Duration) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

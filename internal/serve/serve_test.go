@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -259,6 +261,47 @@ func TestAdmissionForgetsFullBuckets(t *testing.T) {
 	a.mu.Unlock()
 	if n > 4000 {
 		t.Fatalf("%d buckets after 50,000 one-request clients, want <= 4,000", n)
+	}
+}
+
+// TestRetryAfterSchedule pins the 429 hint a client reads on its
+// consecutive sheds under the fixed policy: writeError rounds allow's
+// hint up to whole seconds, so sheds 1-3 read "1" for every client
+// whatever the jitter, and hints spread only from the fourth (1 or 2).
+func TestRetryAfterSchedule(t *testing.T) {
+	a := newAdmission(admissionConfig{})
+	now := time.Unix(1e9, 0)
+	want := []string{"1", "1", "1", "1,2"} // the Retry-After values seen per shed
+	seen := make([]map[string]bool, len(want))
+	for i := range seen {
+		seen[i] = make(map[string]bool)
+	}
+	for c := 0; c < 2000; c++ {
+		client := fmt.Sprintf("client-%d", c)
+		for i := 0; i < int(a.cfg.burst); i++ {
+			if ok, _ := a.allow(client, now); !ok {
+				t.Fatalf("%s: request %d shed inside the burst", client, i)
+			}
+		}
+		for shed := range want {
+			ok, hint := a.allow(client, now)
+			if ok {
+				t.Fatalf("%s: drained bucket admitted shed %d", client, shed+1)
+			}
+			rec := httptest.NewRecorder()
+			writeError(rec, http.StatusTooManyRequests, hint, "shed")
+			seen[shed][rec.Header().Get("Retry-After")] = true
+		}
+	}
+	for shed, vals := range seen {
+		var got []string
+		for v := range vals {
+			got = append(got, v)
+		}
+		sort.Strings(got)
+		if g := strings.Join(got, ","); g != want[shed] {
+			t.Errorf("shed %d: Retry-After values %s, want %s", shed+1, g, want[shed])
+		}
 	}
 }
 
