@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race race-fault race-par test-resume test-telemetry test-serve bench-smoke solvecache-check figures-check vuln staticcheck bench bench-guard
+.PHONY: ci fmt vet build test race race-fault race-par test-resume test-telemetry test-serve bench-smoke solvecache-check figures-check fma-check vuln staticcheck bench bench-guard
 
-ci: fmt vet build test race-fault race-par test-resume test-telemetry test-serve bench-smoke bench-guard solvecache-check figures-check vuln staticcheck
+ci: fmt vet build test race-fault race-par test-resume test-telemetry test-serve bench-smoke bench-guard fma-check solvecache-check figures-check vuln staticcheck
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -110,7 +110,7 @@ solvecache-check:
 # its duration on both sides; any other difference fails. The file's
 # bytes come from an amd64 host with FMA: math.Exp picks an FMA branch
 # at run time there, so a host without FMA or another GOARCH can differ
-# in the last printed digit. Takes about 90 s on 2 vCPUs.
+# in the last printed digit. Takes about 85 s on 2 vCPUs.
 FIGURES_STRIP = sed -E '/^== /s/, [0-9][^ ,)]*\)$$/)/'
 
 figures-check:
@@ -120,6 +120,26 @@ figures-check:
 	$(FIGURES_STRIP) "$$dir/raw" > "$$dir/got"; \
 	diff -u "$$dir/want" "$$dir/got"; \
 	echo "figures-check: output matches figures_output.txt"
+
+# The ladder sweep, the RESET solver's hot loop, writes every product
+# that feeds a sum as an explicit float64 conversion, which by the Go
+# spec must round on its own, so no GOARCH may fuse it into a
+# multiply-add (DESIGN §10). Cross-compile ./internal/xpoint for the four
+# targets whose compilers fuse, with its assembly listing, and fail on
+# any fused instruction in (*ladder).sweep. Needs only the installed
+# toolchain.
+FMA_ARCHES = arm64 ppc64le s390x riscv64
+FMA_INSNS = \bFN?M(ADD|SUB)[A-Z]*\b
+
+fma-check:
+	@set -e; for arch in $(FMA_ARCHES); do \
+		asm=$$(GOARCH=$$arch $(GO) build -gcflags=-S -o /dev/null ./internal/xpoint 2>&1) || { echo "$$asm"; exit 1; }; \
+		sweep=$$(printf '%s\n' "$$asm" | awk '/^[^\t]/ { f = ($$0 ~ /\(\*ladder\)\.sweep STEXT/) } f'); \
+		test -n "$$sweep" || { echo "fma-check: no (*ladder).sweep in the $$arch listing"; exit 1; }; \
+		if printf '%s\n' "$$sweep" | grep -E '$(FMA_INSNS)'; then \
+			echo "fma-check: (*ladder).sweep fuses a multiply-add on $$arch"; exit 1; fi; \
+	done; \
+	echo "fma-check: (*ladder).sweep has no fused multiply-add on $(FMA_ARCHES)"
 
 # govulncheck when installed; advisory otherwise so offline CI passes.
 vuln:
@@ -139,8 +159,8 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # The allocation guards: steady-state SimulateResetInto, a memoized line
-# write priced bare and inside a disabled timing scope, and disabled
-# spans must all stay at 0 allocs/op (the benchmarks themselves fail
-# otherwise), run briefly as part of ci.
+# write priced bare and inside a disabled timing scope, disabled spans
+# and one ladder sweep must all stay at 0 allocs/op (the benchmarks
+# themselves fail otherwise), run briefly as part of ci.
 bench-guard:
-	$(GO) test -run xxx -bench 'BenchmarkResetOpSteadyState|BenchmarkCostWriteMemoized|BenchmarkObsDisabled|BenchmarkSpanDisabled' -benchtime 100x -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkResetOpSteadyState|BenchmarkCostWriteMemoized|BenchmarkObsDisabled|BenchmarkSpanDisabled|BenchmarkLadderSweep' -benchtime 100x -benchmem . ./internal/xpoint/

@@ -185,6 +185,14 @@ func Tabulate(d Device, vmax float64, n int) *Tabulated {
 	return t
 }
 
+// Table returns what Current and SecantConductance evaluate: the current
+// samples, their uniform voltage step, the table's end VMax and the
+// small-signal conductance g0. It lets a solver kernel inline the
+// in-range lookup; the samples are shared and must not be modified.
+func (t *Tabulated) Table() (samples []float64, step, vmax, g0 float64) {
+	return t.i, t.step, t.VMax, t.g0
+}
+
 // Current implements Device. Voltages beyond VMax extrapolate linearly
 // with the final segment's slope.
 func (t *Tabulated) Current(v float64) float64 {

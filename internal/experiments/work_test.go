@@ -13,8 +13,11 @@ import (
 // host's speed or load, so any change in them is a change in what the
 // solver does. Calibration, scheme construction and both simulations
 // are counted, as `reramsim -scheme Base,UDRVR+PR -workload mcf_m
-// -accesses 1200 -seed 1 -jobs 1 -metrics` counts them. A change that
-// moves a count updates the golden value here and says why.
+// -accesses 1200 -seed 1 -jobs 1 -metrics` counts them. The four exit
+// counts pin that every outer loop, inner alternation and ladder solve
+// of these cells converged: none stopped at a cap or at the stagnation
+// cut-off. A change that moves a count updates the golden value here
+// and says why.
 func TestSolverWorkPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibrates and simulates two cells")
@@ -48,6 +51,10 @@ func TestSolverWorkPinned(t *testing.T) {
 		{"xpoint.reset.sweeps", 88341},
 		{"xpoint.reset.bl_memo_hits", 1595},
 		{"core.memo.misses", 866},
+		{"xpoint.reset.outer_capped", 0},
+		{"xpoint.reset.inner_capped", 0},
+		{"xpoint.reset.inner_stagnated", 0},
+		{"xpoint.reset.ladder_capped", 0},
 	} {
 		if got := delta.Counters[c.name]; got != c.want {
 			t.Errorf("%s = %d, want %d", c.name, got, c.want)

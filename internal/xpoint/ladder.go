@@ -12,7 +12,7 @@ import (
 // the bit-line and word-line models.
 //
 // Loads are concrete *device.Tabulated (every device the array solvers
-// attach is table-backed): the hot sweep calls the table lookup directly
+// attach is table-backed): the hot sweep reads the load's table directly
 // instead of dispatching through the Device interface, which is worth
 // ~15% of the solve on the default 512-node ladders.
 type ladder struct {
@@ -122,16 +122,54 @@ func (l *ladder) init(v float64) {
 // single pass up the ladder with no intermediate coefficient arrays.
 // Every floating-point operation matches the unfused assemble-then-solve
 // formulation value for value, so results are bit-identical to it.
+//
+// It is the solver's hot loop, so it fetches its operands cheaply: the
+// slices are re-sliced to n, which takes the bounds checks out of both
+// passes, and a load's secant conductance is evaluated inline from its
+// device table. The table is reloaded only where the load changes, at
+// the selected cell in a half-selected background. The lookup repeats
+// Tabulated.SecantConductance operation for operation; past the table's
+// end it calls it. Each product that feeds a sum is an explicit float64
+// conversion: the spec makes it round on its own, so no GOARCH fuses it
+// into a multiply-add (make fma-check).
 func (l *ladder) sweep(relax float64) float64 {
 	n, gw := l.n, l.gw
+	srcG, srcV := l.srcG[:n], l.srcV[:n]
+	loads, loadU := l.loads[:n], l.loadU[:n]
+	v, cp, dp := l.v[:n], l.cp[:n], l.dp[:n]
+	vmin, vmax := l.vmin, l.vmax
+
+	var dev *device.Tabulated // the load whose table is cached below
+	var tab []float64
+	var step, tmax, g0 float64
 	var cprev, dprev float64
 	for i := 0; i < n; i++ {
-		diag := l.srcG[i]
-		rhs := l.srcG[i] * l.srcV[i]
-		if dev := l.loads[i]; dev != nil {
-			g := dev.SecantConductance(l.v[i] - l.loadU[i])
+		diag := srcG[i]
+		rhs := float64(srcG[i] * srcV[i])
+		if d := loads[i]; d != nil {
+			if d != dev {
+				dev = d
+				tab, step, tmax, g0 = d.Table()
+			}
+			u := loadU[i]
+			x := v[i] - u
+			var g float64
+			if ax := math.Abs(x); x == 0 {
+				g = g0
+			} else if ax < tmax {
+				pos := ax / step
+				k := int(pos)
+				frac := pos - float64(k)
+				cur := tab[k] + float64((tab[k+1]-tab[k])*frac)
+				if x < 0 {
+					cur = -cur
+				}
+				g = cur / x
+			} else {
+				g = d.SecantConductance(x)
+			}
 			diag += g
-			rhs += g * l.loadU[i]
+			rhs += float64(g * u)
 		}
 		ai, ci := 0.0, 0.0
 		if i > 0 {
@@ -145,30 +183,31 @@ func (l *ladder) sweep(relax float64) float64 {
 		if diag == 0 {
 			diag = 1e-30
 		}
-		m := diag - ai*cprev
+		m := diag - float64(ai*cprev)
 		cprev = ci / m
-		dprev = (rhs - ai*dprev) / m
-		l.cp[i] = cprev
-		l.dp[i] = dprev
+		dprev = (rhs - float64(ai*dprev)) / m
+		cp[i] = cprev
+		dp[i] = dprev
 	}
 	res := 0.0
 	xnext := 0.0
 	for i := n - 1; i >= 0; i-- {
-		x := l.dp[i]
+		x := dp[i]
 		if i < n-1 {
-			x -= l.cp[i] * xnext
+			x -= float64(cp[i] * xnext)
 		}
 		xnext = x
-		nv := l.v[i] + relax*(x-l.v[i])
-		if nv < l.vmin {
-			nv = l.vmin
-		} else if nv > l.vmax {
-			nv = l.vmax
+		vi := v[i]
+		nv := vi + float64(relax*(x-vi))
+		if nv < vmin {
+			nv = vmin
+		} else if nv > vmax {
+			nv = vmax
 		}
-		if dv := math.Abs(nv - l.v[i]); dv > res {
+		if dv := math.Abs(nv - vi); dv > res {
 			res = dv
 		}
-		l.v[i] = nv
+		v[i] = nv
 	}
 	return res
 }

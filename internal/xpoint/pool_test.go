@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"reramsim/internal/device"
 	"reramsim/internal/obs"
 )
 
@@ -278,6 +279,29 @@ func TestResetWorkCounters(t *testing.T) {
 	}
 	if sweeps1 == 0 || sweeps2 >= sweeps1 {
 		t.Errorf("sweeps: first solve %d, second %d; want the memo-served second solve to run fewer", sweeps1, sweeps2)
+	}
+}
+
+// TestSolverExitsCountedAt10nm: at 10 nm the worst-corner 1-bit RESET
+// (row Size-1, bit 7 at the last mux offset, 3.0 V) sits at the
+// write-failure knee. Two of its inner alternations stop at innerMaxIter
+// and 182 of its ladder solves at ladderIter, and the exit counters must
+// show both. Grid G reaches neither (TestSolverWorkPinned pins its
+// counts at 0). Once the solver converges at the knee, this test flips
+// to expect 0 here too.
+func TestSolverExitsCountedAt10nm(t *testing.T) {
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	cfg := DefaultConfig()
+	cfg.Rwire = device.WireResistance(device.Node10nm)
+	op := oneBit(cfg.Size-1, cfg.ColumnOfBit(cfg.DataWidth-1, cfg.MuxWidth()-1), 3.0)
+	inner0, ladder0 := obsInnerCapped.Value(), obsLadderCapped.Value()
+	if _, err := MustNew(cfg).SimulateReset(op); err != nil {
+		t.Fatal(err)
+	}
+	inner, ladder := obsInnerCapped.Value()-inner0, obsLadderCapped.Value()-ladder0
+	if inner == 0 || ladder == 0 {
+		t.Errorf("inner_capped added %d and ladder_capped %d, want both above 0 at the 10 nm knee", inner, ladder)
 	}
 }
 

@@ -253,7 +253,8 @@ func (a *Array) simulateInto(op ResetOp, res *ResetResult) {
 
 	var work solveWork
 	itotal := 0.0
-	for outer := 0; outer < outerMaxIter; outer++ {
+	outer := 0
+	for ; outer < outerMaxIter; outer++ {
 		prevTotal := itotal
 		itotal = 0
 		for k := 0; k < n; k++ {
@@ -295,6 +296,9 @@ func (a *Array) simulateInto(op ResetOp, res *ResetResult) {
 			break
 		}
 	}
+	if outer == outerMaxIter {
+		work.outerCapped++
+	}
 
 	res.Itotal = itotal
 	res.Latency = 0
@@ -312,15 +316,26 @@ func (a *Array) simulateInto(op ResetOp, res *ResetResult) {
 }
 
 // solveWork is the ladder work one op's solve did: the sweeps it ran and
-// the opening bit-line solves the Array's memo served instead.
+// the opening bit-line solves the Array's memo served instead. It also
+// counts every loop that stopped without converging: the outer loop at
+// outerMaxIter, inner alternations at innerMaxIter or at the stagnation
+// cut-off, and ladder solves at ladderIter with the residual still above
+// tolerance.
 type solveWork struct {
 	sweeps, memoHits int
+
+	outerCapped, innerCapped, innerStagnated, ladderCapped int
 }
 
-// solve converges one piece ladder, counting its sweeps.
+// solve converges one piece ladder, counting its sweeps and whether it
+// ran out of them.
 func (w *solveWork) solve(l *ladder) {
-	_, n := l.solve(innerTol/4, ladderIter)
+	const tol = innerTol / 4
+	res, n := l.solve(tol, ladderIter)
 	w.sweeps += n
+	if res >= tol {
+		w.ladderCapped++
+	}
 }
 
 // simulateOracleInto evaluates a multi-bit RESET on an oracle-tapped
@@ -458,7 +473,8 @@ func (a *Array) solvePiece(bl, wl *ladder, op ResetOp, k, lo int, vaMax float64,
 	prevDelta := math.Inf(1)
 	best := math.Inf(1)
 	sinceBest := 0
-	for inner := 0; inner < innerMaxIter; inner++ {
+	inner := 0
+	for ; inner < innerMaxIter; inner++ {
 		bl.setLoad(row, a.cell, wHat)
 		if inner == 0 && opening {
 			key := newBLKey(row, op.Volts[k], vaMax)
@@ -495,10 +511,14 @@ func (a *Array) solvePiece(bl, wl *ladder, op ResetOp, k, lo int, vaMax float64,
 			sinceBest = 0
 		} else if sinceBest++; sinceBest > 10 {
 			wHat, bHat = wl.v[sel], bl.v[row]
+			w.innerStagnated++
 			break
 		}
 		wHat += relax * dw
 		bHat += relax * db
+	}
+	if inner == innerMaxIter {
+		w.innerCapped++
 	}
 	veff = bHat - wHat
 	icell = a.cell.Current(veff)
