@@ -53,11 +53,14 @@ test-resume:
 
 # The live telemetry plane under the race detector — the lock-free
 # /metrics snapshot hammered against running sweeps, the span
-# collector, the /progress export — plus the CLI e2e smoke
-# (sweep with -obs-addr: mid-run scrapes, SSE progress advancing, and a
-# Perfetto-loadable -trace-spans file on exit 0). The package tests run
-# twice in one process, so a test that assumes a fresh metrics registry
-# fails here.
+# collector (parents through the context alone, tracks handed between
+# goroutines), the span tree of a sweep (TestSweepSpan*: the same tree
+# at -jobs 1 and 2, no orphan spans), the /progress export — plus the
+# CLI e2e smoke (sweep with -obs-addr: mid-run scrapes, SSE progress
+# advancing, and a Perfetto-loadable -trace-spans file on exit 0 whose
+# core.solve_op spans nest under memsys.sim spans). The package tests
+# run twice in one process, so a test that assumes a fresh metrics
+# registry fails here.
 test-telemetry:
 	$(GO) test -race -count=2 ./internal/telemetry/ ./internal/obs/
 	$(GO) test -race -run 'TestSweepSpan|TestProgress' ./internal/experiments/ ./internal/jobs/
@@ -159,8 +162,9 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # The allocation guards: steady-state SimulateResetInto, a memoized line
-# write priced bare and inside a disabled timing scope, disabled spans
-# and one ladder sweep must all stay at 0 allocs/op (the benchmarks
-# themselves fail otherwise), run briefly as part of ci.
+# write priced bare and inside a disabled timing scope, a disabled span
+# with a child under it (StartSpan, the only span entry point) and one
+# ladder sweep must all stay at 0 allocs/op (the benchmarks themselves
+# fail otherwise), run briefly as part of ci.
 bench-guard:
 	$(GO) test -run xxx -bench 'BenchmarkResetOpSteadyState|BenchmarkCostWriteMemoized|BenchmarkObsDisabled|BenchmarkSpanDisabled|BenchmarkLadderSweep' -benchtime 100x -benchmem . ./internal/xpoint/

@@ -206,7 +206,7 @@ func memoizedLineWrite(tb testing.TB) (*Scheme, write.LineWrite) {
 	for i := range lw.Arrays {
 		lw.Arrays[i] = write.ArrayWrite{Reset: 1 << uint(i%8), Set: 1}
 	}
-	if _, err := s.CostWrite(300, 40, lw); err != nil { // warm the table
+	if _, err := s.CostWrite(context.Background(), 300, 40, lw); err != nil { // warm the table
 		tb.Fatal(err)
 	}
 	return s, lw
@@ -220,7 +220,7 @@ var obsBenchLineWrite = obs.H("memsys.line_write_ns", obs.LatencyBoundsNS())
 // memoized CostWrite inside a timing scope.
 func timedCostWrite(tb testing.TB, s *Scheme, lw write.LineWrite) {
 	stop := obs.Time(obsBenchLineWrite)
-	if _, err := s.CostWrite(300, 40, lw); err != nil {
+	if _, err := s.CostWrite(context.Background(), 300, 40, lw); err != nil {
 		tb.Fatal(err)
 	}
 	stop()
@@ -233,7 +233,7 @@ func timedCostWrite(tb testing.TB, s *Scheme, lw write.LineWrite) {
 func BenchmarkCostWriteMemoized(b *testing.B) {
 	s, lw := memoizedLineWrite(b)
 	if avg := testing.AllocsPerRun(100, func() {
-		if _, err := s.CostWrite(300, 40, lw); err != nil {
+		if _, err := s.CostWrite(context.Background(), 300, 40, lw); err != nil {
 			b.Fatal(err)
 		}
 	}); avg > 0 {
@@ -242,7 +242,7 @@ func BenchmarkCostWriteMemoized(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.CostWrite(300, 40, lw); err != nil {
+		if _, err := s.CostWrite(context.Background(), 300, 40, lw); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -299,32 +299,26 @@ func TestTimedCostWriteAllocs(t *testing.T) {
 }
 
 // BenchmarkSpanDisabled guards the span off switch: with no sink
-// installed, StartSpan and SpanScope on an instrumented hot path must
-// be a single atomic load each — zero allocations per op. The guard
-// fails the benchmark (and make ci) if the disabled path regresses.
+// installed, a span and a child under it on an instrumented hot path
+// must be a single atomic load each — zero allocations per op. The
+// guard fails the benchmark (and make ci) if the disabled path
+// regresses.
 func BenchmarkSpanDisabled(b *testing.B) {
 	obs.SetSpanSink(nil)
 	ctx := context.Background()
-	if avg := testing.AllocsPerRun(100, func() {
-		sctx, stop := obs.StartSpan(ctx, "bench.span")
-		obs.SpanScope("bench.scope")()
-		stop()
-		_ = sctx
-	}); avg > 0 {
+	if avg := testing.AllocsPerRun(100, func() { spanPair(ctx) }); avg > 0 {
 		b.Fatalf("disabled spans allocate %.1f times/op, want 0", avg)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, stop := obs.StartSpan(ctx, "bench.span")
-		obs.SpanScope("bench.scope")()
-		stop()
+		spanPair(ctx)
 	}
 }
 
 // BenchmarkSpanEnabled is the companion measurement with a discarding
-// sink installed, quantifying the full span cost (goroutine-id lookup,
-// node allocation, stack upkeep, emission).
+// sink installed, quantifying the full cost of two spans (node and
+// context allocation, track hand-over, emission).
 func BenchmarkSpanEnabled(b *testing.B) {
 	obs.SetSpanSink(obs.NopSpanSink{})
 	defer obs.SetSpanSink(nil)
@@ -332,11 +326,16 @@ func BenchmarkSpanEnabled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sctx, stop := obs.StartSpan(ctx, "bench.span")
-		obs.SpanScope("bench.scope")()
-		stop()
-		_ = sctx
+		spanPair(ctx)
 	}
+}
+
+// spanPair opens a span and a child under it, then stops both.
+func spanPair(ctx context.Context) {
+	sctx, stop := obs.StartSpan(ctx, "bench.span")
+	_, stopChild := obs.StartSpan(sctx, "bench.child")
+	stopChild()
+	stop()
 }
 
 // BenchmarkMetricsScrape measures one /metrics render — the lock-free
@@ -379,7 +378,7 @@ func BenchmarkFaultDisabled(b *testing.B) {
 		if inj.Enabled() {
 			b.Fatal("nil injector reported enabled")
 		}
-		c, err := s.CostWrite(300, 40, lw)
+		c, err := s.CostWrite(context.Background(), 300, 40, lw)
 		if err != nil {
 			b.Fatal(err)
 		}

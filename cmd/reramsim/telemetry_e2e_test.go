@@ -22,7 +22,7 @@ var listenLineRe = regexp.MustCompile(`telemetry listening on http://(\S+)`)
 // -trace-spans, scrapes /metrics and /progress mid-run, follows the SSE
 // stream until the completed-cell count advances, and — after a clean
 // exit 0 — checks the span trace is a valid Chrome trace-event file with
-// the nested grid -> cell -> sim chain.
+// the nested grid -> cell -> sim -> memsys.sim -> core.solve_op chain.
 func TestTelemetryE2ESmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the CLI")
@@ -158,7 +158,7 @@ func TestTelemetryE2ESmoke(t *testing.T) {
 	}
 
 	// The span trace must be a valid JSON array of complete events with
-	// the nested chain grid -> cell -> sim.
+	// the nested chain grid -> cell -> sim -> memsys.sim -> core.solve_op.
 	blob, err := os.ReadFile(traceFile)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestTelemetryE2ESmoke(t *testing.T) {
 		byID[ev.Args.ID] = i
 		names[strings.SplitN(ev.Name, ":", 2)[0]]++
 	}
-	for _, want := range []string{"jobs.grid", "cell", "sim", "memsys.sim", "xpoint.solve"} {
+	for _, want := range []string{"jobs.grid", "cell", "sim", "memsys.sim", "core.solve_op"} {
 		if names[want] == 0 {
 			t.Errorf("span trace has no %q spans (got %v)", want, names)
 		}
@@ -205,6 +205,16 @@ func TestTelemetryE2ESmoke(t *testing.T) {
 		pi, ok := byID[ev.Args.Parent]
 		if !ok || !strings.HasPrefix(events[pi].Name, "cell:") {
 			t.Errorf("sim span %q does not nest under its cell", ev.Name)
+		}
+	}
+	for _, ev := range events {
+		if ev.Name != "core.solve_op" {
+			continue
+		}
+		pi, ok := byID[ev.Args.Parent]
+		if !ok || !strings.HasPrefix(events[pi].Name, "memsys.sim:") {
+			t.Errorf("core.solve_op span %d does not nest under a memsys.sim span", ev.Args.ID)
+			break
 		}
 	}
 	if t.Failed() {

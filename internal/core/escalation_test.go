@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -38,13 +39,13 @@ func TestCostWriteRetryEscalates(t *testing.T) {
 	}
 	lw := escLineWrite()
 	row, off := s.Array().Config().Size-1, 63 // worst corner
-	base, err := s.CostWrite(row, off, lw)
+	base, err := s.CostWrite(context.Background(), row, off, lw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := base
 	for esc := 1; esc <= 3; esc++ {
-		c, err := s.CostWriteRetry(row, off, lw, esc)
+		c, err := s.CostWriteRetry(context.Background(), row, off, lw, esc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +59,7 @@ func TestCostWriteRetryEscalates(t *testing.T) {
 	}
 	// Sub-unit sensitivity notwithstanding, one 0.1 V applied step must
 	// deliver a sizable fraction of it at the cell.
-	one, _ := s.CostWriteRetry(row, off, lw, 1)
+	one, _ := s.CostWriteRetry(context.Background(), row, off, lw, 1)
 	if gain := one.MinMargin - base.MinMargin; gain < EscalationStep/2 || gain > EscalationStep*1.5 {
 		t.Errorf("one escalation step delivered %.3f V of margin, want ~%.2f", gain, EscalationStep)
 	}
@@ -72,7 +73,7 @@ func TestEscalationClamped(t *testing.T) {
 		t.Fatal(err)
 	}
 	lw := escLineWrite()
-	big, err := s.CostWriteRetry(100, 10, lw, 1000)
+	big, err := s.CostWriteRetry(context.Background(), 100, 10, lw, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestEscalationClamped(t *testing.T) {
 			big.MinMargin+s.Array().Config().Params.VwriteMin, EscalationCap)
 	}
 	// Clamping must be idempotent: one more step changes nothing.
-	again, err := s.CostWriteRetry(100, 10, lw, 1001)
+	again, err := s.CostWriteRetry(context.Background(), 100, 10, lw, 1001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +102,11 @@ func TestMinMarginSectionGradient(t *testing.T) {
 		t.Fatal(err)
 	}
 	size := base.Array().Config().Size
-	near, err := base.CostWrite(0, 0, lw)
+	near, err := base.CostWrite(context.Background(), 0, 0, lw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	far, err := base.CostWrite(size-1, 63, lw)
+	far, err := base.CostWrite(context.Background(), size-1, 63, lw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +118,11 @@ func TestMinMarginSectionGradient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uNear, err := u.CostWrite(0, 0, lw)
+	uNear, err := u.CostWrite(context.Background(), 0, 0, lw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uFar, err := u.CostWrite(size-1, 63, lw)
+	uFar, err := u.CostWrite(context.Background(), size-1, 63, lw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestMinMarginSetOnly(t *testing.T) {
 	for i := range lw.Arrays {
 		lw.Arrays[i] = write.ArrayWrite{Set: 0xFF}
 	}
-	c, err := s.CostWrite(0, 0, lw)
+	c, err := s.CostWrite(context.Background(), 0, 0, lw)
 	if err != nil {
 		t.Fatal(err)
 	}

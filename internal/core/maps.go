@@ -83,7 +83,7 @@ func (s *Scheme) WorstWriteCost() (LineCost, error) {
 	var worst LineCost
 	for _, row := range []int{cfg.Size - 1, cfg.Size / 2} {
 		for _, off := range []int{muxW - 1, muxW / 2} {
-			c, err := s.CostWrite(row, off, lw)
+			c, err := s.CostWrite(context.Background(), row, off, lw)
 			if err != nil {
 				return LineCost{}, err
 			}

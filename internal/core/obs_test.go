@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"reramsim/internal/obs"
@@ -17,7 +18,7 @@ func TestLineWriteEventsAndMetrics(t *testing.T) {
 	// enabled-run deltas below are attributable to this one line write.
 	lw := write.LineWrite{}
 	lw.Arrays[0] = write.ArrayWrite{Reset: 1 << 7} // far mux: PR expands it
-	if _, err := s.CostWrite(300, 40, lw); err != nil {
+	if _, err := s.CostWrite(context.Background(), 300, 40, lw); err != nil {
 		t.Fatal(err)
 	}
 
@@ -28,7 +29,7 @@ func TestLineWriteEventsAndMetrics(t *testing.T) {
 	})
 
 	before := obs.Default().Snapshot()
-	cost, err := s.CostWrite(300, 40, lw)
+	cost, err := s.CostWrite(context.Background(), 300, 40, lw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestLineWriteEventsAndMetrics(t *testing.T) {
 
 	// A cold op on a different offset bucket runs the solver.
 	before = obs.Default().Snapshot()
-	if _, err := s.CostWrite(10, 0, lw); err != nil {
+	if _, err := s.CostWrite(context.Background(), 10, 0, lw); err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.Default().Snapshot().Delta(before).Counters["xpoint.reset.solves"]; got == 0 {

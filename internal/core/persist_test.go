@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -35,7 +36,7 @@ func priceGrid(t *testing.T, s *Scheme) []LineCost {
 		}
 		for _, row := range []int{0, cfg.Size / 2, cfg.Size - 1} {
 			for _, off := range []int{0, cfg.MuxWidth() - 1} {
-				c, err := s.CostWrite(row, off, lw)
+				c, err := s.CostWrite(context.Background(), row, off, lw)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -206,7 +207,7 @@ func TestSchemeCacheEscalation(t *testing.T) {
 	}
 	var lw write.LineWrite
 	lw.Arrays[0] = write.ArrayWrite{Reset: 0x80}
-	want, err := ref.CostWriteRetry(ref.Array().Config().Size-1, 0, lw, 2)
+	want, err := ref.CostWriteRetry(context.Background(), ref.Array().Config().Size-1, 0, lw, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestSchemeCacheEscalation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cold.CostWriteRetry(cold.Array().Config().Size-1, 0, lw, 2); err != nil {
+	if _, err := cold.CostWriteRetry(context.Background(), cold.Array().Config().Size-1, 0, lw, 2); err != nil {
 		t.Fatal(err)
 	}
 	cold.FlushMemo()
@@ -233,7 +234,7 @@ func TestSchemeCacheEscalation(t *testing.T) {
 		t.Fatal("warm scheme has an empty memo before any pricing")
 	}
 	before := obs.Default().Snapshot()
-	got, err := warm.CostWriteRetry(warm.Array().Config().Size-1, 0, lw, 2)
+	got, err := warm.CostWriteRetry(context.Background(), warm.Array().Config().Size-1, 0, lw, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/bits"
@@ -116,9 +117,6 @@ const offsetBuckets = 4
 // dozen array operating points (DRVR/UDRVR calibration); reuse schemes
 // across simulations.
 func NewScheme(name string, opt Options) (*Scheme, error) {
-	if obs.SpansEnabled() {
-		defer obs.SpanScope("core.calibrate:" + name)()
-	}
 	if opt.MaxLevel == 0 {
 		opt.MaxLevel = MaxLevel
 	}
@@ -283,9 +281,10 @@ func (c LineCost) CellsWritten() int { return c.Resets + c.Sets }
 
 // CostWrite prices a line write at the given array row and column-mux
 // offset. The row should already reflect inter-line wear leveling; SCH's
-// remapping is applied internally.
-func (s *Scheme) CostWrite(row, offset int, lw write.LineWrite) (LineCost, error) {
-	return s.costWrite(row, offset, lw, 0)
+// remapping is applied internally. ctx carries only the span that a
+// cold solve's core.solve_op span nests under; pricing does not poll it.
+func (s *Scheme) CostWrite(ctx context.Context, row, offset int, lw write.LineWrite) (LineCost, error) {
+	return s.costWrite(ctx, row, offset, lw, 0)
 }
 
 // CostWriteRetry prices a write-verify retry of the same line write with
@@ -295,17 +294,17 @@ func (s *Scheme) CostWrite(row, offset int, lw write.LineWrite) (LineCost, error
 // failing section's own level; flat tables escalate their global level —
 // one op only ever touches one section, so both are the same uniform
 // boost on the retried op.
-func (s *Scheme) CostWriteRetry(row, offset int, lw write.LineWrite, escalation int) (LineCost, error) {
+func (s *Scheme) CostWriteRetry(ctx context.Context, row, offset int, lw write.LineWrite, escalation int) (LineCost, error) {
 	if escalation < 1 {
 		escalation = 1
 	}
 	if escalation > 255 {
 		escalation = 255
 	}
-	return s.costWrite(row, offset, lw, uint8(escalation))
+	return s.costWrite(ctx, row, offset, lw, uint8(escalation))
 }
 
-func (s *Scheme) costWrite(row, offset int, lw write.LineWrite, esc uint8) (LineCost, error) {
+func (s *Scheme) costWrite(ctx context.Context, row, offset int, lw write.LineWrite, esc uint8) (LineCost, error) {
 	cfg := s.arr.Config()
 	row = s.RemapRow(row)
 	if row < 0 || row >= cfg.Size {
@@ -350,7 +349,7 @@ func (s *Scheme) costWrite(row, offset int, lw write.LineWrite, esc uint8) (Line
 				}
 			}
 		}
-		c, err := s.opCost(opKey{section: uint8(section), offB: uint8(offB), mask: resetMask, esc: esc})
+		c, err := s.opCost(ctx, opKey{section: uint8(section), offB: uint8(offB), mask: resetMask, esc: esc})
 		if err != nil {
 			return LineCost{}, err
 		}
@@ -400,7 +399,7 @@ const (
 // scheme's singleflight. A newly solved entry only bumps the scheme's
 // solve count; FlushMemo writes the entries to the persistent cache,
 // once per finished simulation, not once per solve.
-func (s *Scheme) opCost(k opKey) (opCost, error) {
+func (s *Scheme) opCost(ctx context.Context, k opKey) (opCost, error) {
 	if !s.opt.ExactMasks {
 		k.mask = canonicalMasks[k.mask]
 	}
@@ -415,7 +414,7 @@ func (s *Scheme) opCost(k opKey) (opCost, error) {
 		if c := s.memo.load(k); c != nil {
 			return *c, nil
 		}
-		c, err := s.solveOp(k)
+		c, err := s.solveOp(ctx, k)
 		if err != nil {
 			return opCost{}, err
 		}
@@ -495,8 +494,9 @@ func (s *Scheme) costFromResult(volts []float64, res *xpoint.ResetResult) opCost
 }
 
 // solveOp runs the array model for the representative operation of key k.
-func (s *Scheme) solveOp(k opKey) (opCost, error) {
-	defer obs.SpanScope("core.solve_op")()
+func (s *Scheme) solveOp(ctx context.Context, k opKey) (opCost, error) {
+	_, stop := obs.StartSpan(ctx, "core.solve_op")
+	defer stop()
 	op := s.opForKey(k)
 	res, err := s.arr.SimulateReset(op)
 	if err != nil {

@@ -84,7 +84,7 @@ func TestFailedWriteLatencyClamped(t *testing.T) {
 	}
 	var lw write.LineWrite
 	lw.Arrays[0] = write.ArrayWrite{Reset: 1 << 7}
-	c, err := s.CostWrite(cfg.Size-1, cfg.MuxWidth()-1, lw)
+	c, err := s.CostWrite(context.Background(), cfg.Size-1, cfg.MuxWidth()-1, lw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,9 +155,9 @@ func TestSchemeConcurrentCosting(t *testing.T) {
 	}
 	price := func(s *Scheme, j job) (LineCost, error) {
 		if j.esc == 0 {
-			return s.CostWrite(j.row, j.offset, j.lw)
+			return s.CostWrite(context.Background(), j.row, j.offset, j.lw)
 		}
-		return s.CostWriteRetry(j.row, j.offset, j.lw, j.esc)
+		return s.CostWriteRetry(context.Background(), j.row, j.offset, j.lw, j.esc)
 	}
 
 	serial := mustScheme(t, UDRVRPR)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/bits"
 	"sync"
@@ -187,7 +188,7 @@ func TestCostWriteAccounting(t *testing.T) {
 	var lw write.LineWrite
 	lw.Arrays[0] = write.ArrayWrite{Reset: 0b10000001, Set: 0b01000000}
 	lw.Arrays[63] = write.ArrayWrite{Reset: 0b00000001}
-	c, err := s.CostWrite(100, 10, lw)
+	c, err := s.CostWrite(context.Background(), 100, 10, lw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestCostWriteAccounting(t *testing.T) {
 		t.Error("baseline write flagged as failed")
 	}
 	// An empty write costs nothing.
-	empty, err := s.CostWrite(100, 10, write.LineWrite{})
+	empty, err := s.CostWrite(context.Background(), 100, 10, write.LineWrite{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,10 +213,10 @@ func TestCostWriteAccounting(t *testing.T) {
 
 func TestCostWriteValidation(t *testing.T) {
 	s := mustScheme(t, Baseline)
-	if _, err := s.CostWrite(-1, 0, write.LineWrite{}); err == nil {
+	if _, err := s.CostWrite(context.Background(), -1, 0, write.LineWrite{}); err == nil {
 		t.Error("negative row accepted")
 	}
-	if _, err := s.CostWrite(0, 64, write.LineWrite{}); err == nil {
+	if _, err := s.CostWrite(context.Background(), 0, 64, write.LineWrite{}); err == nil {
 		t.Error("offset beyond mux width accepted")
 	}
 }
@@ -229,11 +230,11 @@ func TestPRIncreasesWritesButCutsLatency(t *testing.T) {
 	for i := range lw.Arrays {
 		lw.Arrays[i] = write.ArrayWrite{Reset: 1 << 7}
 	}
-	cb, err := base.CostWrite(511, 63, lw)
+	cb, err := base.CostWrite(context.Background(), 511, 63, lw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := pr.CostWrite(511, 63, lw)
+	cp, err := pr.CostWrite(context.Background(), 511, 63, lw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestDBLPumpPressure(t *testing.T) {
 		// One RESET per array: D-BL turns each into 8 concurrent RESETs.
 		lw.Arrays[i] = write.ArrayWrite{Reset: 1 << 7}
 	}
-	c, err := hard.CostWrite(100, 10, lw)
+	c, err := hard.CostWrite(context.Background(), 100, 10, lw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +344,7 @@ func TestMemoGrowsAndServes(t *testing.T) {
 	s := mustScheme(t, Baseline)
 	var lw write.LineWrite
 	lw.Arrays[5] = write.ArrayWrite{Reset: 0b00010000}
-	if _, err := s.CostWrite(40, 5, lw); err != nil {
+	if _, err := s.CostWrite(context.Background(), 40, 5, lw); err != nil {
 		t.Fatal(err)
 	}
 	n := s.MemoSize()
@@ -351,7 +352,7 @@ func TestMemoGrowsAndServes(t *testing.T) {
 		t.Fatal("memo empty after a costed write")
 	}
 	// The same write again must not grow the table.
-	if _, err := s.CostWrite(40, 5, lw); err != nil {
+	if _, err := s.CostWrite(context.Background(), 40, 5, lw); err != nil {
 		t.Fatal(err)
 	}
 	if s.MemoSize() != n {

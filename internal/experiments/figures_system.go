@@ -341,7 +341,7 @@ func (s *Suite) sweep(title string, variants []sweepRow) (string, error) {
 			}
 			sps = append(sps, r.Speedup(ref))
 		}
-		up, err := s.scheme(cfgs[i], "UDRVR+PR")
+		up, err := s.scheme(s.Context(), cfgs[i], "UDRVR+PR")
 		if err != nil {
 			return "", err
 		}

@@ -172,7 +172,7 @@ func TestSuiteParallelHammer(t *testing.T) {
 			if _, err := s.Scheme(p.Scheme); err != nil {
 				t.Error(err)
 			}
-			sc, err := s.scheme(cfg256, "Base")
+			sc, err := s.scheme(context.Background(), cfg256, "Base")
 			if err != nil {
 				t.Error(err)
 			}
@@ -287,7 +287,7 @@ func TestVariantInheritsMemCfg(t *testing.T) {
 	if got.Reliability == nil {
 		t.Error("sweep cell ran without the suite's fault profile")
 	}
-	sc, err := s.scheme(cfg, "Hard+Sys")
+	sc, err := s.scheme(context.Background(), cfg, "Hard+Sys")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,17 +1,21 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
 	"reramsim/internal/jobs"
 	"reramsim/internal/obs"
+	"reramsim/internal/par"
 )
 
-// TestSweepSpanHierarchy runs a tiny engine-backed sweep with a span
-// sink installed and checks the exported trace has the full nested
-// chain: experiments.sweep -> jobs.grid -> cell -> sim -> memsys.sim ->
-// core.calibrate / xpoint.solve, each child resolving to its parent
+// TestSweepSpanHierarchy runs a tiny sweep with a span sink installed
+// and checks the exported trace has the full nested chain:
+// experiments.sweep -> jobs.grid -> cell -> sim -> {scheme,
+// memsys.sim -> core.solve_op}, each child resolving to its parent
 // through the recorded ids.
 func TestSweepSpanHierarchy(t *testing.T) {
 	sink := &obs.MemorySpanSink{}
@@ -71,33 +75,104 @@ func TestSweepSpanHierarchy(t *testing.T) {
 	if !contains(simChain, "experiments.sweep") {
 		t.Errorf("sim span does not descend from experiments.sweep: %v", simChain)
 	}
-	memChain := ancestry("memsys.sim:Base/mcf_m")
-	if !contains(memChain, "sim:Base/mcf_m") {
-		t.Errorf("memsys span does not descend from its sim: %v", memChain)
+	for _, name := range []string{"memsys.sim:Base/mcf_m", "scheme:Base"} {
+		if chain := ancestry(name); len(chain) < 2 || chain[1] != "sim:Base/mcf_m" {
+			t.Errorf("%s does not nest under its sim: %v", name, chain)
+		}
 	}
-	calChain := ancestry("core.calibrate:Base")
-	if !contains(calChain, "experiments.sweep") {
-		t.Errorf("calibration span does not descend from the sweep: %v", calChain)
-	}
-	// Calibration's direct array solves are roots; at least one solve
-	// must come from the scheme's cost model (under core.solve_op).
-	foundSolve := false
+	solves := 0
 	for _, sp := range spans {
-		if sp.Name != "xpoint.solve" || sp.ParentID == 0 {
+		if sp.Name != "core.solve_op" {
 			continue
 		}
-		if p, ok := byID[sp.ParentID]; ok && p.Name == "core.solve_op" {
-			foundSolve = true
-			break
+		solves++
+		if p := byID[sp.ParentID]; p.Name != "memsys.sim:Base/mcf_m" {
+			t.Errorf("core.solve_op parent = %q, want memsys.sim:Base/mcf_m", p.Name)
 		}
 	}
-	if !foundSolve {
-		t.Errorf("no xpoint.solve span nests under core.solve_op")
+	if solves == 0 {
+		t.Error("no core.solve_op span recorded")
 	}
-	for _, name := range []string{"scheme:Base", "core.solve_op"} {
-		if _, ok := byName[name]; !ok {
-			t.Errorf("expected a %q span", name)
+}
+
+// TestSweepSpanTreeIndependentOfJobs: a span's parent is the span its
+// context carries, so one grid gives one span tree at any worker count:
+// every span but the sweep root names a parent in the trace, and -jobs
+// 1 and -jobs 2 give the same multiset of (name, parent name) edges.
+// Each scheme gets one cell: two cells of one scheme share cold solves
+// through the scheme's flight, and the parent of a shared solve is the
+// sim that led it.
+func TestSweepSpanTreeIndependentOfJobs(t *testing.T) {
+	t.Cleanup(func() { par.SetJobs(0) })
+	edges := func(jobs int) map[[2]string]int {
+		par.SetJobs(jobs)
+		s, err := NewSuite(200)
+		if err != nil {
+			t.Fatal(err)
 		}
+		sink := &obs.MemorySpanSink{}
+		obs.SetSpanSink(sink)
+		defer obs.SetSpanSink(nil)
+		pairs := []SimPair{{"Base", "mcf_m"}, {"UDRVR+PR", "mcf_m"}}
+		if err := s.PrimeSims(pairs); err != nil {
+			t.Fatal(err)
+		}
+		spans := sink.Spans()
+		byID := make(map[uint64]obs.Span, len(spans))
+		for _, sp := range spans {
+			byID[sp.ID] = sp
+		}
+		out := make(map[[2]string]int)
+		orphans := 0
+		for _, sp := range spans {
+			p, ok := byID[sp.ParentID]
+			if !ok && sp.Name != "experiments.sweep" {
+				orphans++
+			}
+			out[[2]string{sp.Name, p.Name}]++
+		}
+		if orphans > 0 {
+			t.Errorf("-jobs %d: %d of %d spans have no parent in the trace", jobs, orphans, len(spans))
+		}
+		return out
+	}
+	one, two := edges(1), edges(2)
+	if !reflect.DeepEqual(one, two) {
+		t.Errorf("span edges differ between -jobs 1 and -jobs 2:\n  jobs 1: %v\n  jobs 2: %v", one, two)
+	}
+}
+
+// TestSweepSpansMoveNoResult: a grid run with a span sink installed
+// gives byte-identical results to one without, so -trace-spans cannot
+// change a sweep's output.
+func TestSweepSpansMoveNoResult(t *testing.T) {
+	pairs := []SimPair{{"Base", "mcf_m"}, {"UDRVR+PR", "mcf_m"}}
+	run := func(sink obs.SpanSink) []byte {
+		s, err := NewSuite(200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs.SetSpanSink(sink)
+		defer obs.SetSpanSink(nil)
+		if err := s.PrimeSims(pairs); err != nil {
+			t.Fatal(err)
+		}
+		var out []byte
+		for _, p := range pairs {
+			r, err := s.Sim(p.Scheme, p.Workload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, b...)
+		}
+		return out
+	}
+	if plain, traced := run(nil), run(&obs.MemorySpanSink{}); !bytes.Equal(plain, traced) {
+		t.Errorf("results differ with spans on:\n  off: %s\n  on:  %s", plain, traced)
 	}
 }
 

@@ -136,13 +136,14 @@ func SchemeNames() []string {
 // Scheme returns (building and caching on first use) a named scheme on
 // the suite's array config.
 func (s *Suite) Scheme(name string) (*core.Scheme, error) {
-	return s.scheme(s.Cfg, name)
+	return s.scheme(s.Context(), s.Cfg, name)
 }
 
 // scheme returns (building and caching on first use) a named scheme on
 // an array config. Concurrent first uses of one (config, name) share
-// one calibration.
-func (s *Suite) scheme(array xpoint.Config, name string) (*core.Scheme, error) {
+// one calibration, under the span of the caller that builds it: ctx
+// carries only that span.
+func (s *Suite) scheme(ctx context.Context, array xpoint.Config, name string) (*core.Scheme, error) {
 	k := schemeKey{array, name}
 	s.mu.Lock()
 	sc, ok := s.schemes[k]
@@ -164,7 +165,8 @@ func (s *Suite) scheme(array xpoint.Config, name string) (*core.Scheme, error) {
 			return nil, fmt.Errorf("experiments: unknown scheme %q", name)
 		}
 		if obs.SpansEnabled() {
-			defer obs.SpanScope("scheme:" + name)()
+			_, stop := obs.StartSpan(ctx, "scheme:"+name)
+			defer stop()
 		}
 		sc, err := build(array)
 		if err != nil {
@@ -238,7 +240,7 @@ func (s *Suite) runSim(ctx context.Context, c cell) (*memsys.Result, error) {
 		ctx, stop = obs.StartSpan(ctx, "sim:"+c.Scheme+"/"+c.Workload)
 		defer stop()
 	}
-	sc, err := s.scheme(c.Array, c.Scheme)
+	sc, err := s.scheme(ctx, c.Array, c.Scheme)
 	if err != nil {
 		return nil, err
 	}

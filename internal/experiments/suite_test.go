@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -167,11 +168,11 @@ func TestVariantCaching(t *testing.T) {
 	if v1.Size != 256 {
 		t.Errorf("variant config size = %d", v1.Size)
 	}
-	sc1, err := s.scheme(v1, "Base")
+	sc1, err := s.scheme(context.Background(), v1, "Base")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc2, err := s.scheme(v2, "Base")
+	sc2, err := s.scheme(context.Background(), v2, "Base")
 	if err != nil {
 		t.Fatal(err)
 	}

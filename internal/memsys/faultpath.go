@@ -107,7 +107,7 @@ func (s *sim) writeWithVerify(req *writeReq) (busy, energyJ float64, cells int, 
 		rel.WriteRetries++
 		obsRetries.Inc()
 		obsRetrySection.Observe(float64(cost.Section))
-		rc, cerr := s.scheme.CostWriteRetry(req.row, req.offset, req.lw, esc)
+		rc, cerr := s.scheme.CostWriteRetry(s.ctx, req.row, req.offset, req.lw, esc)
 		if cerr != nil {
 			return 0, 0, 0, cerr
 		}

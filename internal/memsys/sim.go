@@ -164,6 +164,9 @@ type coreState struct {
 
 // sim bundles the mutable simulation state.
 type sim struct {
+	// ctx stops the event loop and carries the memsys.sim span that
+	// cold solves' spans nest under.
+	ctx    context.Context
 	cfg    Config
 	scheme *core.Scheme
 
@@ -212,7 +215,9 @@ func Simulate(s *core.Scheme, bench trace.Benchmark, cfg Config) (*Result, error
 // that completes.
 func SimulateContext(ctx context.Context, s *core.Scheme, bench trace.Benchmark, cfg Config) (*Result, error) {
 	if obs.SpansEnabled() {
-		defer obs.SpanScope("memsys.sim:" + s.Name() + "/" + bench.Name)()
+		var stop func()
+		ctx, stop = obs.StartSpan(ctx, "memsys.sim:"+s.Name()+"/"+bench.Name)
+		defer stop()
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -223,6 +228,7 @@ func SimulateContext(ctx context.Context, s *core.Scheme, bench trace.Benchmark,
 	}
 
 	sm := &sim{
+		ctx:        ctx,
 		cfg:        cfg,
 		scheme:     s,
 		cores:      make([]coreState, cfg.Cores),
@@ -268,7 +274,7 @@ func SimulateContext(ctx context.Context, s *core.Scheme, bench trace.Benchmark,
 		sm.scheduleNextAccess(i, 0)
 	}
 
-	if err := sm.run(ctx); err != nil {
+	if err := sm.run(); err != nil {
 		return nil, err
 	}
 	sm.finalize()
@@ -344,10 +350,10 @@ func (s *sim) mapLine(line uint64, isWrite bool) (bank, rank, row, offset int, p
 // thousand events.
 const stopPollEvery = 4096
 
-func (s *sim) run(ctx context.Context) error {
+func (s *sim) run() error {
 	for processed := 0; len(s.events) > 0; processed++ {
-		if processed%stopPollEvery == 0 && ctx.Err() != nil {
-			return fmt.Errorf("memsys: stopped after %d events: %w", processed, context.Cause(ctx))
+		if processed%stopPollEvery == 0 && s.ctx.Err() != nil {
+			return fmt.Errorf("memsys: stopped after %d events: %w", processed, context.Cause(s.ctx))
 		}
 		e := s.events.pop()
 		if e.t > s.endTime {
@@ -458,7 +464,7 @@ func (s *sim) submitWrite(now float64, i int, a trace.Access) error {
 		return err
 	}
 	bank, rank, row, offset, phys := s.mapLine(a.Line, true)
-	cost, err := s.scheme.CostWrite(row, offset, lw)
+	cost, err := s.scheme.CostWrite(s.ctx, row, offset, lw)
 	if err != nil {
 		return err
 	}

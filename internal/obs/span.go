@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,26 +14,31 @@ import (
 // as Chrome trace events so a whole sweep renders as a flame view in
 // Perfetto (ui.perfetto.dev) or chrome://tracing.
 //
-// Parentage is derived two ways, cheapest first: a span started on a
-// goroutine that already has an open span nests under it (a per-
-// goroutine stack, so ctx-free layers like xpoint and memsys need no
-// plumbing), and a span started on a fresh goroutine picks its parent
-// up from the context (StartSpan threads the span id through ctx, so
-// fan-out across the par worker pool keeps the sweep -> cell chain).
+// A span's parent is the span its context carries, and nothing else:
+// StartSpan returns a context carrying the new span, and a span started
+// under that context nests under it, on this goroutine or another. So
+// one sweep gives one tree at any worker count.
+//
+// Each span is drawn on a track (the trace's tid). A root opens its own
+// track. A child takes its parent's track while no other child holds
+// it, and otherwise opens its own; a stopped span lends its track to no
+// later child. So as long as children stop before their parents, spans
+// on one track nest or are disjoint, which is what Perfetto's flame
+// rows need.
 //
 // Like metrics, spans are atomic-gated: with no sink installed,
-// StartSpan/SpanScope cost one atomic load and return a shared no-op
+// StartSpan costs one atomic load and returns ctx with a shared no-op
 // stop — zero allocations on instrumented hot paths
 // (BenchmarkSpanDisabled guards this in make ci).
 
 // Span is one finished timed scope as handed to the sink. Start is
-// relative to the process-wide span epoch; GID is the goroutine the
-// span ran on (the trace track).
+// relative to the process-wide span epoch; Track is the trace track the
+// span is drawn on.
 type Span struct {
 	ID       uint64
 	ParentID uint64 // 0 for roots
 	Name     string
-	GID      uint64
+	Track    uint64
 	Start    time.Duration
 	Dur      time.Duration
 }
@@ -49,142 +53,95 @@ type SpanSink interface {
 var spanEpoch = time.Now()
 
 var spans struct {
-	on   atomic.Bool
-	seq  atomic.Uint64
-	mu   sync.Mutex
-	sink SpanSink
-	tops map[uint64]*spanNode // goroutine id -> innermost open span
+	sink   atomic.Pointer[SpanSink] // nil: spans off
+	seq    atomic.Uint64            // last span id
+	tracks atomic.Uint64            // last track id
 }
 
-func init() { spans.tops = make(map[uint64]*spanNode) }
+// A span's state: whether a child may take the span's track.
+const (
+	trackFree   uint32 = iota // open, no child holds the track
+	trackLent                 // open, a child holds the track
+	spanStopped               // stopped: lends its track to no later child
+)
 
-// spanNode is one open span; up points at the enclosing span on the
-// same goroutine (the per-goroutine stack is an intrusive linked list).
+// spanNode is one open span.
 type spanNode struct {
 	id       uint64
 	parentID uint64
-	up       *spanNode
+	track    uint64
+	lender   *spanNode // whose track this span holds; nil if it opened its own
+	state    atomic.Uint32
 	name     string
-	gid      uint64
 	start    time.Duration
 }
 
 // SetSpanSink installs (nil: removes) the span sink and gates span
 // collection on its presence.
 func SetSpanSink(s SpanSink) {
-	spans.mu.Lock()
-	spans.sink = s
-	spans.mu.Unlock()
-	spans.on.Store(s != nil)
+	if s == nil {
+		spans.sink.Store(nil)
+		return
+	}
+	spans.sink.Store(&s)
 }
 
 // SpansEnabled reports whether a span sink is installed. Call sites
 // that build span names dynamically (fmt/concat allocate) must check it
 // first so the disabled path stays allocation-free.
-func SpansEnabled() bool { return spans.on.Load() }
+func SpansEnabled() bool { return spans.sink.Load() != nil }
 
-// spanCtxKey carries the current span id across goroutine boundaries.
+// spanCtxKey carries the current span in a context.
 type spanCtxKey struct{}
 
-// StartSpan opens a named span under ctx and returns the context to
-// hand to child work (it carries the span id for cross-goroutine
-// nesting) plus the stop function closing the span. Stop must be called
-// on the goroutine that started the span — the usual
+// StartSpan opens a named span under the span ctx carries (a root when
+// it carries none). It returns the context to hand to child work, on
+// this goroutine or any other, and the stop function closing the span:
 //
 //	ctx, stop := obs.StartSpan(ctx, "experiments.sweep")
 //	defer stop()
 //
-// discipline guarantees that. With spans disabled the call is one
-// atomic load, returns ctx unchanged, and allocates nothing.
+// With spans disabled the call is one atomic load, returns ctx
+// unchanged, and allocates nothing.
 func StartSpan(ctx context.Context, name string) (context.Context, func()) {
-	if !spans.on.Load() {
+	if !SpansEnabled() {
 		return ctx, nopStop
 	}
-	n := startSpan(ctx, name)
-	return context.WithValue(ctx, spanCtxKey{}, n.id), n.stop
-}
-
-// SpanScope opens a span for layers without context plumbing (the
-// xpoint solver, the memsys event loop): nesting rides the per-
-// goroutine stack alone. Use as
-//
-//	defer obs.SpanScope("xpoint.solve")()
-func SpanScope(name string) func() {
-	if !spans.on.Load() {
-		return nopStop
-	}
-	return startSpan(context.Background(), name).stop
-}
-
-func startSpan(ctx context.Context, name string) *spanNode {
-	gid := goid()
-	n := &spanNode{
-		id:    spans.seq.Add(1),
-		name:  name,
-		gid:   gid,
-		start: time.Since(spanEpoch),
-	}
-	var ctxParent uint64
-	if id, ok := ctx.Value(spanCtxKey{}).(uint64); ok {
-		ctxParent = id
-	}
-	spans.mu.Lock()
-	if up := spans.tops[gid]; up != nil {
-		n.up, n.parentID = up, up.id
-	} else {
-		n.parentID = ctxParent
-	}
-	spans.tops[gid] = n
-	spans.mu.Unlock()
-	return n
-}
-
-// stop closes the span: pops it off its goroutine's stack and emits it.
-func (n *spanNode) stop() {
-	end := time.Since(spanEpoch)
-	spans.mu.Lock()
-	if spans.tops[n.gid] == n {
-		if n.up != nil {
-			spans.tops[n.gid] = n.up
-		} else {
-			delete(spans.tops, n.gid)
+	n := &spanNode{id: spans.seq.Add(1), name: name}
+	if p, ok := ctx.Value(spanCtxKey{}).(*spanNode); ok {
+		n.parentID = p.id
+		if p.state.CompareAndSwap(trackFree, trackLent) {
+			n.track, n.lender = p.track, p
 		}
 	}
-	sink := spans.sink
-	spans.mu.Unlock()
-	if sink != nil {
-		sink.EmitSpan(Span{
-			ID: n.id, ParentID: n.parentID, Name: n.name, GID: n.gid,
+	if n.lender == nil {
+		n.track = spans.tracks.Add(1)
+	}
+	// Timed after the track is taken: the span that last held it ended
+	// before the hand-over, so the two cannot overlap.
+	n.start = time.Since(spanEpoch)
+	return context.WithValue(ctx, spanCtxKey{}, n), n.stop
+}
+
+// stop closes the span, hands its track back to its lender and emits
+// it. A span stopped while a child still holds its track keeps the
+// track from its lender for good, so no later span on that track can
+// overlap the child.
+func (n *spanNode) stop() {
+	end := time.Since(spanEpoch)
+	if n.state.Swap(spanStopped) == trackFree && n.lender != nil {
+		n.lender.state.CompareAndSwap(trackLent, trackFree)
+	}
+	if sink := spans.sink.Load(); sink != nil {
+		(*sink).EmitSpan(Span{
+			ID: n.id, ParentID: n.parentID, Name: n.name, Track: n.track,
 			Start: n.start, Dur: end - n.start,
 		})
 	}
 }
 
-// goidBufs pools the small stack-dump buffers goid parses.
-var goidBufs = sync.Pool{New: func() any { b := make([]byte, 64); return &b }}
-
-// goid returns the current goroutine's id, parsed from the runtime
-// stack header ("goroutine N [...]"). Only called with spans enabled.
-func goid() uint64 {
-	bp := goidBufs.Get().(*[]byte)
-	b := (*bp)[:cap(*bp)]
-	n := runtime.Stack(b, false)
-	b = b[:n]
-	const pfx = len("goroutine ")
-	var id uint64
-	for i := pfx; i < len(b); i++ {
-		c := b[i]
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	goidBufs.Put(bp)
-	return id
-}
-
 // NopSpanSink discards every span; installing it exercises the full
-// span path (allocation, stack upkeep) without retaining anything —
+// span path (allocation, track upkeep) without retaining anything —
 // BenchmarkSpanEnabled measures against it.
 type NopSpanSink struct{}
 
@@ -214,9 +171,9 @@ func (m *MemorySpanSink) Spans() []Span {
 }
 
 // ChromeTraceSink streams spans as a Chrome trace-event JSON array —
-// complete ("ph":"X") events with tid = goroutine id, so Perfetto and
-// chrome://tracing nest them into per-goroutine flame tracks by time
-// containment, with the explicit span/parent ids in args. Close writes
+// complete ("ph":"X") events with tid = the span's track, so Perfetto
+// and chrome://tracing nest them into flame tracks by time containment,
+// with the explicit span/parent ids in args. Close writes
 // the closing bracket and flushes; the first write error sticks.
 type ChromeTraceSink struct {
 	mu  sync.Mutex
@@ -253,7 +210,7 @@ func (s *ChromeTraceSink) EmitSpan(sp Span) {
 		Name: sp.Name, Cat: "span", Ph: "X",
 		TS:  float64(sp.Start.Nanoseconds()) / 1e3,
 		Dur: float64(sp.Dur.Nanoseconds()) / 1e3,
-		PID: 1, TID: sp.GID,
+		PID: 1, TID: sp.Track,
 	}
 	ev.Args.ID, ev.Args.Parent = sp.ID, sp.ParentID
 	blob, err := json.Marshal(ev)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"reramsim/internal/obs"
 )
 
 // ResetOp is one concurrent (possibly multi-bit) RESET on a single
@@ -149,9 +147,6 @@ func growFloats(s []float64, n int) []float64 {
 // SimulateReset solves the array model for op and derives per-cell
 // effective voltages, currents and the op latency.
 func (a *Array) SimulateReset(op ResetOp) (*ResetResult, error) {
-	// Span here, not in SimulateResetInto: the Into variant is the
-	// allocation-free steady-state path and stays uninstrumented.
-	defer obs.SpanScope("xpoint.solve")()
 	if err := op.Validate(a.cfg); err != nil {
 		return nil, err
 	}

@@ -85,6 +85,13 @@ func TestFastModelMatchesFullSolver(t *testing.T) {
 			c.Size = 128
 			c.Rwire = device.WireResistance(device.Node10nm)
 		}},
+		// The other corners of the Fig. 18-20 sweeps: Fig. 19's thickest
+		// wire, both ends of Fig. 20's ON/OFF ratio and Fig. 18's
+		// smallest MAT.
+		{"32nm", 5e-3, func(c *Config) { c.Rwire = device.WireResistance(device.Node32nm) }},
+		{"kr500", 5e-3, func(c *Config) { c.Params.Kr = 500 }},
+		{"kr2000", 5e-3, func(c *Config) { c.Params.Kr = 2000 }},
+		{"256x256", 5e-3, func(c *Config) { c.Size = 256 }},
 	}
 	for _, vt := range variants {
 		cfg := smallConfig()
