@@ -52,7 +52,8 @@ test-resume:
 	$(GO) test -run 'TestQuarantineExitCodeSmoke|TestSigtermResumeByteIdentical|TestCellTimeoutStopsCells|TestSigintStopsSingleCell|TestCellTimeoutAlone' ./cmd/reramsim/ ./cmd/figures/
 
 # The live telemetry plane under the race detector — the lock-free
-# /metrics snapshot hammered against running sweeps, the span
+# /metrics snapshot of counters and gauges hammered against running
+# sweeps, the span
 # collector (parents through the context alone, tracks handed between
 # goroutines), the span tree of a sweep (TestSweepSpan*: the same tree
 # at -jobs 1 and 2, no orphan spans), the /progress export — plus the
@@ -162,9 +163,9 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # The allocation guards: steady-state SimulateResetInto, a memoized line
-# write priced bare and inside a disabled timing scope, a disabled span
+# write priced with metrics off and with metrics on, a disabled span
 # with a child under it (StartSpan, the only span entry point) and one
 # ladder sweep must all stay at 0 allocs/op (the benchmarks themselves
 # fail otherwise), run briefly as part of ci.
 bench-guard:
-	$(GO) test -run xxx -bench 'BenchmarkResetOpSteadyState|BenchmarkCostWriteMemoized|BenchmarkObsDisabled|BenchmarkSpanDisabled|BenchmarkLadderSweep' -benchtime 100x -benchmem . ./internal/xpoint/
+	$(GO) test -run xxx -bench 'BenchmarkResetOpSteadyState|BenchmarkCostWriteMemoized|BenchmarkObsDisabled|BenchmarkObsEnabled|BenchmarkSpanDisabled|BenchmarkLadderSweep' -benchtime 100x -benchmem . ./internal/xpoint/

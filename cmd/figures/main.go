@@ -5,7 +5,6 @@
 //	figures                  # run every experiment
 //	figures -exp fig15       # one experiment
 //	figures -accesses 5000   # simulation length per core
-//	figures -skip-maps       # skip the minutes-scale surface maps
 package main
 
 import (
@@ -38,7 +37,6 @@ func main() {
 	var (
 		exp      = flag.String("exp", "", "comma-separated experiment ids (default: all); see -list")
 		accesses = flag.Int("accesses", 5000, "memory accesses simulated per core")
-		skipMaps = flag.Bool("skip-maps", false, "skip the surface-map experiments (fig4, fig6, fig11, fig13)")
 		jobsFlag = flag.Int("jobs", 0, "max parallel simulations/solves (0 = GOMAXPROCS); output is identical at any setting")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 
@@ -71,7 +69,7 @@ func main() {
 		return
 	}
 
-	if *obsAddr != "" || *traceSpans != "" {
+	if *obsAddr != "" { // /metrics is the registry's only reader here
 		obs.SetEnabled(true)
 	}
 	stack, err := telemetry.StartStack(telemetry.StackOptions{Addr: *obsAddr, TraceSpans: *traceSpans})
@@ -150,13 +148,8 @@ func main() {
 		}
 	}
 
-	maps := map[string]bool{"fig4": true, "fig6": true, "fig11": true, "fig13": true}
 	partial := false
 	for _, e := range selected {
-		if *skipMaps && maps[e.ID] {
-			fmt.Printf("== %s: skipped (-skip-maps)\n\n", e.ID)
-			continue
-		}
 		start := time.Now()
 		out, err := e.Run(suite)
 		if err != nil {

@@ -180,7 +180,7 @@ func metricValue(t *testing.T, text, name string) (float64, bool) {
 // TestDaemonSolveDedupE2E: 32 concurrent identical solves, each from
 // its own client, share one simulation through the suite's per-cell
 // singleflight. Every request answers 200 with the same bytes, and the
-// daemon's memsys_reads counter equals the one result's Reads.
+// daemon's memsys_sims counter shows one simulation.
 func TestDaemonSolveDedupE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and drives the daemon")
@@ -227,8 +227,8 @@ func TestDaemonSolveDedupE2E(t *testing.T) {
 		t.Fatalf("result does not decode with reads (reads %d, err %v): %.200s", out.Result.Reads, err, bodies[0])
 	}
 	_, metrics := d.get(t, "/metrics")
-	if v, ok := metricValue(t, string(metrics), "memsys_reads"); !ok || v != float64(out.Result.Reads) {
-		t.Fatalf("memsys_reads = %v (found=%v), want %d: one simulation for %d requests", v, ok, out.Result.Reads, n)
+	if v, ok := metricValue(t, string(metrics), "memsys_sims"); !ok || v != 1 {
+		t.Fatalf("memsys_sims = %v (found=%v), want one simulation for %d requests", v, ok, n)
 	}
 }
 

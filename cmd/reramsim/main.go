@@ -118,7 +118,7 @@ func main() {
 		}
 		core.SetSolveCache(sc)
 	}
-	if *metrics || *obsAddr != "" || *traceSpans != "" {
+	if *metrics || *obsAddr != "" { // the dump or /metrics reads the registry
 		obs.SetEnabled(true)
 	}
 	stack, err := telemetry.StartStack(telemetry.StackOptions{Addr: *obsAddr, TraceSpans: *traceSpans})

@@ -109,7 +109,7 @@ func TestSigintStopsSingleCell(t *testing.T) {
 
 // TestMetricsDumpSamplesRuntime: -metrics publishes a fresh sample of
 // the runtime.* series even without -obs-addr, where nothing else
-// samples them.
+// samples them, and counts the run's one simulation.
 func TestMetricsDumpSamplesRuntime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the CLI")
@@ -127,10 +127,14 @@ func TestMetricsDumpSamplesRuntime(t *testing.T) {
 		t.Fatalf("no JSON registry dump in output:\n%s", out)
 	}
 	var snap struct {
-		Gauges map[string]float64 `json:"gauges"`
+		Counters map[string]uint64  `json:"counters"`
+		Gauges   map[string]float64 `json:"gauges"`
 	}
 	if err := json.Unmarshal(out[i:], &snap); err != nil {
 		t.Fatalf("registry dump: %v\n%s", err, out[i:])
+	}
+	if c := snap.Counters["memsys.sims"]; c != 1 {
+		t.Errorf("memsys.sims = %d, want 1", c)
 	}
 	if g := snap.Gauges["runtime.goroutines"]; g < 1 {
 		t.Errorf("runtime.goroutines = %g, want >= 1", g)

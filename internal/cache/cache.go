@@ -160,27 +160,20 @@ type MemoryAccess struct {
 // writeback).
 func (h *Hierarchy) Access(line uint64, isWrite bool) (latency int, mem []MemoryAccess) {
 	if h.L1.Access(line, isWrite).Hit {
-		obsL1Hits.Inc()
 		return h.L1.cfg.HitLatency, nil
 	}
-	obsL1Misses.Inc()
 	latency += h.L1.cfg.HitLatency
 	if h.L2.Access(line, isWrite).Hit {
-		obsL2Hits.Inc()
 		return latency + h.L2.cfg.HitLatency, nil
 	}
-	obsL2Misses.Inc()
 	latency += h.L2.cfg.HitLatency
 	r3 := h.L3.Access(line, isWrite)
 	latency += h.L3.cfg.HitLatency
 	if r3.Hit {
-		obsL3Hits.Inc()
 		return latency, nil
 	}
-	obsL3Misses.Inc()
 	mem = append(mem, MemoryAccess{Line: line})
 	if r3.HasWriteback {
-		obsWritebacks.Inc()
 		mem = append(mem, MemoryAccess{Line: r3.Writeback, IsWrite: true})
 	}
 	return latency, mem

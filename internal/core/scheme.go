@@ -261,12 +261,6 @@ type LineCost struct {
 	PumpRounds  int // total pump iterations across both phases
 	Failed      bool
 
-	// Section is the DRVR section the priced row belongs to.
-	Section int
-	// Level is the highest applied RESET level of the write (V), used by
-	// the pump level-switch tracker. Only populated while observability
-	// is enabled; zero otherwise and for SET-only writes.
-	Level float64
 	// MinMargin is the smallest delivered effective Vrst above the write
 	// threshold across the write's RESET cells (V); +Inf for SET-only
 	// writes. Write-verify failure probability is a function of it.
@@ -315,14 +309,11 @@ func (s *Scheme) costWrite(ctx context.Context, row, offset int, lw write.LineWr
 	}
 	section := s.levels.SectionOf(row, cfg.Size)
 	offB := offset * offsetBuckets / cfg.MuxWidth()
-	instrumented := obs.Enabled()
 
 	var out LineCost
-	out.Section = section
 	out.MinMargin = math.Inf(1)
 	var maxResetLat float64
 	for _, aw := range lw.Arrays {
-		pre := aw
 		if s.opt.PR {
 			aw = write.PartitionReset(aw)
 		}
@@ -338,16 +329,6 @@ func (s *Scheme) costWrite(ctx context.Context, row, offset int, lw write.LineWr
 		out.DummyResets += bits.OnesCount8(dummies)
 		if resetMask == 0 {
 			continue
-		}
-		if instrumented {
-			s.recordArrayOp(section, pre, aw)
-			for b := 0; b < 8; b++ {
-				if resetMask&(1<<b) != 0 {
-					if v := s.levels.Escalated(section, b, int(esc), EscalationStep, EscalationCap); v > out.Level {
-						out.Level = v
-					}
-				}
-			}
 		}
 		c, err := s.opCost(ctx, opKey{section: uint8(section), offB: uint8(offB), mask: resetMask, esc: esc})
 		if err != nil {
@@ -382,9 +363,6 @@ func (s *Scheme) costWrite(ctx context.Context, row, offset int, lw write.LineWr
 	// pump's own per-round overhead.
 	out.Energy = s.pump.DeliveredEnergy(out.Energy) +
 		s.pump.PhaseOverheadEnergy(resetRounds) + s.pump.PhaseOverheadEnergy(setRounds)
-	if instrumented {
-		recordLineCost(out)
-	}
 	return out, nil
 }
 

@@ -142,18 +142,24 @@ func TestSweepSpanTreeIndependentOfJobs(t *testing.T) {
 	}
 }
 
-// TestSweepSpansMoveNoResult: a grid run with a span sink installed
-// gives byte-identical results to one without, so -trace-spans cannot
-// change a sweep's output.
+// TestSweepSpansMoveNoResult: a grid run with a span sink installed,
+// or with metrics on, gives byte-identical results to one without, so
+// neither -trace-spans nor -metrics (nor reramd, which always counts)
+// can change a sweep's output.
 func TestSweepSpansMoveNoResult(t *testing.T) {
 	pairs := []SimPair{{"Base", "mcf_m"}, {"UDRVR+PR", "mcf_m"}}
-	run := func(sink obs.SpanSink) []byte {
+	run := func(sink obs.SpanSink, metrics bool) []byte {
 		s, err := NewSuite(200)
 		if err != nil {
 			t.Fatal(err)
 		}
 		obs.SetSpanSink(sink)
-		defer obs.SetSpanSink(nil)
+		obs.SetEnabled(metrics)
+		defer func() {
+			obs.SetSpanSink(nil)
+			obs.SetEnabled(false)
+			obs.Default().ResetValues()
+		}()
 		if err := s.PrimeSims(pairs); err != nil {
 			t.Fatal(err)
 		}
@@ -171,8 +177,12 @@ func TestSweepSpansMoveNoResult(t *testing.T) {
 		}
 		return out
 	}
-	if plain, traced := run(nil), run(&obs.MemorySpanSink{}); !bytes.Equal(plain, traced) {
+	plain := run(nil, false)
+	if traced := run(&obs.MemorySpanSink{}, false); !bytes.Equal(plain, traced) {
 		t.Errorf("results differ with spans on:\n  off: %s\n  on:  %s", plain, traced)
+	}
+	if counted := run(nil, true); !bytes.Equal(plain, counted) {
+		t.Errorf("results differ with metrics on:\n  off: %s\n  on:  %s", plain, counted)
 	}
 }
 

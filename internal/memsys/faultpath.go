@@ -5,21 +5,7 @@ import (
 
 	"reramsim/internal/ecp"
 	"reramsim/internal/fault"
-	"reramsim/internal/obs"
 	"reramsim/internal/wear"
-)
-
-// Fault-path observability: retry/degradation counters and the
-// escalation-depth distribution. All are no-ops while the registry is
-// disabled; the fault path itself only runs with a profile selected.
-var (
-	obsRetries      = obs.C("fault.write_retries")
-	obsVerifyFails  = obs.C("fault.verify_failures")
-	obsStuckCells   = obs.C("fault.stuck_cells")
-	obsRetiredLines = obs.C("fault.retired_lines")
-	obsUncorrect    = obs.C("fault.uncorrectable")
-	obsEscDepth     = obs.H("fault.escalation_depth", obs.LinearBounds(1, 8, 8))
-	obsRetrySection = obs.H("fault.retry_section", obs.LinearBounds(0, 7, 8))
 )
 
 // Reliability aggregates the fault-handling outcome of a run. The block
@@ -86,13 +72,9 @@ func (s *sim) writeWithVerify(req *writeReq) (busy, energyJ float64, cells int, 
 
 	margin := cost.MinMargin
 	dv := s.inj.Undershoot(req.bank)
-	if dv > 0 {
-		s.pumpTrack[req.rank].ObserveUndershoot(dv)
-	}
 	esc := 0
 	for s.inj.AttemptFails(req.bank, margin-dv, dv > 0) {
 		rel.VerifyFailures++
-		obsVerifyFails.Inc()
 		if esc >= s.cfg.MaxWriteRetries {
 			// Retries exhausted: the op's weakest cells are permanently
 			// stuck. The controller patches them via ECP and the
@@ -105,8 +87,6 @@ func (s *sim) writeWithVerify(req *writeReq) (busy, energyJ float64, cells int, 
 		}
 		esc++
 		rel.WriteRetries++
-		obsRetries.Inc()
-		obsRetrySection.Observe(float64(cost.Section))
 		rc, cerr := s.scheme.CostWriteRetry(s.ctx, req.row, req.offset, req.lw, esc)
 		if cerr != nil {
 			return 0, 0, 0, cerr
@@ -115,18 +95,11 @@ func (s *sim) writeWithVerify(req *writeReq) (busy, energyJ float64, cells int, 
 		energyJ += rc.Energy
 		rel.RetryEnergy += rc.Energy
 		cells += rc.CellsWritten() + rc.DummyResets
-		s.pumpTrack[req.rank].Observe(rc.Level)
 		margin = rc.MinMargin
 		dv = s.inj.Undershoot(req.bank)
-		if dv > 0 {
-			s.pumpTrack[req.rank].ObserveUndershoot(dv)
-		}
 	}
-	if esc > 0 {
-		obsEscDepth.Observe(float64(esc))
-		if esc > rel.MaxEscalation {
-			rel.MaxEscalation = esc
-		}
+	if esc > rel.MaxEscalation {
+		rel.MaxEscalation = esc
 	}
 	// Even a verified write wears its cells: the endurance profiles may
 	// leave one stuck after the fact (Eq. 2's accelerated aging).
@@ -155,7 +128,6 @@ func (s *sim) failCell(phys uint64, cell int) {
 		return // this cell already wore out and is patched; nothing new
 	}
 	rel.StuckCells++
-	obsStuckCells.Inc()
 	err := l.Fail(cell)
 	if err == nil {
 		return
@@ -170,9 +142,7 @@ func (s *sim) failCell(phys uint64, cell int) {
 	}
 	if _, ok := s.retire.Retire(phys); ok {
 		rel.RetiredLines++
-		obsRetiredLines.Inc()
 		return
 	}
 	rel.Uncorrectable++
-	obsUncorrect.Inc()
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"reramsim/internal/cache"
-	"reramsim/internal/chargepump"
 	"reramsim/internal/core"
 	"reramsim/internal/cpu"
 	"reramsim/internal/ecp"
@@ -182,11 +181,6 @@ type sim struct {
 	bankFreeAt []float64
 	pumpFreeAt []float64
 
-	// Observability state: per-bank issue counters (nil when disabled)
-	// and the per-rank pump level trackers.
-	bankOps   []*obs.Counter
-	pumpTrack []chargepump.LevelTracker
-
 	leveler    *wear.SecurityRefresh
 	shifter    wear.RowShifter
 	lineWrites map[uint64]uint64
@@ -201,6 +195,11 @@ type sim struct {
 	wrWaitSum  float64
 	endTime    float64
 }
+
+// obsSims counts completed simulations: the one memsys series, since
+// what a simulation did is its Result, not a metric. Concurrent callers
+// that share one run (a suite's singleflight, reramd's dedup) add one.
+var obsSims = obs.C("memsys.sims")
 
 // Simulate runs workload bench against scheme s under cfg and returns
 // aggregate performance and energy.
@@ -238,8 +237,6 @@ func SimulateContext(ctx context.Context, s *core.Scheme, bench trace.Benchmark,
 		pumpFreeAt: make([]float64, cfg.Ranks),
 		lineWrites: make(map[uint64]uint64),
 		shifter:    wear.NewRowShifter(),
-		bankOps:    newBankCounters(cfg.Banks()),
-		pumpTrack:  make([]chargepump.LevelTracker, cfg.Ranks),
 	}
 	sm.res.Workload = bench.Name
 	sm.res.Scheme = s.Name()
@@ -278,6 +275,7 @@ func SimulateContext(ctx context.Context, s *core.Scheme, bench trace.Benchmark,
 		return nil, err
 	}
 	sm.finalize()
+	obsSims.Inc()
 	return &sm.res, nil
 }
 
@@ -453,12 +451,10 @@ func (s *sim) submitRead(now float64, i int, line uint64) bool {
 		return false
 	}
 	s.readQ = append(s.readQ, req)
-	obsReadQDepth.Observe(float64(len(s.readQ)))
 	return true
 }
 
 func (s *sim) submitWrite(now float64, i int, a trace.Access) error {
-	defer obs.Time(obsLineWrite)()
 	lw, _, err := write.FlipNWrite(a.Old[:], a.New[:])
 	if err != nil {
 		return err
@@ -478,7 +474,6 @@ func (s *sim) submitWrite(now float64, i int, a trace.Access) error {
 		return nil
 	}
 	s.writeQ = append(s.writeQ, req)
-	obsWriteQDepth.Observe(float64(len(s.writeQ)))
 	s.scheduleNextAccess(i, now) // posted write: the core moves on
 	return nil
 }
@@ -489,7 +484,6 @@ func (s *sim) tryIssue(now float64) error {
 	if len(s.writeQ) >= s.cfg.WriteQueue && !s.burst {
 		s.burst = true
 		s.res.WriteBursts++
-		obsBursts.Inc()
 	}
 	for {
 		progress := false
@@ -532,11 +526,6 @@ func (s *sim) issueReads(now float64) bool {
 		s.res.Reads++
 		s.readLatSum += complete - req.arrival
 		s.res.Energy.Read += energy.ReadEnergyPerLine
-		obsReads.Inc()
-		obsReadLat.Observe((complete - req.arrival) * 1e9)
-		if s.bankOps != nil {
-			s.bankOps[req.bank].Inc()
-		}
 
 		s.readQ = append(s.readQ[:qi], s.readQ[qi+1:]...)
 		issued = true
@@ -573,12 +562,6 @@ func (s *sim) issueWrites(now float64) (bool, error) {
 		s.res.CellsWritten += uint64(cells)
 		if req.cost.Failed {
 			s.res.WriteFailures++
-		}
-		obsWrites.Inc()
-		obsWriteWait.Observe((done - req.arrival) * 1e9)
-		s.pumpTrack[req.rank].Observe(req.cost.Level)
-		if s.bankOps != nil {
-			s.bankOps[req.bank].Inc()
 		}
 
 		s.writeQ = append(s.writeQ[:qi], s.writeQ[qi+1:]...)

@@ -6,45 +6,28 @@ import (
 	"testing"
 )
 
-// TestWriteTextGolden pins the Prometheus text exposition byte-for-byte
-// before the telemetry server (and later reramd) depend on it: counter
-// and gauge lines with TYPE headers, histogram _bucket/_sum/_count
-// framing with cumulative counts and a quoted +Inf edge, the empty-
-// histogram 0/0 sentinel, and dot/dash -> underscore name mapping.
+// TestWriteTextGolden pins the Prometheus text exposition byte-for-byte,
+// as the telemetry server and reramd serve it: counter and gauge lines
+// with TYPE headers, counters before gauges, each block sorted by name,
+// and dot/dash -> underscore name mapping.
 func TestWriteTextGolden(t *testing.T) {
 	r := NewRegistry()
 	SetEnabled(true)
 	defer SetEnabled(false)
 
-	r.Counter("core.writes_priced").Add(42)
+	r.Counter("xpoint.reset.sweeps").Add(42)
 	r.Counter("jobs.cold-starts").Inc() // dash must map to underscore too
-	r.Gauge("xpoint.reset.worst_drop_v").Set(0.25)
-	h := r.Histogram("memsys.read.latency_ns", []float64{10, 100, 1000})
-	h.Observe(5)
-	h.Observe(50)
-	h.Observe(51)
-	h.Observe(5000)
-	r.Histogram("core.reset.latency_ns", []float64{10, 100}) // stays empty
+	r.Gauge("runtime.gc.pause_total_ns").Set(125000)
+	r.Gauge("par.inflight_max").Set(0.25)
 
-	const want = `# TYPE core_writes_priced counter
-core_writes_priced 42
-# TYPE jobs_cold_starts counter
+	const want = `# TYPE jobs_cold_starts counter
 jobs_cold_starts 1
-# TYPE xpoint_reset_worst_drop_v gauge
-xpoint_reset_worst_drop_v 0.25
-# TYPE core_reset_latency_ns histogram
-core_reset_latency_ns_bucket{le="10"} 0
-core_reset_latency_ns_bucket{le="100"} 0
-core_reset_latency_ns_bucket{le="+Inf"} 0
-core_reset_latency_ns_sum 0
-core_reset_latency_ns_count 0
-# TYPE memsys_read_latency_ns histogram
-memsys_read_latency_ns_bucket{le="10"} 1
-memsys_read_latency_ns_bucket{le="100"} 3
-memsys_read_latency_ns_bucket{le="1000"} 3
-memsys_read_latency_ns_bucket{le="+Inf"} 4
-memsys_read_latency_ns_sum 5106
-memsys_read_latency_ns_count 4
+# TYPE xpoint_reset_sweeps counter
+xpoint_reset_sweeps 42
+# TYPE par_inflight_max gauge
+par_inflight_max 0.25
+# TYPE runtime_gc_pause_total_ns gauge
+runtime_gc_pause_total_ns 125000
 `
 	var sb strings.Builder
 	if err := r.Snapshot().WriteText(&sb); err != nil {
@@ -73,10 +56,10 @@ func TestSnapshotLockFreeUnderMutation(t *testing.T) {
 		go func(w int) {
 			defer writers.Done()
 			c := r.Counter("hammer.count")
-			h := r.Histogram("hammer.lat_ns", LatencyBoundsNS())
+			g := r.Gauge("hammer.max")
 			for i := 0; i < iters; i++ {
 				c.Inc()
-				h.Observe(float64(i))
+				g.SetMax(float64(i))
 				r.Gauge("hammer.fresh." + string(rune('a'+w)) + string(rune('a'+i%26))).Set(float64(i))
 			}
 		}(w)
@@ -108,7 +91,7 @@ func TestSnapshotLockFreeUnderMutation(t *testing.T) {
 	if got := final.Counters["hammer.count"]; got != 4*iters {
 		t.Errorf("hammer.count = %d, want %d", got, 4*iters)
 	}
-	if got := final.Histograms["hammer.lat_ns"].Count; got != 4*iters {
-		t.Errorf("hammer.lat_ns count = %d, want %d", got, 4*iters)
+	if got := final.Gauges["hammer.max"]; got != iters-1 {
+		t.Errorf("hammer.max = %g, want %d", got, iters-1)
 	}
 }

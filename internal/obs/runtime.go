@@ -9,9 +9,9 @@ import (
 	"time"
 )
 
-// Runtime resource accounting: the "runtime.*" series published into
-// the default registry — heap and stack sizes, GC cycles and pause
-// distribution, goroutine count, process RSS and uptime. The telemetry
+// Runtime resource accounting: the "runtime.*" gauges published into
+// the default registry — heap and stack sizes, GC cycles and total
+// pause time, goroutine count, process RSS and uptime. The telemetry
 // server starts a background collector and additionally refreshes the
 // series on every /metrics scrape, so scrapes always see current
 // values. Like every obs series the gauges only move while
@@ -25,18 +25,10 @@ var (
 	rtTotalAlloc  = G("runtime.total_alloc_bytes")
 	rtGoroutines  = G("runtime.goroutines")
 	rtGCCycles    = G("runtime.gc.cycles")
-	rtGCPause     = H("runtime.gc.pause_ns", LatencyBoundsNS())
+	rtGCPause     = G("runtime.gc.pause_total_ns")
 	rtRSS         = G("runtime.rss_bytes")
 	rtUptime      = G("runtime.uptime_seconds")
 )
-
-// rtState remembers the last GC cycle folded into the pause histogram,
-// so overlapping collectors (background ticker + per-scrape refresh)
-// never double-count a pause.
-var rtState struct {
-	mu        sync.Mutex
-	lastNumGC uint32
-}
 
 // CollectRuntime publishes one sample of every runtime.* series. It is
 // a no-op while observability is disabled.
@@ -54,21 +46,8 @@ func CollectRuntime() {
 	rtTotalAlloc.Set(float64(ms.TotalAlloc))
 	rtGoroutines.Set(float64(runtime.NumGoroutine()))
 	rtGCCycles.Set(float64(ms.NumGC))
+	rtGCPause.Set(float64(ms.PauseTotalNs))
 	rtUptime.Set(time.Since(spanEpoch).Seconds())
-
-	rtState.mu.Lock()
-	if n := ms.NumGC - rtState.lastNumGC; n > 0 {
-		// PauseNs is a 256-entry ring; only the cycles still in it count.
-		if n > uint32(len(ms.PauseNs)) {
-			n = uint32(len(ms.PauseNs))
-		}
-		for i := ms.NumGC - n + 1; i <= ms.NumGC; i++ {
-			rtGCPause.Observe(float64(ms.PauseNs[(i+255)%256]))
-		}
-		rtState.lastNumGC = ms.NumGC
-	}
-	rtState.mu.Unlock()
-
 	if rss, ok := readRSS(); ok {
 		rtRSS.Set(float64(rss))
 	}

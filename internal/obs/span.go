@@ -94,6 +94,10 @@ func SpansEnabled() bool { return spans.sink.Load() != nil }
 // spanCtxKey carries the current span in a context.
 type spanCtxKey struct{}
 
+// nopStop is the shared disabled-path stop function: returning it keeps
+// StartSpan allocation-free when spans are off.
+var nopStop = func() {}
+
 // StartSpan opens a named span under the span ctx carries (a root when
 // it carries none). It returns the context to hand to child work, on
 // this goroutine or any other, and the stop function closing the span:

@@ -264,12 +264,12 @@ func TestScrapeDuringSweepRace(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		key := fmt.Sprintf("cell-%d", i)
 		cells = append(cells, jobs.Cell{Key: key, Run: func(ctx context.Context) ([]byte, error) {
-			// Instrumented cell body: counters and histograms, as a
-			// real simulation produces.
-			h := obs.H("telemetry.race.lat_ns", obs.LatencyBoundsNS())
+			// Instrumented cell body: counters and a high-water gauge,
+			// as the solver and the worker pool produce.
+			g := obs.G("telemetry.race.max")
 			for j := 0; j < 200; j++ {
 				obs.C("telemetry.race.ops").Inc()
-				h.Observe(float64(j))
+				g.SetMax(float64(j))
 			}
 			return []byte(key), nil
 		}})
@@ -323,6 +323,9 @@ func TestScrapeDuringSweepRace(t *testing.T) {
 	code, body := get(t, base+"/metrics")
 	if code != 200 || !strings.Contains(body, fmt.Sprintf("telemetry_race_ops %d\n", wantOps)) {
 		t.Errorf("final scrape missing exact counter total:\n%.400s", body)
+	}
+	if !strings.Contains(body, "telemetry_race_max 199\n") {
+		t.Errorf("final scrape missing the gauge's high-water mark:\n%.400s", body)
 	}
 }
 

@@ -307,7 +307,7 @@ func (a *Array) simulateInto(op ResetOp, res *ResetResult) {
 			res.Latency = lat
 		}
 	}
-	recordSolve(op, res, work)
+	recordSolve(work)
 }
 
 // solveWork is the ladder work one op's solve did: the sweeps it ran and
