@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race race-fault race-par test-resume test-telemetry test-serve bench-smoke solvecache-check figures-check fma-check vuln staticcheck bench bench-guard
+.PHONY: ci fmt vet build run-patterns-check test race race-fault race-par test-resume test-telemetry test-serve bench-smoke solvecache-check figures-check fma-check vuln staticcheck bench bench-guard
 
-ci: fmt vet build test race-fault race-par test-resume test-telemetry test-serve bench-smoke bench-guard fma-check solvecache-check figures-check vuln staticcheck
+ci: fmt vet build run-patterns-check test race-fault race-par test-resume test-telemetry test-serve bench-smoke bench-guard fma-check solvecache-check figures-check vuln staticcheck
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -13,6 +13,39 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# The -run and -bench patterns of the targets below, each next to the
+# packages it runs on.
+RESUME_RUN = TestResume|TestPrimeSimsQuarantine|TestGridDigest|TestRunGridRetries|TestStop
+RESUME_PKGS = ./internal/experiments/
+RESUME_CLI_RUN = TestQuarantineExitCodeSmoke|TestSigtermResumeByteIdentical|TestCellTimeoutStopsCells|TestSigintStopsSingleCell|TestCellTimeoutAlone
+RESUME_CLI_PKGS = ./cmd/reramsim/ ./cmd/figures/
+TELEMETRY_RUN = TestSweepSpan|TestGridCountersAddUp
+TELEMETRY_PKGS = ./internal/experiments/ ./internal/jobs/
+TELEMETRY_CLI_RUN = TestTelemetryE2ESmoke
+TELEMETRY_CLI_PKGS = ./cmd/reramsim/
+SERVE_CLI_RUN = TestDaemon
+SERVE_CLI_PKGS = ./cmd/reramd/
+GUARD_BENCH = BenchmarkResetOpSteadyState|BenchmarkCostWriteMemoized|BenchmarkObsDisabled|BenchmarkObsEnabled|BenchmarkSpanDisabled|BenchmarkMetricsScrape|BenchmarkLadderSweep
+GUARD_PKGS = . ./internal/xpoint/
+
+# A pattern alternative that names no test passes silently ("no tests
+# to run"), so a renamed or deleted test would drop out of its target
+# unseen. Every |-separated alternative of each pattern above must
+# match the start of a name that go test -list prints for the pattern's
+# packages, as go test -list '^alt' would.
+run-patterns-check:
+	@set -e; check() { pat="$$1"; shift; names=$$($(GO) test -list . "$$@"); \
+		for alt in $$(printf '%s' "$$pat" | tr '|' ' '); do \
+			printf '%s\n' "$$names" | grep -q "^$$alt" || { echo "run-patterns-check: $$alt names no test in $$*"; exit 1; }; \
+		done; }; \
+	check '$(RESUME_RUN)' $(RESUME_PKGS); \
+	check '$(RESUME_CLI_RUN)' $(RESUME_CLI_PKGS); \
+	check '$(TELEMETRY_RUN)' $(TELEMETRY_PKGS); \
+	check '$(TELEMETRY_CLI_RUN)' $(TELEMETRY_CLI_PKGS); \
+	check '$(SERVE_CLI_RUN)' $(SERVE_CLI_PKGS); \
+	check '$(GUARD_BENCH)' $(GUARD_PKGS); \
+	echo "run-patterns-check: every -run and -bench alternative names a test"
 
 test:
 	$(GO) test ./...
@@ -48,31 +81,32 @@ race-par:
 # a checkpoint directory -> exit 3).
 test-resume:
 	$(GO) test -race ./internal/jobs/ ./internal/atomicio/
-	$(GO) test -race -run 'TestResume|TestPrimeSimsQuarantine|TestGridDigest|TestRunGridRetries|TestStop' ./internal/experiments/
-	$(GO) test -run 'TestQuarantineExitCodeSmoke|TestSigtermResumeByteIdentical|TestCellTimeoutStopsCells|TestSigintStopsSingleCell|TestCellTimeoutAlone' ./cmd/reramsim/ ./cmd/figures/
+	$(GO) test -race -run '$(RESUME_RUN)' $(RESUME_PKGS)
+	$(GO) test -run '$(RESUME_CLI_RUN)' $(RESUME_CLI_PKGS)
 
 # The live telemetry plane under the race detector — the lock-free
-# /metrics snapshot of counters and gauges hammered against running
+# /metrics render of counters and gauges hammered against running
 # sweeps, the span
 # collector (parents through the context alone, tracks handed between
 # goroutines), the span tree of a sweep (TestSweepSpan*: the same tree
-# at -jobs 1 and 2, no orphan spans), the /progress export — plus the
-# CLI e2e smoke (sweep with -obs-addr: mid-run scrapes, SSE progress
-# advancing, and a Perfetto-loadable -trace-spans file on exit 0 whose
+# at -jobs 1 and 2, no orphan spans), the jobs.* counters adding up to
+# jobs.cells after each grid (TestGridCountersAddUp) — plus the CLI e2e
+# smoke (sweep with -obs-addr: mid-run scrapes that see jobs_completed
+# advance, and a Perfetto-loadable -trace-spans file on exit 0 whose
 # core.solve_op spans nest under memsys.sim spans). The package tests
 # run twice in one process, so a test that assumes a fresh metrics
 # registry fails here.
 test-telemetry:
 	$(GO) test -race -count=2 ./internal/telemetry/ ./internal/obs/
-	$(GO) test -race -run 'TestSweepSpan|TestProgress' ./internal/experiments/ ./internal/jobs/
-	$(GO) test -run 'TestTelemetryE2ESmoke' ./cmd/reramsim/
+	$(GO) test -race -run '$(TELEMETRY_RUN)' $(TELEMETRY_PKGS)
+	$(GO) test -run '$(TELEMETRY_CLI_RUN)' $(TELEMETRY_CLI_PKGS)
 
 # The service layer under the race detector: the serve package
 # (admission shedding with 429/503 + Retry-After, saturation, deadlines,
 # drain under load and forced drain of a held solve, panic isolation,
 # strict body decoding), the telemetry package the daemon runs on (its
-# one HTTP server: listener, health, readiness, metrics, pprof, the
-# /progress SSE stream and a shutdown that ends open streams) and the
+# one HTTP server: listener, health, readiness, metrics, pprof and a
+# shutdown that ends requests still open, such as a profile capture) and the
 # retry package (the jittered backoff schedule behind the 429 hint and
 # journal-write retries); then the reramd daemon e2e tests (real suite
 # over HTTP: 32 identical solves give one simulation, the fixed 429
@@ -81,7 +115,7 @@ test-telemetry:
 # in one process, as in test-telemetry.
 test-serve:
 	$(GO) test -race -count=2 ./internal/serve/ ./internal/telemetry/ ./internal/retry/
-	$(GO) test -race -run 'TestDaemon' ./cmd/reramd/
+	$(GO) test -race -run '$(SERVE_CLI_RUN)' $(SERVE_CLI_PKGS)
 
 # The benchmark is its own module (benchmark/go.mod), so the root
 # build and test never compile it: vet and test it here, so a change
@@ -164,8 +198,8 @@ bench:
 
 # The allocation guards: steady-state SimulateResetInto, a memoized line
 # write priced with metrics off and with metrics on, a disabled span
-# with a child under it (StartSpan, the only span entry point) and one
-# ladder sweep must all stay at 0 allocs/op (the benchmarks themselves
-# fail otherwise), run briefly as part of ci.
+# with a child under it (StartSpan, the only span entry point), one
+# /metrics render and one ladder sweep must all stay at 0 allocs/op
+# (the benchmarks themselves fail otherwise), run briefly as part of ci.
 bench-guard:
-	$(GO) test -run xxx -bench 'BenchmarkResetOpSteadyState|BenchmarkCostWriteMemoized|BenchmarkObsDisabled|BenchmarkObsEnabled|BenchmarkSpanDisabled|BenchmarkLadderSweep' -benchtime 100x -benchmem . ./internal/xpoint/
+	$(GO) test -run '^$$' -bench '$(GUARD_BENCH)' -benchtime 100x -benchmem $(GUARD_PKGS)

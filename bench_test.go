@@ -322,8 +322,10 @@ func spanPair(ctx context.Context) {
 }
 
 // BenchmarkMetricsScrape measures one /metrics render — the lock-free
-// registry snapshot plus the Prometheus text encoding — over a registry
-// populated like a mid-sweep scrape (counters and gauges).
+// walk of the registry's sorted view in Prometheus text — over a
+// registry populated like a mid-sweep scrape (counters and gauges). It
+// guards the render: any allocation per scrape fails the benchmark (and
+// make ci).
 func BenchmarkMetricsScrape(b *testing.B) {
 	obs.SetEnabled(true)
 	defer func() {
@@ -334,12 +336,18 @@ func BenchmarkMetricsScrape(b *testing.B) {
 		obs.C(fmt.Sprintf("bench.scrape.counter_%d", i)).Add(uint64(i))
 		obs.G(fmt.Sprintf("bench.scrape.gauge_%d", i)).Set(float64(i))
 	}
+	scrape := func() {
+		if err := obs.Default().WriteText(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, scrape); avg > 0 {
+		b.Fatalf("a /metrics render allocates %.1f times/op, want 0", avg)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := obs.Default().Snapshot().WriteText(io.Discard); err != nil {
-			b.Fatal(err)
-		}
+		scrape()
 	}
 }
 

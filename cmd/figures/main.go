@@ -46,7 +46,7 @@ func main() {
 
 		solveCacheDir = flag.String("solve-cache", "", "directory for the persistent solve cache (default: disabled); results are identical with or without it")
 
-		obsAddr    = flag.String("obs-addr", "", "serve live telemetry (/metrics, /healthz, /readyz, /progress, /debug/pprof/) on this address (e.g. localhost:6060)")
+		obsAddr    = flag.String("obs-addr", "", "serve live telemetry (/metrics, /healthz, /readyz, /debug/pprof/) on this address (e.g. localhost:6060)")
 		traceSpans = flag.String("trace-spans", "", "write hierarchical spans as a Chrome trace-event file (load in ui.perfetto.dev)")
 	)
 	flag.Parse()
@@ -132,7 +132,6 @@ func main() {
 		fail(err)
 	}
 	suite.SetEngine(eng)
-	stack.SetProgress(eng.Progress)
 	stack.SetReady(true) // suite calibrated: work can be admitted
 
 	var selected []experiments.Experiment

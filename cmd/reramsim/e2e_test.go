@@ -5,6 +5,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -48,6 +50,30 @@ func runCLI(t *testing.T, bin string, extraEnv []string, args ...string) (stdout
 	}
 	t.Logf("exit %d, stderr:\n%s", code, errb.Bytes())
 	return out.Bytes(), code
+}
+
+// metricLines parses the Prometheus text that /metrics serves and that
+// -metrics prints after the result: every "name value" line from the
+// first "# TYPE" header on, keyed by the exposed name (memsys_sims).
+func metricLines(t *testing.T, out []byte) map[string]float64 {
+	t.Helper()
+	i := bytes.Index(out, []byte("# TYPE "))
+	if i < 0 {
+		t.Fatalf("no metrics exposition in output:\n%s", out)
+	}
+	vals := make(map[string]float64)
+	for _, line := range strings.Split(strings.TrimSpace(string(out[i:])), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, val, ok := strings.Cut(line, " ")
+		v, err := strconv.ParseFloat(val, 64)
+		if !ok || err != nil {
+			t.Fatalf("bad exposition line %q", line)
+		}
+		vals[name] = v
+	}
+	return vals
 }
 
 // TestQuarantineExitCodeSmoke: a deliberately panicking cell must yield

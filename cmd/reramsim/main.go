@@ -16,12 +16,12 @@
 // follow the jobs contract: 0 complete, 3 partial (quarantined cells),
 // 130 interrupted (SIGINT/SIGTERM).
 //
-// Observability: -metrics dumps the metric registry after the run
-// (Prometheus-style text, or JSON with -metrics-format json), -obs-addr
-// serves the live telemetry plane (/metrics, /healthz, /readyz,
-// /progress and /debug/pprof/ on one address with graceful shutdown),
-// and -trace-spans records hierarchical spans as a Chrome trace-event
-// file for Perfetto.
+// Observability: -metrics dumps the metric registry after the run as
+// the Prometheus text /metrics serves, -obs-addr serves the live
+// telemetry plane (/metrics, /healthz, /readyz and /debug/pprof/ on one
+// address with graceful shutdown; the jobs_* series follow a sweep's
+// grid), and -trace-spans records hierarchical spans as a Chrome
+// trace-event file for Perfetto.
 package main
 
 import (
@@ -77,9 +77,8 @@ func main() {
 
 		solveCacheDir = flag.String("solve-cache", "", "directory for the persistent solve cache (default: disabled); results are identical with or without it")
 
-		metrics    = flag.Bool("metrics", false, "dump the metric registry after the run")
-		metricsFmt = flag.String("metrics-format", "text", "metrics dump format: text (Prometheus-style) or json")
-		obsAddr    = flag.String("obs-addr", "", "serve live telemetry (/metrics, /healthz, /readyz, /progress, /debug/pprof/) on this address (e.g. localhost:6060)")
+		metrics    = flag.Bool("metrics", false, "dump the metric registry after the run, as /metrics serves it")
+		obsAddr    = flag.String("obs-addr", "", "serve live telemetry (/metrics, /healthz, /readyz, /debug/pprof/) on this address (e.g. localhost:6060)")
 		traceSpans = flag.String("trace-spans", "", "write hierarchical spans as a Chrome trace-event file (load in ui.perfetto.dev)")
 	)
 	flag.Parse()
@@ -106,9 +105,6 @@ func main() {
 	}
 	if *maxRetries < 0 {
 		fail(fmt.Errorf("negative -max-write-retries %d", *maxRetries))
-	}
-	if *metricsFmt != "text" && *metricsFmt != "json" {
-		fail(fmt.Errorf("unknown -metrics-format %q (want text or json)", *metricsFmt))
 	}
 	par.SetJobs(*jobsFlag)
 	if *solveCacheDir != "" {
@@ -169,9 +165,8 @@ func main() {
 			resumeDir:     *resumeDir,
 			cellTimeout:   *cellTimeout,
 			jsonOut:       *jsonOut,
-			stack:         stack,
 		})
-		dumpMetrics(*metrics, *metricsFmt)
+		dumpMetrics(*metrics)
 		cleanup()
 		os.Exit(code)
 	}
@@ -228,7 +223,7 @@ func main() {
 		if err := enc.Encode(out); err != nil {
 			fail(err)
 		}
-		dumpMetrics(*metrics, *metricsFmt)
+		dumpMetrics(*metrics)
 		return
 	}
 
@@ -254,7 +249,7 @@ func main() {
 	if *lifetime {
 		fmt.Printf("lifetime    %.2f years under worst-case non-stop writes\n", years)
 	}
-	dumpMetrics(*metrics, *metricsFmt)
+	dumpMetrics(*metrics)
 }
 
 // splitList parses a comma-separated flag value.
@@ -273,7 +268,6 @@ type sweepOptions struct {
 	resumeDir     string
 	cellTimeout   time.Duration
 	jsonOut       bool
-	stack         *telemetry.Stack
 }
 
 // runSweep executes the schemes x workloads grid through the crash-safe
@@ -306,7 +300,6 @@ func runSweep(ctx context.Context, suite *experiments.Suite, schemes, workloads 
 	if err != nil {
 		fail(err)
 	}
-	o.stack.SetProgress(eng.Progress)
 	rep, runErr := suite.RunGridContext(ctx, eng, pairs)
 	if runErr != nil {
 		fmt.Fprintln(os.Stderr, "reramsim:", runErr)
@@ -389,19 +382,12 @@ func validateName(kind, name string, valid []string) {
 // dumpMetrics prints the registry after the run when -metrics is given,
 // with one fresh sample of the runtime.* series (without -obs-addr
 // nothing else samples them).
-func dumpMetrics(enabled bool, format string) {
+func dumpMetrics(enabled bool) {
 	if !enabled {
 		return
 	}
 	obs.CollectRuntime()
-	snap := obs.Default().Snapshot()
-	var err error
-	if format == "json" {
-		err = snap.WriteJSON(os.Stdout)
-	} else {
-		err = snap.WriteText(os.Stdout)
-	}
-	if err != nil {
+	if err := obs.Default().WriteText(os.Stdout); err != nil {
 		fail(err)
 	}
 }

@@ -116,31 +116,20 @@ func TestMetricsDumpSamplesRuntime(t *testing.T) {
 	}
 	bin := buildBinary(t)
 	out, code := runCLI(t, bin, nil, "-scheme", "Base", "-workload", "mcf_m",
-		"-accesses", "300", "-metrics", "-metrics-format", "json")
+		"-accesses", "300", "-metrics")
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	// The human-readable result comes first; the registry dump is the
-	// trailing JSON object.
-	i := bytes.Index(out, []byte("\n{"))
-	if i < 0 {
-		t.Fatalf("no JSON registry dump in output:\n%s", out)
+	// The human-readable result comes first; the registry dump follows.
+	m := metricLines(t, out)
+	if c := m["memsys_sims"]; c != 1 {
+		t.Errorf("memsys_sims = %g, want 1", c)
 	}
-	var snap struct {
-		Counters map[string]uint64  `json:"counters"`
-		Gauges   map[string]float64 `json:"gauges"`
+	if g := m["runtime_goroutines"]; g < 1 {
+		t.Errorf("runtime_goroutines = %g, want >= 1", g)
 	}
-	if err := json.Unmarshal(out[i:], &snap); err != nil {
-		t.Fatalf("registry dump: %v\n%s", err, out[i:])
-	}
-	if c := snap.Counters["memsys.sims"]; c != 1 {
-		t.Errorf("memsys.sims = %d, want 1", c)
-	}
-	if g := snap.Gauges["runtime.goroutines"]; g < 1 {
-		t.Errorf("runtime.goroutines = %g, want >= 1", g)
-	}
-	if g := snap.Gauges["runtime.heap_sys_bytes"]; g <= 0 {
-		t.Errorf("runtime.heap_sys_bytes = %g, want > 0", g)
+	if g := m["runtime_heap_sys_bytes"]; g <= 0 {
+		t.Errorf("runtime_heap_sys_bytes = %g, want > 0", g)
 	}
 }
 
@@ -156,28 +145,22 @@ func TestLifetimeReachesSolveCache(t *testing.T) {
 	}
 	bin := buildBinary(t)
 	args := []string{"-scheme", "Base", "-workload", "mcf_m", "-accesses", "20", "-lifetime", "-json",
-		"-solve-cache", t.TempDir(), "-metrics", "-metrics-format", "json"}
+		"-solve-cache", t.TempDir(), "-metrics"}
 	var results [2]json.RawMessage
 	for i := range results {
 		out, code := runCLI(t, bin, nil, args...)
 		if code != 0 {
 			t.Fatalf("run %d: exit = %d, want 0", i+1, code)
 		}
-		var snap struct {
-			Counters map[string]uint64 `json:"counters"`
-		}
-		dec := json.NewDecoder(bytes.NewReader(out))
-		if err := dec.Decode(&results[i]); err != nil {
+		if err := json.NewDecoder(bytes.NewReader(out)).Decode(&results[i]); err != nil {
 			t.Fatalf("run %d: result: %v\n%s", i+1, err, out)
 		}
-		if err := dec.Decode(&snap); err != nil {
-			t.Fatalf("run %d: registry dump: %v\n%s", i+1, err, out)
+		m := metricLines(t, out)
+		if w := m["solvecache_writes"]; i == 0 && w != 2 {
+			t.Errorf("first run: solvecache_writes = %g, want 2", w)
 		}
-		if w := snap.Counters["solvecache.writes"]; i == 0 && w != 2 {
-			t.Errorf("first run: solvecache.writes = %d, want 2", w)
-		}
-		if m := snap.Counters["core.memo.misses"]; i == 1 && m != 0 {
-			t.Errorf("second run missed the memo %d times, want 0", m)
+		if miss := m["core_memo_misses"]; i == 1 && miss != 0 {
+			t.Errorf("second run missed the memo %g times, want 0", miss)
 		}
 	}
 	if !bytes.Equal(results[0], results[1]) {

@@ -19,10 +19,10 @@ import (
 var listenLineRe = regexp.MustCompile(`telemetry listening on http://(\S+)`)
 
 // TestTelemetryE2ESmoke launches a real sweep with -obs-addr and
-// -trace-spans, scrapes /metrics and /progress mid-run, follows the SSE
-// stream until the completed-cell count advances, and — after a clean
-// exit 0 — checks the span trace is a valid Chrome trace-event file with
-// the nested grid -> cell -> sim -> memsys.sim -> core.solve_op chain.
+// -trace-spans, polls /metrics mid-run until jobs_completed advances
+// within the grid jobs_cells announces, and — after a clean exit 0 —
+// checks the span trace is a valid Chrome trace-event file with the
+// nested grid -> cell -> sim -> memsys.sim -> core.solve_op chain.
 func TestTelemetryE2ESmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the CLI")
@@ -30,9 +30,9 @@ func TestTelemetryE2ESmoke(t *testing.T) {
 	bin := buildBinary(t)
 	traceFile := filepath.Join(t.TempDir(), "spans.json")
 
-	// The sweep must outlive several 250ms SSE ticks so the stream can
-	// observe the completed count moving; on a warm machine 4 cells of
-	// 40k accesses run a few seconds.
+	// The sweep must outlive several scrapes so they can observe the
+	// completed count moving; on a warm machine 4 cells of 40k accesses
+	// run a few seconds.
 	cmd := exec.Command(bin,
 		"-scheme", "Base,UDRVR+PR", "-workload", "mcf_m,mil_m",
 		"-accesses", "40000", "-json",
@@ -69,28 +69,6 @@ func TestTelemetryE2ESmoke(t *testing.T) {
 	go io.Copy(io.Discard, stderrPipe) // keep the pipe drained
 
 	base := "http://" + addr
-
-	// Open the SSE stream as soon as the engine is attached (the server
-	// is up before the sweep's jobs engine exists; /progress 404s until
-	// then).
-	var resp *http.Response
-	for deadline := time.Now().Add(time.Minute); ; {
-		resp, err = http.Get(base + "/progress?stream=1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode == 200 {
-			break
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if time.Now().After(deadline) {
-			t.Fatal("/progress never got a jobs engine attached")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	defer resp.Body.Close()
-
 	get := func(path string) (int, string) {
 		resp, err := http.Get(base + path)
 		if err != nil {
@@ -109,46 +87,35 @@ func TestTelemetryE2ESmoke(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("/metrics = %d", code)
 	}
-	for _, want := range []string{"# TYPE ", "runtime_goroutines", "runtime_heap_alloc_bytes"} {
-		if !strings.Contains(body, want) {
+	for _, want := range []string{"runtime_goroutines", "runtime_heap_alloc_bytes"} {
+		if _, ok := metricLines(t, []byte(body))[want]; !ok {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	type prog struct {
-		Total     int     `json:"total"`
-		Completed int     `json:"completed"`
-		Fraction  float64 `json:"fraction"`
+	// Its jobs_* counters follow the grid: once the engine has taken on
+	// the 4 cells (jobs_cells), jobs_completed advances while the sweep
+	// runs.
+	first := -1.0
+poll:
+	for deadline := time.Now().Add(2 * time.Minute); ; {
+		_, body := get("/metrics")
+		m := metricLines(t, []byte(body))
+		switch cells, done := m["jobs_cells"], m["jobs_completed"]; {
+		case cells == 0: // the suite is still calibrating
+		case cells != 4:
+			t.Fatalf("jobs_cells = %g, want 4", cells)
+		case first < 0 && done == cells:
+			t.Fatalf("the sweep finished before the first scrape that saw its grid")
+		case first < 0:
+			first = done
+		case done > first:
+			break poll
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("jobs_completed never advanced mid-run (stuck at %g)", first)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
-	first, last, total := -1, -1, 0
-	deadline := time.Now().Add(2 * time.Minute)
-	ssc := bufio.NewScanner(resp.Body)
-	for ssc.Scan() && time.Now().Before(deadline) {
-		line := ssc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		var p prog
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &p); err != nil {
-			t.Fatalf("bad SSE payload %q: %v", line, err)
-		}
-		if p.Total == 0 {
-			continue // stream opened before the grid registered
-		}
-		if first < 0 {
-			first = p.Completed
-		}
-		last, total = p.Completed, p.Total
-		if last > first || last == p.Total {
-			break
-		}
-	}
-	if first < 0 {
-		t.Fatal("SSE stream delivered no grid events")
-	}
-	if last <= first && last != total {
-		t.Errorf("completed count never advanced on the SSE stream (first %d, last %d of %d)", first, last, total)
-	}
-	resp.Body.Close()
 
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("sweep exit: %v", err)

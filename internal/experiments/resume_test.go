@@ -189,14 +189,15 @@ func TestResumeByteIdenticalJobs8(t *testing.T) {
 // TestResumeSweepFigure: a sweep figure's cells are journaled like any
 // other grid's. A Fig. 20 run journals all 66 of its cells; with every
 // other cell file deleted, a fresh suite on a resumed engine serves the
-// remaining 33 from disk, cells on the non-default ON/OFF ratios
-// ("@"-suffixed keys) among them, and renders a byte-identical table.
+// remaining 33 from disk (jobs.resumed), cells on the non-default ON/OFF
+// ratios ("@"-suffixed keys) among them, and renders a byte-identical
+// table.
 func TestResumeSweepFigure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a sweep figure twice")
 	}
 	dir := t.TempDir()
-	open := func(resume bool) (*Suite, *jobs.Engine) {
+	open := func(resume bool) *Suite {
 		s, err := NewSuite(200)
 		if err != nil {
 			t.Fatal(err)
@@ -210,10 +211,10 @@ func TestResumeSweepFigure(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.SetEngine(eng)
-		return s, eng
+		return s
 	}
 
-	s1, _ := open(false)
+	s1 := open(false)
 	want, err := s1.Fig20()
 	if err != nil {
 		t.Fatal(err)
@@ -225,31 +226,34 @@ func TestResumeSweepFigure(t *testing.T) {
 	if len(files) != 66 {
 		t.Fatalf("Fig. 20 journaled %d cell files, want 66", len(files))
 	}
-	for i := 0; i < len(files); i += 2 {
-		if err := os.Remove(files[i]); err != nil {
+	variants := 0 // kept cell files with an "@" key
+	for i, f := range files {
+		if i%2 == 1 {
+			if strings.Contains(filepath.Base(f), "@") {
+				variants++
+			}
+			continue
+		}
+		if err := os.Remove(f); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	s2, eng2 := open(true)
-	got, err := s2.Fig20()
+	obs.SetEnabled(true)
+	t.Cleanup(func() {
+		obs.SetEnabled(false)
+		obs.Default().ResetValues()
+	})
+	before := obs.Default().Snapshot()
+	got, err := open(true).Fig20()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
 		t.Errorf("resumed Fig. 20 differs from the journaled run:\nwant:\n%s\ngot:\n%s", want, got)
 	}
-	var resumed, variants int
-	for _, c := range eng2.Progress().Cells {
-		if c.State == jobs.CellResumed {
-			resumed++
-			if strings.Contains(c.Key, "@") {
-				variants++
-			}
-		}
-	}
-	if resumed != 33 || variants == 0 {
-		t.Errorf("resumed %d cells, %d of them with an @ key; want 33, some with an @ key", resumed, variants)
+	if resumed := obs.Default().Snapshot().Delta(before).Counters["jobs.resumed"]; resumed != 33 || variants == 0 {
+		t.Errorf("resumed %d cells from 33 kept files, %d of them with an @ key; want 33, some with an @ key", resumed, variants)
 	}
 }
 

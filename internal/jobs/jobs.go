@@ -67,7 +67,7 @@ type CellFailure struct {
 // Report summarises one Run over a grid.
 type Report struct {
 	Done        map[string][]byte // key -> payload for every finished cell (fresh + resumed)
-	Resumed     []string          // keys served from the on-disk journal, sorted
+	Resumed     []string          // keys served from the on-disk journal, first reported by this call, sorted
 	Executed    []string          // keys run to completion by this call, sorted
 	Retries     int               // journal-write retries issued
 	Quarantined []CellFailure     // cells isolated by panic/timeout/error, sorted by key
@@ -141,11 +141,7 @@ type Engine struct {
 
 	mu       sync.Mutex
 	done     map[string][]byte // key -> payload (disk-resumed + completed here)
-	fromDisk map[string]bool   // keys loaded from the journal, not yet re-reported
-
-	// prog tracks per-cell live state for the telemetry /progress
-	// endpoint (own lock; never contends with execution).
-	prog progressTracker
+	fromDisk map[string]bool   // keys loaded from the journal, not yet reported
 }
 
 // Open prepares an engine. With a Dir it creates the directory, then
@@ -184,10 +180,14 @@ func Open(opts Options) (*Engine, error) {
 }
 
 // Run executes the grid: journaled cells are skipped (their payloads
-// reported as resumed), the rest fan out on the par worker pool with
-// panic isolation and deadlines. The returned error is non-nil only for
-// a cancelled context or an invalid grid — quarantined cells are
-// reported, not returned as errors.
+// reported as resumed by the first Run that lists them), the rest fan
+// out on the par worker pool with panic isolation and deadlines. The
+// returned error is non-nil only for a cancelled context or an invalid
+// grid — quarantined cells are reported, not returned as errors.
+//
+// Run raises jobs.cells as it starts, by the cells it dispatches plus
+// the journaled cells it reports, so a watcher of /metrics sees the
+// grid's size before its cells finish.
 func (e *Engine) Run(ctx context.Context, cells []Cell) (*Report, error) {
 	ctx, stopSpan := obs.StartSpan(ctx, "jobs.grid")
 	defer stopSpan()
@@ -204,28 +204,22 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) (*Report, error) {
 
 	rep := &Report{Done: make(map[string][]byte, len(cells))}
 	var pending []Cell
-	progStates := make(map[string]CellState, len(cells))
 	e.mu.Lock()
 	for _, c := range cells {
 		payload, ok := e.done[c.Key]
 		if !ok {
 			pending = append(pending, c)
-			progStates[c.Key] = CellPending
 			continue
 		}
 		rep.Done[c.Key] = payload
 		if e.fromDisk[c.Key] {
+			delete(e.fromDisk, c.Key) // a later grid listing it reports it as done, not resumed
 			rep.Resumed = append(rep.Resumed, c.Key)
-			obsResumed.Inc()
-			progStates[c.Key] = CellResumed
-		} else {
-			progStates[c.Key] = CellCompleted
 		}
 	}
 	e.mu.Unlock()
-	for _, c := range cells {
-		e.prog.observe(c.Key, progStates[c.Key])
-	}
+	obsCells.Add(uint64(len(pending) + len(rep.Resumed)))
+	obsResumed.Add(uint64(len(rep.Resumed)))
 
 	var (
 		repMu   sync.Mutex
@@ -233,7 +227,6 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) (*Report, error) {
 	)
 	quarantine := func(key, reason string, err error, stack string) error {
 		obsQuarantined.Inc()
-		e.prog.markQuarantined(key, reason)
 		if data, merr := json.Marshal(quarantineData{Reason: reason, Error: err.Error(), Stack: stack}); merr == nil {
 			// Deliberately non-fatal: the quarantine record is advisory
 			// (a missing one changes nothing, since quarantined cells
@@ -258,7 +251,6 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) (*Report, error) {
 			rep.Executed = append(rep.Executed, c.Key)
 			repMu.Unlock()
 			obsCompleted.Inc()
-			e.prog.markDone(c.Key)
 			return nil
 		}
 		if cerr := ctx.Err(); cerr != nil {
@@ -309,12 +301,10 @@ func (e *Engine) commit(ctx context.Context, key string, payload []byte, retries
 		}
 		obsRetried.Inc()
 		retries.Add(1)
-		e.prog.addRetry()
 		e.opts.sleep(ctx, retry.Delay(key, attempt))
 	}
 	e.mu.Lock()
 	e.done[key] = payload
-	delete(e.fromDisk, key)
 	e.mu.Unlock()
 	return nil
 }
@@ -334,7 +324,6 @@ func (e *Engine) execute(ctx context.Context, c Cell) (payload []byte, err error
 		cctx, stop = obs.StartSpan(cctx, "cell:"+c.Key)
 		defer stop()
 	}
-	e.prog.markRunning(c.Key)
 	defer func() {
 		if v := recover(); v != nil {
 			payload, err = nil, &ErrCellPanic{Key: c.Key, Value: v, Stack: string(debug.Stack())}

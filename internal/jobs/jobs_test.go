@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"reramsim/internal/atomicio"
+	"reramsim/internal/obs"
 	"reramsim/internal/par"
 )
 
@@ -83,6 +84,48 @@ func TestJournalAndResume(t *testing.T) {
 	}
 	if string(rep.Done["cell-05"]) != "payload for cell-05" {
 		t.Fatalf("resumed payload: %q", rep.Done["cell-05"])
+	}
+}
+
+// TestGridCountersAddUp: the jobs.* counters are a watcher's view of a
+// grid, so after each uninterrupted Run the finished cells (completed,
+// resumed, quarantined) add up to jobs.cells. One resumed engine runs
+// the same grid of journaled, panicking and fresh cells twice, as
+// figures lists Fig. 15's cells again in Figs. 16-20: the journaled
+// cells are resumed once, by the first Run, and the panicking cell is
+// dispatched and quarantined by both.
+func TestGridCountersAddUp(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := mustOpen(t, Options{Dir: dir, Digest: "d"}).Run(context.Background(), grid(2)); err != nil {
+		t.Fatal(err)
+	}
+	obs.SetEnabled(true)
+	t.Cleanup(func() {
+		obs.SetEnabled(false)
+		obs.Default().ResetValues()
+	})
+	before := obs.Default().Snapshot()
+
+	cells := append(grid(2),
+		Cell{Key: "boom", Run: func(ctx context.Context) ([]byte, error) { panic("cell exploded") }},
+		Cell{Key: "fresh", Run: func(ctx context.Context) ([]byte, error) { return []byte("fresh"), nil }})
+	e := mustOpen(t, Options{Dir: dir, Digest: "d", Resume: true})
+	for run, want := range []struct{ cells, resumed, quarantined uint64 }{{4, 2, 1}, {5, 2, 2}} {
+		rep, err := e.Run(context.Background(), cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 1 && len(rep.Resumed) != 0 {
+			t.Errorf("second Run reported %v as resumed again", rep.Resumed)
+		}
+		d := obs.Default().Snapshot().Delta(before).Counters
+		finished := d["jobs.completed"] + d["jobs.resumed"] + d["jobs.quarantined"]
+		if d["jobs.cells"] != want.cells || finished != want.cells ||
+			d["jobs.resumed"] != want.resumed || d["jobs.quarantined"] != want.quarantined {
+			t.Errorf("after Run %d: cells=%d completed=%d resumed=%d quarantined=%d, want cells=%d=finished, resumed=%d, quarantined=%d",
+				run+1, d["jobs.cells"], d["jobs.completed"], d["jobs.resumed"], d["jobs.quarantined"],
+				want.cells, want.resumed, want.quarantined)
+		}
 	}
 }
 

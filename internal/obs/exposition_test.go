@@ -7,9 +7,9 @@ import (
 )
 
 // TestWriteTextGolden pins the Prometheus text exposition byte-for-byte,
-// as the telemetry server and reramd serve it: counter and gauge lines
-// with TYPE headers, counters before gauges, each block sorted by name,
-// and dot/dash -> underscore name mapping.
+// as /metrics serves it and reramsim -metrics prints it: counter and
+// gauge lines with TYPE headers, counters before gauges, each block
+// sorted by name, and dot/dash -> underscore name mapping.
 func TestWriteTextGolden(t *testing.T) {
 	r := NewRegistry()
 	SetEnabled(true)
@@ -30,7 +30,7 @@ par_inflight_max 0.25
 runtime_gc_pause_total_ns 125000
 `
 	var sb strings.Builder
-	if err := r.Snapshot().WriteText(&sb); err != nil {
+	if err := r.WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if got := sb.String(); got != want {
@@ -38,7 +38,7 @@ runtime_gc_pause_total_ns 125000
 	}
 }
 
-// TestSnapshotLockFreeUnderMutation hammers the lock-free snapshot path
+// TestSnapshotLockFreeUnderMutation hammers the lock-free render path
 // while writers mutate and register metrics — the -race gate for
 // scrape-during-sweep.
 func TestSnapshotLockFreeUnderMutation(t *testing.T) {
@@ -76,7 +76,7 @@ func TestSnapshotLockFreeUnderMutation(t *testing.T) {
 				default:
 				}
 				var sb strings.Builder
-				if err := r.Snapshot().WriteText(&sb); err != nil {
+				if err := r.WriteText(&sb); err != nil {
 					t.Error(err)
 					return
 				}

@@ -39,6 +39,7 @@ func Enabled() bool { return enabled.Load() }
 // Counter is a monotonically increasing atomic counter.
 type Counter struct {
 	name string
+	head string // exposition up to the value (expoHead)
 	v    atomic.Uint64
 }
 
@@ -65,6 +66,7 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 // Gauge is an atomic float64 instantaneous value.
 type Gauge struct {
 	name string
+	head string // exposition up to the value (expoHead)
 	bits atomic.Uint64
 }
 
@@ -103,10 +105,10 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 //
 // Alongside the maps the registry maintains a copy-on-write view — an
 // immutable, name-sorted slice of every handle, swapped atomically on
-// each registration. Snapshot reads the view and the metrics' own
-// atomics, so scraping (the telemetry server's /metrics) never takes
-// the registry mutex and never contends with registrations on hot
-// paths.
+// each registration. WriteText and Snapshot read the view and the
+// metrics' own atomics, so scraping (the telemetry server's /metrics)
+// never takes the registry mutex and never contends with registrations
+// on hot paths.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -142,10 +144,12 @@ func (r *Registry) rebuildViewLocked() {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
+	r := &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 	}
+	r.view.Store(&metricView{})
+	return r
 }
 
 var defaultRegistry = NewRegistry()
@@ -160,7 +164,7 @@ func (r *Registry) Counter(name string) *Counter {
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
-		c = &Counter{name: name}
+		c = &Counter{name: name, head: expoHead(name, "counter")}
 		r.counters[name] = c
 		r.rebuildViewLocked()
 	}
@@ -173,7 +177,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
 	if !ok {
-		g = &Gauge{name: name}
+		g = &Gauge{name: name, head: expoHead(name, "gauge")}
 		r.gauges[name] = g
 		r.rebuildViewLocked()
 	}

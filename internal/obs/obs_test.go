@@ -1,11 +1,6 @@
 package obs
 
-import (
-	"bytes"
-	"encoding/json"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // withObs enables metrics for one test and restores the disabled default.
 func withObs(t *testing.T) {
@@ -69,39 +64,6 @@ func TestSnapshotDelta(t *testing.T) {
 	// A gauge is a level, not a count: the delta keeps its current value.
 	if d.Gauges["test.delta.gauge"] != 3 {
 		t.Fatalf("gauge delta = %g, want the current 3", d.Gauges["test.delta.gauge"])
-	}
-}
-
-func TestSnapshotJSONAndText(t *testing.T) {
-	withObs(t)
-	C("test.out.counter").Inc()
-	G("test.out.gauge").Set(1.5)
-
-	var jsonBuf bytes.Buffer
-	if err := Default().Snapshot().WriteJSON(&jsonBuf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	var decoded Snapshot
-	if err := json.Unmarshal(jsonBuf.Bytes(), &decoded); err != nil {
-		t.Fatalf("snapshot JSON does not parse: %v", err)
-	}
-	if decoded.Counters["test.out.counter"] != 1 || decoded.Gauges["test.out.gauge"] != 1.5 {
-		t.Fatalf("decoded counter/gauge = %d/%g, want 1/1.5",
-			decoded.Counters["test.out.counter"], decoded.Gauges["test.out.gauge"])
-	}
-
-	var txt bytes.Buffer
-	if err := Default().Snapshot().WriteText(&txt); err != nil {
-		t.Fatalf("WriteText: %v", err)
-	}
-	out := txt.String()
-	for _, want := range []string{
-		"test_out_counter 1",
-		"# TYPE test_out_gauge gauge\ntest_out_gauge 1.5",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("text exposition missing %q:\n%s", want, out)
-		}
 	}
 }
 

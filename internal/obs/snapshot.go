@@ -1,34 +1,28 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 )
 
-// Snapshot is a point-in-time copy of a registry. Maps marshal with
-// sorted keys, so the JSON form is deterministic.
+// Snapshot is a point-in-time copy of a registry's values, keyed by
+// metric name; tests subtract two of them (Delta) to attribute a run.
 type Snapshot struct {
-	Counters map[string]uint64  `json:"counters"`
-	Gauges   map[string]float64 `json:"gauges"`
+	Counters map[string]uint64
+	Gauges   map[string]float64
 }
 
 // Snapshot freezes the registry's current values. It is lock-free: the
 // handle set comes from the registry's copy-on-write view and the
-// values from each metric's own atomics, so a concurrent scrape (the
-// telemetry /metrics endpoint) never blocks metric mutation or metric
-// registration — and vice versa. Values read while writers run are
-// per-metric atomic reads, not a consistent cross-metric cut: the delta
-// between two snapshots attributes a run exactly only when nothing else
-// ran in between.
+// values from each metric's own atomics, so it never blocks metric
+// mutation or metric registration — and vice versa. Values read while
+// writers run are per-metric atomic reads, not a consistent
+// cross-metric cut: the delta between two snapshots attributes a run
+// exactly only when nothing else ran in between.
 func (r *Registry) Snapshot() Snapshot {
 	v := r.view.Load()
-	if v == nil {
-		v = &metricView{}
-	}
 	s := Snapshot{
 		Counters: make(map[string]uint64, len(v.counters)),
 		Gauges:   make(map[string]float64, len(v.gauges)),
@@ -60,16 +54,9 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	return out
 }
 
-// WriteJSON renders the snapshot as indented JSON.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
 // textBufPool recycles scrape buffers: a /metrics exposition is
 // rendered into one pooled []byte and written with a single Write, so
-// steady-state scrapes allocate only the snapshot itself.
+// a steady-state scrape allocates nothing.
 var textBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 16<<10)
@@ -77,56 +64,36 @@ var textBufPool = sync.Pool{
 	},
 }
 
-// WriteText renders the snapshot in Prometheus-style text exposition:
-// a TYPE header and one "name value" line per counter and gauge. Dots
-// and dashes in metric names become underscores. The whole exposition
-// is assembled in a pooled buffer and written in one Write call.
-func (s Snapshot) WriteText(w io.Writer) error {
+// WriteText renders the registry in Prometheus-style text exposition: a
+// TYPE header and one "name value" line per counter, then per gauge,
+// each block sorted by name. It walks the registry's view, lock-free as
+// Snapshot is; each metric's header and name were rendered when it
+// registered (expoHead). The whole exposition is assembled in a pooled
+// buffer and written in one Write call.
+func (r *Registry) WriteText(w io.Writer) error {
+	v := r.view.Load()
 	bp := textBufPool.Get().(*[]byte)
 	b := (*bp)[:0]
-	names := make([]string, 0, max(len(s.Counters), len(s.Gauges)))
-
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		pn := promName(n)
-		b = append(b, "# TYPE "...)
-		b = append(b, pn...)
-		b = append(b, " counter\n"...)
-		b = append(b, pn...)
-		b = append(b, ' ')
-		b = strconv.AppendUint(b, s.Counters[n], 10)
+	for _, c := range v.counters {
+		b = append(b, c.head...)
+		b = strconv.AppendUint(b, c.Value(), 10)
 		b = append(b, '\n')
 	}
-
-	names = names[:0]
-	for n := range s.Gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		pn := promName(n)
-		b = append(b, "# TYPE "...)
-		b = append(b, pn...)
-		b = append(b, " gauge\n"...)
-		b = append(b, pn...)
-		b = append(b, ' ')
-		b = strconv.AppendFloat(b, s.Gauges[n], 'g', -1, 64)
+	for _, g := range v.gauges {
+		b = append(b, g.head...)
+		b = strconv.AppendFloat(b, g.Value(), 'g', -1, 64)
 		b = append(b, '\n')
 	}
-
 	_, err := w.Write(b)
 	*bp = b
 	textBufPool.Put(bp)
 	return err
 }
 
-// promReplacer is built once: per-call construction was the dominant
-// allocation of a /metrics scrape. Replacers are concurrency-safe.
-var promReplacer = strings.NewReplacer(".", "_", "-", "_")
-
-func promName(name string) string {
-	return promReplacer.Replace(name)
+// expoHead renders a metric's exposition up to its value: the TYPE
+// header and the start of the sample line, under the Prometheus form of
+// the name (dots and dashes become underscores).
+func expoHead(name, kind string) string {
+	prom := strings.NewReplacer(".", "_", "-", "_").Replace(name)
+	return "# TYPE " + prom + " " + kind + "\n" + prom + " "
 }

@@ -43,9 +43,9 @@ func SetJobs(n int) {
 	configuredJobs.Store(int64(n))
 }
 
-// Jobs returns the resolved worker bound: the SetJobs override when set,
+// jobs returns the resolved worker bound: the SetJobs override when set,
 // GOMAXPROCS otherwise. It is always >= 1.
-func Jobs() int {
+func jobs() int {
 	if n := int(configuredJobs.Load()); n > 0 {
 		return n
 	}
@@ -54,8 +54,9 @@ func Jobs() int {
 
 // PanicError is a panic that escaped a ForEach task, converted into an
 // ordinary error so one exploding item aborts its batch instead of
-// crashing the whole process. Callers that quarantine individual items
-// (the jobs engine) unwrap it with errors.As.
+// crashing the whole process. The jobs engine never sees one: it
+// recovers each cell's panic itself (Engine.execute) and quarantines
+// the cell.
 type PanicError struct {
 	Index int    // item index whose fn panicked
 	Value any    // the recovered panic value
@@ -93,7 +94,7 @@ func cancelErr(ctx context.Context) error {
 	return fmt.Errorf("par: batch cancelled: %w", cause)
 }
 
-// ForEach runs fn(i) for every i in [0, n) on up to Jobs() workers.
+// ForEach runs fn(i) for every i in [0, n) on up to jobs() workers.
 //
 // Determinism: items are identified by index, so callers that write
 // results into the i-th slot of a preallocated slice get output
@@ -111,7 +112,7 @@ func ForEach(ctx context.Context, n int, fn func(i int) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	workers := Jobs()
+	workers := jobs()
 	if workers > n {
 		workers = n
 	}

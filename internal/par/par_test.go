@@ -13,15 +13,15 @@ import (
 
 func TestJobsDefaultAndOverride(t *testing.T) {
 	SetJobs(0)
-	if got := Jobs(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("default Jobs() = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+	if got := jobs(); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("default jobs() = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
 	SetJobs(3)
-	if got := Jobs(); got != 3 {
-		t.Errorf("Jobs() = %d after SetJobs(3)", got)
+	if got := jobs(); got != 3 {
+		t.Errorf("jobs() = %d after SetJobs(3)", got)
 	}
 	SetJobs(-5)
-	if got := Jobs(); got != runtime.GOMAXPROCS(0) {
+	if got := jobs(); got != runtime.GOMAXPROCS(0) {
 		t.Errorf("negative SetJobs should restore the default, got %d", got)
 	}
 	SetJobs(0)

@@ -1,14 +1,15 @@
 // Package telemetry is the repository's one HTTP server: it owns the
 // listener, the process's health, readiness, metrics and profiling
-// endpoints, and a shutdown that ends open streams. A host adds its own
-// routes at Start: the CLIs add /progress, the one server-sent-event
-// stream, behind -obs-addr (see Stack), and reramd adds POST /v1/solve
-// (package serve), so every binary serves everything on one port.
+// endpoints, and a shutdown that ends open requests. The CLIs start it
+// behind -obs-addr with the built-in routes alone (see Stack); reramd
+// adds POST /v1/solve (package serve), so every binary serves
+// everything on one port. A watcher follows a running sweep on
+// /metrics: the jobs.* counters report its grid.
 //
 // Built-in endpoints:
 //
-//	/metrics       Prometheus text exposition, rendered from a fresh
-//	               registry snapshot per scrape (lock-free: scrapes
+//	/metrics       Prometheus text exposition, rendered from the
+//	               registry's sorted view per scrape (lock-free: scrapes
 //	               never contend with metric mutation).
 //	               The runtime.* series are refreshed on every scrape.
 //	/healthz       liveness: 200 as soon as the server is up.
@@ -20,8 +21,9 @@
 //	/              an index of every route the server answers.
 //
 // Shutdown is graceful and context-driven: it cancels every open
-// request's context (ending SSE streams), stops the runtime collector
-// and the listener, then waits for in-flight requests.
+// request's context (ending /debug/pprof/profile and /trace captures),
+// stops the runtime collector and the listener, then waits for
+// in-flight requests.
 package telemetry
 
 import (
@@ -53,7 +55,8 @@ type Server struct {
 	ready       atomic.Bool
 	stopRuntime func()
 	// cancel ends the context every request runs under: the shutdown
-	// signal open SSE streams wait on.
+	// signal a running /debug/pprof/profile or /trace capture waits on,
+	// which would otherwise hold Shutdown open for its whole duration.
 	cancel context.CancelFunc
 
 	done     chan struct{} // closed when Serve returns
@@ -111,7 +114,7 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
 // Shutdown stops the server gracefully: open requests see their context
-// cancelled (SSE streams end), the runtime collector stops, the
+// cancelled (profile captures end), the runtime collector stops, the
 // listener closes, and in-flight requests drain within ctx's deadline.
 // Safe to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -149,14 +152,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// handleMetrics renders a fresh capture of the default registry per
-// scrape. The snapshot path is lock-free, so scraping mid-sweep never
-// stalls simulations.
+// handleMetrics renders the default registry per scrape. The render is
+// lock-free, so scraping mid-sweep never stalls simulations.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	obs.CollectRuntime() // scrapes always see current runtime.* values
 	// WriteText renders into a pooled buffer and issues one Write, so it
 	// can stream straight to the response: no error can occur before the
 	// single write, and no intermediate copy is needed.
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = obs.Default().Snapshot().WriteText(w)
+	_ = obs.Default().WriteText(w)
 }

@@ -1,9 +1,7 @@
 package telemetry
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -30,22 +28,6 @@ func startServer(t *testing.T, routes ...Route) *Server {
 		}
 	})
 	return s
-}
-
-// startStack starts a CLI stack's server (with its /progress route)
-// polling SSE streams every interval.
-func startStack(t *testing.T, interval time.Duration) (*Stack, string) {
-	t.Helper()
-	st := &Stack{streamInterval: interval}
-	if err := st.serve("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := st.Close(); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	})
-	return st, "http://" + st.server.Addr()
 }
 
 func get(t *testing.T, url string) (int, string) {
@@ -101,11 +83,6 @@ func TestEndpoints(t *testing.T) {
 		t.Errorf("/metrics missing runtime.* series")
 	}
 
-	// /progress is a CLI route (see Stack), not a built-in one.
-	if code, _ := get(t, base+"/progress"); code != http.StatusNotFound {
-		t.Errorf("/progress on a bare server = %d, want 404", code)
-	}
-
 	if code, body := get(t, base+"/debug/pprof/"); code != 200 || !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/ = %d, want 200 with profile index", code)
 	}
@@ -128,121 +105,6 @@ func TestEndpoints(t *testing.T) {
 			t.Errorf("index lacks %s:\n%s", want, body)
 		}
 	}
-	if strings.Contains(body, "/progress") {
-		t.Errorf("index lists /progress, which this server does not serve:\n%s", body)
-	}
-}
-
-// TestProgressJSONAndSSE runs a real engine grid behind the server and
-// checks both the JSON snapshot and the SSE stream: the stream must
-// deliver at least one update showing the completed count advancing.
-func TestProgressJSONAndSSE(t *testing.T) {
-	st, base := startStack(t, 5*time.Millisecond)
-
-	// No engine attached yet: /progress is a 404 with an explanation.
-	if code, body := get(t, base+"/progress"); code != http.StatusNotFound || !strings.Contains(body, "engine") {
-		t.Errorf("/progress without engine = %d %q, want 404", code, body)
-	}
-	if _, body := get(t, base+"/"); !strings.Contains(body, "/progress") {
-		t.Errorf("index lacks /progress:\n%s", body)
-	}
-
-	eng, err := jobs.Open(jobs.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.SetProgress(eng.Progress)
-
-	gate := make(chan struct{})
-	var cells []jobs.Cell
-	for i := 0; i < 4; i++ {
-		key := fmt.Sprintf("cell-%d", i)
-		cells = append(cells, jobs.Cell{Key: key, Run: func(ctx context.Context) ([]byte, error) {
-			<-gate // cells finish one per gate tick
-			return []byte(key), nil
-		}})
-	}
-
-	// Open the SSE stream before any cell finishes.
-	req, err := http.NewRequest("GET", base+"/progress?stream=1", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("stream Content-Type = %q", ct)
-	}
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := eng.Run(context.Background(), cells)
-		done <- err
-	}()
-	go func() {
-		for i := 0; i < len(cells); i++ {
-			gate <- struct{}{}
-			time.Sleep(20 * time.Millisecond) // let the epoch tick between completions
-		}
-	}()
-
-	// Read SSE events until the completed count reaches 4.
-	var seen []int
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		var p jobs.Progress
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &p); err != nil {
-			t.Fatalf("bad SSE payload: %v\n%s", err, line)
-		}
-		if p.Total == 0 {
-			continue // stream opened before Run registered the grid
-		}
-		if p.Total != 4 {
-			t.Fatalf("SSE Total = %d, want 4", p.Total)
-		}
-		seen = append(seen, p.Completed)
-		if p.Completed == 4 {
-			break
-		}
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) < 2 {
-		t.Fatalf("SSE stream delivered %d events, want at least 2 (got %v)", len(seen), seen)
-	}
-	advanced := false
-	for i := 1; i < len(seen); i++ {
-		if seen[i] < seen[i-1] {
-			t.Errorf("completed count went backwards: %v", seen)
-		}
-		if seen[i] > seen[i-1] {
-			advanced = true
-		}
-	}
-	if !advanced {
-		t.Errorf("completed count never advanced across SSE updates: %v", seen)
-	}
-
-	// JSON snapshot after the run.
-	code, body := get(t, base+"/progress")
-	if code != 200 {
-		t.Fatalf("/progress = %d, want 200", code)
-	}
-	var p jobs.Progress
-	if err := json.Unmarshal([]byte(body), &p); err != nil {
-		t.Fatalf("bad /progress JSON: %v\n%s", err, body)
-	}
-	if p.Completed != 4 || p.Fraction != 1 {
-		t.Errorf("final progress = %+v, want 4 completed", p)
-	}
 }
 
 // TestScrapeDuringSweepRace hammers /metrics from several clients while
@@ -251,13 +113,12 @@ func TestProgressJSONAndSSE(t *testing.T) {
 func TestScrapeDuringSweepRace(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
-	st, base := startStack(t, 250*time.Millisecond)
+	base := "http://" + startServer(t).Addr()
 
 	eng, err := jobs.Open(jobs.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetProgress(eng.Progress)
 	wantOps := obs.C("telemetry.race.ops").Value() + 24*200
 
 	var cells []jobs.Cell
@@ -294,13 +155,6 @@ func TestScrapeDuringSweepRace(t *testing.T) {
 				}
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
-				resp, err = http.Get(base + "/progress")
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
 			}
 		}()
 	}
@@ -329,37 +183,32 @@ func TestScrapeDuringSweepRace(t *testing.T) {
 	}
 }
 
-// TestShutdownWithOpenSSEStream: Shutdown must not hang on an open SSE
-// connection — the closing channel ends streams promptly.
-func TestShutdownWithOpenSSEStream(t *testing.T) {
-	st, base := startStack(t, 10*time.Millisecond)
-	eng, err := jobs.Open(jobs.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.SetProgress(eng.Progress)
-
-	resp, err := http.Get(base + "/progress?stream=1")
+// TestShutdownEndsOpenRequests: Shutdown must not wait out a request
+// that runs until its context ends, as /debug/pprof/profile and /trace
+// do: cancelling the base context ends it at once.
+func TestShutdownEndsOpenRequests(t *testing.T) {
+	s := startServer(t, Route{"/block", "wait for shutdown", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		<-r.Context().Done()
+	}})
+	// Get returns once the header has arrived, with the handler running.
+	resp, err := http.Get("http://" + s.Addr() + "/block")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	buf := make([]byte, 1)
-	if _, err := resp.Body.Read(buf); err != nil { // first event arrived
-		t.Fatal(err)
-	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
 	start := time.Now()
-	if err := st.server.Shutdown(ctx); err != nil {
-		t.Fatalf("shutdown with open stream: %v", err)
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown with an open request: %v", err)
 	}
 	if took := time.Since(start); took > 2*time.Second {
 		t.Errorf("shutdown took %v, want prompt exit", took)
 	}
-	// The stream must have ended.
-	if _, err := io.Copy(io.Discard, resp.Body); err != nil && !strings.Contains(err.Error(), "EOF") {
-		t.Logf("stream end: %v (acceptable)", err)
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Errorf("open request did not end cleanly: %v", err)
 	}
 }
