@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt vet build run-patterns-check test race race-fault race-par test-resume test-telemetry test-serve bench-smoke solvecache-check figures-check fma-check vuln staticcheck bench bench-guard
+.PHONY: ci fmt vet build run-patterns-check test race race-fault race-par test-resume test-telemetry test-serve bench-smoke grid-digest-check solvecache-check figures-check fma-check vuln staticcheck bench bench-guard
 
-ci: fmt vet build run-patterns-check test race-fault race-par test-resume test-telemetry test-serve bench-smoke bench-guard fma-check solvecache-check figures-check vuln staticcheck
+ci: fmt vet build run-patterns-check test race-fault race-par test-resume test-telemetry test-serve bench-smoke bench-guard fma-check grid-digest-check solvecache-check figures-check vuln staticcheck
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -26,8 +26,8 @@ TELEMETRY_CLI_RUN = TestTelemetryE2ESmoke
 TELEMETRY_CLI_PKGS = ./cmd/reramsim/
 SERVE_CLI_RUN = TestDaemon
 SERVE_CLI_PKGS = ./cmd/reramd/
-GUARD_BENCH = BenchmarkResetOpSteadyState|BenchmarkCostWriteMemoized|BenchmarkObsDisabled|BenchmarkObsEnabled|BenchmarkSpanDisabled|BenchmarkMetricsScrape|BenchmarkLadderSweep
-GUARD_PKGS = . ./internal/xpoint/
+GUARD_BENCH = BenchmarkResetOpSteadyState|BenchmarkCostWriteMemoized|BenchmarkObsDisabled|BenchmarkObsEnabled|BenchmarkSpanDisabled|BenchmarkMetricsScrape|BenchmarkLadderSweep|BenchmarkSimulateWarm
+GUARD_PKGS = . ./internal/xpoint/ ./internal/memsys/
 
 # A pattern alternative that names no test passes silently ("no tests
 # to run"), so a renamed or deleted test would drop out of its target
@@ -131,6 +131,24 @@ bench-smoke:
 # byte. Takes about 6 s on 2 vCPUs.
 GRID_G = -scheme Base,Hard+Sys,UDRVR+PR -workload ast_m,mcf_m,mil_m,zeu_m -accesses 1200 -json -seed 1
 
+# Grid G's sweep JSON, clean and under the margin fault profile, hashed
+# against the digests it has had since the event loop and the cost
+# memo were rewritten for speed: any moved bit of a result fails. The
+# digests come from an amd64 host with FMA: math.Exp picks an FMA branch
+# at run time there, so a host without FMA or another GOARCH can differ
+# in the last bits. Takes about 4 s on 2 vCPUs.
+GRID_G_SHA = 2be16ad214f38fe5de06a55dea8f5b302272e320b5f164e7a485238037569699
+GRID_G_MARGIN_SHA = 60eeb2adf54e6073e65b4b598d84ac542d31ee3762c9e5f09c2419fd383ef9a4
+
+grid-digest-check:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/reramsim" ./cmd/reramsim; \
+	check() { name="$$1" want="$$2"; shift 2; got=$$("$$dir/reramsim" $(GRID_G) -jobs 2 "$$@" | sha256sum | cut -d' ' -f1); \
+		test "$$got" = "$$want" || { echo "grid-digest-check: grid G ($$name) hashes to $$got, want $$want"; exit 1; }; }; \
+	check clean $(GRID_G_SHA); \
+	check margin $(GRID_G_MARGIN_SHA) -fault-profile margin; \
+	echo "grid-digest-check: grid G hashes to its pinned digests, clean and under margin"
+
 solvecache-check:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/reramsim" ./cmd/reramsim; \
@@ -199,7 +217,9 @@ bench:
 # The allocation guards: steady-state SimulateResetInto, a memoized line
 # write priced with metrics off and with metrics on, a disabled span
 # with a child under it (StartSpan, the only span entry point), one
-# /metrics render and one ladder sweep must all stay at 0 allocs/op
-# (the benchmarks themselves fail otherwise), run briefly as part of ci.
+# /metrics render and one ladder sweep must all stay at 0 allocs/op,
+# and a warm simulation may not allocate per access (its allocations
+# from 800 to 1,600 accesses per core grow by at most 64); the
+# benchmarks themselves fail otherwise. Run briefly as part of ci.
 bench-guard:
 	$(GO) test -run '^$$' -bench '$(GUARD_BENCH)' -benchtime 100x -benchmem $(GUARD_PKGS)

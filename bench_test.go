@@ -253,8 +253,8 @@ func BenchmarkObsDisabled(b *testing.B) {
 }
 
 // BenchmarkObsEnabled is the companion measurement with metrics on (no
-// trace sink): a memoized write bumps one cost-table hit counter per
-// array op, an atomic add, and still allocates nothing.
+// trace sink): a memoized write adds its array ops to the cost-table
+// hit counter, one atomic add per line, and still allocates nothing.
 func BenchmarkObsEnabled(b *testing.B) {
 	s, lw := memoizedLineWrite(b)
 	obs.SetEnabled(true)
@@ -380,17 +380,15 @@ func BenchmarkFaultDisabled(b *testing.B) {
 
 // BenchmarkFlipNWrite measures the data-path reduction of one 64 B write.
 func BenchmarkFlipNWrite(b *testing.B) {
-	old := make([]byte, 64)
-	data := make([]byte, 64)
+	var old, data [write.LineBytes]byte
 	for i := range old {
 		old[i] = byte(i * 37)
 		data[i] = byte(i*37) ^ byte(i%5)
 	}
+	var lw write.LineWrite
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := write.FlipNWrite(old, data); err != nil {
-			b.Fatal(err)
-		}
+		write.FlipNWrite(&lw, &old, &data)
 	}
 }
 
@@ -404,9 +402,10 @@ func BenchmarkTraceGen(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var a trace.Access
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Next()
+		g.Next(&a)
 	}
 }
 
@@ -546,19 +545,17 @@ func BenchmarkAblationFNW(b *testing.B) {
 				b.Fatal(err)
 			}
 			var cells, writes float64
+			var a trace.Access
+			var lw write.LineWrite
 			for i := 0; i < b.N; i++ {
-				a := g.Next()
+				g.Next(&a)
 				if a.Kind != trace.Write {
 					continue
 				}
-				var lw write.LineWrite
 				if fnw {
-					lw, _, err = write.FlipNWrite(a.Old[:], a.New[:])
+					write.FlipNWrite(&lw, &a.Old, &a.New)
 				} else {
-					lw, err = write.RawWrite(a.Old[:], a.New[:])
-				}
-				if err != nil {
-					b.Fatal(err)
+					write.RawWrite(&lw, &a.Old, &a.New)
 				}
 				r, s := lw.Totals()
 				cells += float64(r + s)

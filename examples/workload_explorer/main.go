@@ -36,17 +36,16 @@ func main() {
 	var hist [9]int
 	var slices int
 	var baseResets, baseSets, prResets, prSets, dblResets int
+	var a trace.Access
+	var lw write.LineWrite
 	const writes = 5000
 	for w := 0; w < writes; {
-		a := g.Next()
+		g.Next(&a)
 		if a.Kind != trace.Write {
 			continue
 		}
 		w++
-		lw, _, err := write.FlipNWrite(a.Old[:], a.New[:])
-		if err != nil {
-			log.Fatal(err)
-		}
+		write.FlipNWrite(&lw, &a.Old, &a.New)
 		for _, aw := range lw.Arrays {
 			n := bits.OnesCount8(aw.Reset)
 			hist[n]++

@@ -93,14 +93,6 @@ func (t *costTable) each(fn func(opKey, opCost)) {
 	}
 }
 
-// canonicalMasks tabulates canonicalMask for the pricing hot path.
-var canonicalMasks = func() (t [maskValues]uint8) {
-	for m := range t {
-		t[m] = canonicalMask(uint8(m))
-	}
-	return t
-}()
-
 // canonicalMask collapses a RESET mask to its latency class: the same
 // number of bits, spread evenly up to the same right-most multiplexer —
 // the pattern PR itself produces. This trades a small cost-model error

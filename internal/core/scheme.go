@@ -62,9 +62,15 @@ type Scheme struct {
 	name string
 	opt  Options
 	arr  *xpoint.Array
+	cfg  xpoint.Config // arr's configuration, read by pricing in place
+	muxW int           // cfg.MuxWidth()
 	pump chargepump.Config
 
 	levels *LevelTable
+
+	// masks holds what the mask transforms make of each RESET byte
+	// (maskTable); pricing a line reads one entry per written array.
+	masks [maskValues]maskEntry
 
 	// The RESET cost memo is the hot shared structure when simulations
 	// fan out: every write prices its ops here. Hits read the lock-free
@@ -201,8 +207,11 @@ func NewScheme(name string, opt Options) (*Scheme, error) {
 		name:   name,
 		opt:    opt,
 		arr:    arr,
+		cfg:    arr.Config(),
+		muxW:   arr.Config().MuxWidth(),
 		pump:   pump,
 		levels: levels,
+		masks:  maskTable(opt),
 		memo:   costTable{sections: levels.Sections},
 		cache:  cache,
 	}
@@ -246,7 +255,7 @@ func (s *Scheme) RemapRow(row int) int {
 	if !s.opt.SCH {
 		return row
 	}
-	return row % (s.arr.Config().Size / 4)
+	return row % (s.cfg.Size / 4)
 }
 
 // LineCost is the memory-side cost of one 64 B line write under a scheme.
@@ -278,7 +287,7 @@ func (c LineCost) CellsWritten() int { return c.Resets + c.Sets }
 // remapping is applied internally. ctx carries only the span that a
 // cold solve's core.solve_op span nests under; pricing does not poll it.
 func (s *Scheme) CostWrite(ctx context.Context, row, offset int, lw write.LineWrite) (LineCost, error) {
-	return s.costWrite(ctx, row, offset, lw, 0)
+	return s.costWrite(ctx, row, offset, &lw, 0)
 }
 
 // CostWriteRetry prices a write-verify retry of the same line write with
@@ -295,49 +304,92 @@ func (s *Scheme) CostWriteRetry(ctx context.Context, row, offset int, lw write.L
 	if escalation > 255 {
 		escalation = 255
 	}
-	return s.costWrite(ctx, row, offset, lw, uint8(escalation))
+	return s.costWrite(ctx, row, offset, &lw, uint8(escalation))
 }
 
-func (s *Scheme) costWrite(ctx context.Context, row, offset int, lw write.LineWrite, esc uint8) (LineCost, error) {
-	cfg := s.arr.Config()
+// maskEntry is what a scheme's mask transforms make of one array's
+// RESET byte.
+type maskEntry struct {
+	key     uint8 // op key mask: RESETs and dummies, canonicalised unless ExactMasks; 0 prices no op
+	resets  uint8 // data RESETs, PR's paired ones included
+	dummies uint8 // D-BL dummy-column RESETs
+	prSets  uint8 // the compensating SETs PR pairs with its RESETs
+}
+
+// maskTable tabulates, for every RESET byte, write.PartitionReset (with
+// PR), write.DummyBL (with D-BL) and canonicalMask (without ExactMasks)
+// applied in that order, as pricing once applied them to each array.
+// The table is exact for every (Reset, Set) pair: both transforms read
+// only the RESET byte, and PR's SETs join the array's own by OR.
+func maskTable(opt Options) (t [maskValues]maskEntry) {
+	for r := range t {
+		aw := write.ArrayWrite{Reset: uint8(r)}
+		if opt.PR {
+			aw = write.PartitionReset(aw)
+		}
+		key := aw.Reset
+		var dummies uint8
+		if opt.DBL {
+			_, dummies = write.DummyBL(aw)
+			key |= dummies
+		}
+		if !opt.ExactMasks {
+			key = canonicalMask(key)
+		}
+		t[r] = maskEntry{
+			key:     key,
+			resets:  uint8(bits.OnesCount8(aw.Reset)),
+			dummies: uint8(bits.OnesCount8(dummies)),
+			prSets:  aw.Set,
+		}
+	}
+	return t
+}
+
+func (s *Scheme) costWrite(ctx context.Context, row, offset int, lw *write.LineWrite, esc uint8) (LineCost, error) {
 	row = s.RemapRow(row)
-	if row < 0 || row >= cfg.Size {
+	if row < 0 || row >= s.cfg.Size {
 		return LineCost{}, fmt.Errorf("core: row %d outside array", row)
 	}
-	if offset < 0 || offset >= cfg.MuxWidth() {
-		return LineCost{}, fmt.Errorf("core: offset %d outside mux width %d", offset, cfg.MuxWidth())
+	if offset < 0 || offset >= s.muxW {
+		return LineCost{}, fmt.Errorf("core: offset %d outside mux width %d", offset, s.muxW)
 	}
-	section := s.levels.SectionOf(row, cfg.Size)
-	offB := offset * offsetBuckets / cfg.MuxWidth()
+	k := opKey{
+		section: uint8(s.levels.SectionOf(row, s.cfg.Size)),
+		offB:    uint8(offset * offsetBuckets / s.muxW),
+		esc:     esc,
+	}
 
 	var out LineCost
 	out.MinMargin = math.Inf(1)
 	var maxResetLat float64
-	for _, aw := range lw.Arrays {
-		if s.opt.PR {
-			aw = write.PartitionReset(aw)
-		}
-		resetMask := aw.Reset
-		var dummies uint8
-		if s.opt.DBL {
-			_, dummies = write.DummyBL(aw)
-			resetMask |= dummies
-		}
-		r, st := bits.OnesCount8(aw.Reset), bits.OnesCount8(aw.Set)
-		out.Resets += r
-		out.Sets += st
-		out.DummyResets += bits.OnesCount8(dummies)
-		if resetMask == 0 {
+	hits := 0
+	for _, aw := range &lw.Arrays {
+		if aw == (write.ArrayWrite{}) {
 			continue
 		}
-		c, err := s.opCost(ctx, opKey{section: uint8(section), offB: uint8(offB), mask: resetMask, esc: esc})
-		if err != nil {
-			return LineCost{}, err
+		e := &s.masks[aw.Reset]
+		out.Resets += int(e.resets)
+		out.Sets += bits.OnesCount8(aw.Set | e.prSets)
+		out.DummyResets += int(e.dummies)
+		if e.key == 0 {
+			continue
+		}
+		k.mask = e.key
+		c := s.memo.load(k)
+		if c == nil {
+			cold, err := s.coldCost(ctx, k)
+			if err != nil {
+				return LineCost{}, err
+			}
+			c = &cold
+		} else {
+			hits++
 		}
 		if c.latency > maxResetLat {
 			maxResetLat = c.latency
 		}
-		if m := c.vmin - cfg.Params.VwriteMin; m < out.MinMargin {
+		if m := c.vmin - s.cfg.Params.VwriteMin; m < out.MinMargin {
 			out.MinMargin = m
 		}
 		out.Energy += c.energy
@@ -345,8 +397,9 @@ func (s *Scheme) costWrite(ctx context.Context, row, offset int, lw write.LineWr
 			out.Failed = true
 		}
 	}
+	obsMemoHits.Add(uint64(hits))
 
-	p := cfg.Params
+	p := &s.cfg.Params
 	totalResets := out.Resets + out.DummyResets
 	resetRounds := s.pump.Rounds(totalResets, p.Ion)
 	setRounds := s.pump.Rounds(out.Sets, setCurrent)
@@ -372,19 +425,12 @@ const (
 	setEnergyPerBit = 29.8e-12
 )
 
-// opCost returns the memoized cost of one array RESET operation.
-// Concurrent cold misses of the same key collapse onto one solve via the
-// scheme's singleflight. A newly solved entry only bumps the scheme's
-// solve count; FlushMemo writes the entries to the persistent cache,
-// once per finished simulation, not once per solve.
-func (s *Scheme) opCost(ctx context.Context, k opKey) (opCost, error) {
-	if !s.opt.ExactMasks {
-		k.mask = canonicalMasks[k.mask]
-	}
-	if c := s.memo.load(k); c != nil {
-		obsMemoHits.Inc()
-		return *c, nil
-	}
+// coldCost prices an op the cost table does not hold yet. Concurrent
+// cold misses of the same key collapse onto one solve via the scheme's
+// singleflight. A newly solved entry only bumps the scheme's solve
+// count; FlushMemo writes the entries to the persistent cache, once per
+// finished simulation, not once per solve.
+func (s *Scheme) coldCost(ctx context.Context, k opKey) (opCost, error) {
 	obsMemoMisses.Inc()
 	c, _, err := s.flight.Do(k, func() (opCost, error) {
 		// Re-check under the flight: a solve that completed between our

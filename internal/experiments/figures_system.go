@@ -132,16 +132,15 @@ func (s *Suite) Fig9() (string, error) {
 		}
 		var counts [9]uint64
 		var total uint64
+		var a trace.Access
+		var lw write.LineWrite
 		for w := 0; w < 3000; {
-			a := g.Next()
+			g.Next(&a)
 			if a.Kind != trace.Write {
 				continue
 			}
 			w++
-			lw, _, err := write.FlipNWrite(a.Old[:], a.New[:])
-			if err != nil {
-				return "", err
-			}
+			write.FlipNWrite(&lw, &a.Old, &a.New)
 			for _, aw := range lw.Arrays {
 				counts[bits.OnesCount8(aw.Reset)]++
 				total++
@@ -174,17 +173,16 @@ func (s *Suite) Fig14() (string, error) {
 			return "", err
 		}
 		var baseR, baseS, prR, prS, dblR float64
+		var a trace.Access
+		var lw write.LineWrite
 		const writes = 3000
 		for w := 0; w < writes; {
-			a := g.Next()
+			g.Next(&a)
 			if a.Kind != trace.Write {
 				continue
 			}
 			w++
-			lw, _, err := write.FlipNWrite(a.Old[:], a.New[:])
-			if err != nil {
-				return "", err
-			}
+			write.FlipNWrite(&lw, &a.Old, &a.New)
 			for _, aw := range lw.Arrays {
 				r, st := aw.Count()
 				baseR += float64(r)

@@ -178,8 +178,22 @@ type sim struct {
 	writeQ []writeReq
 	burst  bool
 
+	// parked counts the requests that full queues turned away and that
+	// wait at their cores.
+	parked int
+
 	bankFreeAt []float64
 	pumpFreeAt []float64
+
+	// writeReadyAt is a lower bound on the earliest time any queued
+	// write finds its bank and its rank's pump free; issueWrites skips
+	// its scan before then. Free times only move forward, so the
+	// minimum a scan reads stays a bound until a write is appended.
+	writeReadyAt float64
+
+	// The geometry lines map onto: cfg.Banks() and the array's size
+	// and mux width.
+	banks, arrSize, muxW uint64
 
 	leveler    *wear.SecurityRefresh
 	shifter    wear.RowShifter
@@ -226,6 +240,7 @@ func SimulateContext(ctx context.Context, s *core.Scheme, bench trace.Benchmark,
 		return nil, err
 	}
 
+	arr := s.Array().Config()
 	sm := &sim{
 		ctx:        ctx,
 		cfg:        cfg,
@@ -235,6 +250,9 @@ func SimulateContext(ctx context.Context, s *core.Scheme, bench trace.Benchmark,
 		writeQ:     make([]writeReq, 0, cfg.WriteQueue),
 		bankFreeAt: make([]float64, cfg.Banks()),
 		pumpFreeAt: make([]float64, cfg.Ranks),
+		banks:      uint64(cfg.Banks()),
+		arrSize:    uint64(arr.Size),
+		muxW:       uint64(arr.MuxWidth()),
 		lineWrites: make(map[uint64]uint64),
 		shifter:    wear.NewRowShifter(),
 	}
@@ -295,17 +313,17 @@ func (s *sim) scheduleNextAccess(i int, from float64) {
 		return
 	}
 	c.issued++
-	c.pending = c.gen.Next()
+	c.gen.Next(&c.pending)
 	c.instr += c.pending.InstrGap
 	dt := c.cpu.Advance(c.pending.InstrGap)
 	s.push(event{t: from + dt, kind: evCoreAccess, core: i})
 }
 
-// mapLine translates a logical line into (bank, rank, row, offset),
-// applying wear leveling and line retirement; phys is the resolved
-// physical line identity the per-line state is keyed on.
-func (s *sim) mapLine(line uint64, isWrite bool) (bank, rank, row, offset int, phys uint64) {
-	phys = line
+// physLine resolves a logical line to the physical line its state is
+// keyed on, applying wear leveling (a write advances it) and line
+// retirement.
+func (s *sim) physLine(line uint64, isWrite bool) uint64 {
+	phys := line
 	if s.leveler != nil {
 		if isWrite {
 			phys = s.leveler.OnWrite(line)
@@ -324,23 +342,24 @@ func (s *sim) mapLine(line uint64, isWrite bool) (bank, rank, row, offset int, p
 			phys = sp
 		}
 	}
-	nb := uint64(s.cfg.Banks())
-	arr := s.scheme.Array().Config()
-	size := uint64(arr.Size)
-	muxW := uint64(arr.MuxWidth())
+	return phys
+}
 
-	bank = int(phys % nb)
+// bankOf returns the bank a physical line lives in.
+func (s *sim) bankOf(phys uint64) int { return int(phys % s.banks) }
+
+// mapWrite places a written logical line: its physical line and that
+// line's (bank, rank, row, column-mux offset), the offset shifted by
+// the line's write count (intra-line wear leveling).
+func (s *sim) mapWrite(line uint64) (bank, rank, row, offset int, phys uint64) {
+	phys = s.physLine(line, true)
+	bank = s.bankOf(phys)
 	rank = bank / s.cfg.BanksPerRank
-	row = int((phys / nb) % size)
-	base := int((phys / (nb * size)) % muxW)
-	if isWrite {
-		n := s.lineWrites[phys]
-		s.lineWrites[phys] = n + 1
-		offset = s.shifter.Offset(base, n)
-	} else {
-		offset = s.shifter.Offset(base, s.lineWrites[phys])
-	}
-	return bank, rank, row, offset, phys
+	row = int((phys / s.banks) % s.arrSize)
+	base := int((phys / (s.banks * s.arrSize)) % s.muxW)
+	n := s.lineWrites[phys]
+	s.lineWrites[phys] = n + 1
+	return bank, rank, row, s.shifter.Offset(base, n), phys
 }
 
 // stopPollEvery spaces the event loop's context checks, so a stop
@@ -377,15 +396,17 @@ func (s *sim) run() error {
 // onCoreAccess dispatches core i's pending access into the controller.
 func (s *sim) onCoreAccess(now float64, i int) error {
 	c := &s.cores[i]
-	a := c.pending
 	if c.hier != nil {
-		return s.dispatchCached(now, i, a)
+		// By value: dispatching can generate the core's next access
+		// into c.pending before the writeback it triggers is priced.
+		return s.dispatchCached(now, i, c.pending)
 	}
+	a := &c.pending
 	if a.Kind == trace.Read {
 		s.issueCoreRead(now, i, a.Line)
 		return nil
 	}
-	return s.submitWrite(now, i, a)
+	return s.submitWrite(now, i, a.Line, &a.Old, &a.New)
 }
 
 // issueCoreRead sends a demand read into the controller and lets the core
@@ -422,9 +443,7 @@ func (s *sim) dispatchCached(now float64, i int, a trace.Access) error {
 	demandRead := false
 	for _, m := range mem {
 		if m.IsWrite {
-			wa := a
-			wa.Line = m.Line
-			if err := s.submitWrite(t, i, wa); err != nil {
+			if err := s.submitWrite(t, i, m.Line, &a.Old, &a.New); err != nil {
 				return err
 			}
 		} else {
@@ -443,10 +462,12 @@ func (s *sim) dispatchCached(now float64, i int, a trace.Access) error {
 // submitRead enqueues a read, reporting whether it entered the queue
 // (false: the controller queue is full and the request parks at the core).
 func (s *sim) submitRead(now float64, i int, line uint64) bool {
-	bank, _, _, _, _ := s.mapLine(line, false)
-	req := readReq{core: i, bank: bank, arrival: now}
+	req := readReq{core: i, bank: s.bankOf(s.physLine(line, false)), arrival: now}
 	if len(s.readQ) >= s.cfg.ReadQueue {
 		c := &s.cores[i]
+		if !c.hasWaitRead {
+			s.parked++
+		}
 		c.waitRead, c.hasWaitRead = req, true
 		return false
 	}
@@ -454,12 +475,13 @@ func (s *sim) submitRead(now float64, i int, line uint64) bool {
 	return true
 }
 
-func (s *sim) submitWrite(now float64, i int, a trace.Access) error {
-	lw, _, err := write.FlipNWrite(a.Old[:], a.New[:])
-	if err != nil {
-		return err
-	}
-	bank, rank, row, offset, phys := s.mapLine(a.Line, true)
+// submitWrite prices core i's write of data new over the stored image
+// old of a logical line and enqueues it, or parks it at the core when
+// the write queue is full.
+func (s *sim) submitWrite(now float64, i int, line uint64, old, new *[write.LineBytes]byte) error {
+	var lw write.LineWrite
+	write.FlipNWrite(&lw, old, new)
+	bank, rank, row, offset, phys := s.mapWrite(line)
 	cost, err := s.scheme.CostWrite(s.ctx, row, offset, lw)
 	if err != nil {
 		return err
@@ -470,12 +492,22 @@ func (s *sim) submitWrite(now float64, i int, a trace.Access) error {
 	}
 	if len(s.writeQ) >= s.cfg.WriteQueue {
 		c := &s.cores[i]
+		if !c.hasWaitWrite {
+			s.parked++
+		}
 		c.waitWrite, c.hasWaitWrite = req, true
 		return nil
 	}
-	s.writeQ = append(s.writeQ, req)
+	s.enqueueWrite(&req)
 	s.scheduleNextAccess(i, now) // posted write: the core moves on
 	return nil
+}
+
+// enqueueWrite appends req to the write queue; the new entry may issue
+// before writeReadyAt, so the bound resets.
+func (s *sim) enqueueWrite(req *writeReq) {
+	s.writeQ = append(s.writeQ, *req)
+	s.writeReadyAt = 0
 }
 
 // tryIssue advances the controller: reads first, writes when there are no
@@ -534,10 +566,15 @@ func (s *sim) issueReads(now float64) bool {
 }
 
 func (s *sim) issueWrites(now float64) (bool, error) {
+	if now < s.writeReadyAt {
+		return false, nil
+	}
 	issued := false
+	readyAt := math.Inf(1)
 	for qi := 0; qi < len(s.writeQ); {
 		req := &s.writeQ[qi]
-		if s.bankFreeAt[req.bank] > now || s.pumpFreeAt[req.rank] > now {
+		if free := max(s.bankFreeAt[req.bank], s.pumpFreeAt[req.rank]); free > now {
+			readyAt = min(readyAt, free)
 			qi++
 			continue
 		}
@@ -567,16 +604,21 @@ func (s *sim) issueWrites(now float64) (bool, error) {
 		s.writeQ = append(s.writeQ[:qi], s.writeQ[qi+1:]...)
 		issued = true
 	}
+	s.writeReadyAt = readyAt
 	return issued, nil
 }
 
 // admitWaiters moves stalled cores' requests into queues with free space.
 func (s *sim) admitWaiters(now float64) {
+	if s.parked == 0 {
+		return
+	}
 	for i := range s.cores {
 		c := &s.cores[i]
 		if c.hasWaitRead && len(s.readQ) < s.cfg.ReadQueue {
 			s.readQ = append(s.readQ, c.waitRead)
 			c.hasWaitRead = false
+			s.parked--
 			// The parked request is in flight now; the core may run ahead
 			// again if its window allows.
 			if c.blockedRead && !c.cpu.Blocked() {
@@ -585,8 +627,9 @@ func (s *sim) admitWaiters(now float64) {
 			}
 		}
 		if c.hasWaitWrite && len(s.writeQ) < s.cfg.WriteQueue {
-			s.writeQ = append(s.writeQ, c.waitWrite)
+			s.enqueueWrite(&c.waitWrite)
 			c.hasWaitWrite = false
+			s.parked--
 			s.scheduleNextAccess(i, now)
 		}
 	}

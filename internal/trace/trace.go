@@ -150,13 +150,15 @@ func PerCore(b Benchmark, cores int) ([]Benchmark, error) {
 	return out, nil
 }
 
-// Next produces the core's next main-memory access.
-func (g *Generator) Next() Access {
-	b := g.b
-	var a Access
+// Next overwrites a with the core's next main-memory access. A read
+// carries zero data images: a cache writeback it triggers is priced
+// from them.
+func (g *Generator) Next(a *Access) {
+	b := &g.b
 	// Exponentially distributed instruction gaps reproduce the Poisson
 	// arrival of post-cache misses at the given access rate.
 	a.InstrGap = uint64(math.Max(1, g.rng.ExpFloat64()*g.gap))
+	a.Kind = Read
 	if g.rng.Float64() < b.WPKI/(b.RPKI+b.WPKI) {
 		a.Kind = Write
 	}
@@ -169,15 +171,23 @@ func (g *Generator) Next() Access {
 	}
 
 	if a.Kind == Write {
-		g.fillData(&a)
+		g.fillData(a)
+	} else {
+		a.Old, a.New = [64]byte{}, [64]byte{}
 	}
-	return a
+}
+
+// intnPow2 is rand.Rand.Intn(n) for a power-of-two n below 2^31: Intn
+// reduces such an n to the top bits of one Int63 draw, masked, so the
+// stream and every value are Intn's.
+func (g *Generator) intnPow2(n int) int {
+	return int(g.rng.Int63()>>32) & (n - 1)
 }
 
 // fillData synthesizes the old and new line images of a write according
 // to the benchmark's change model.
 func (g *Generator) fillData(a *Access) {
-	b := g.b
+	b := &g.b
 	g.rng.Read(a.Old[:])
 	a.New = a.Old
 
@@ -193,13 +203,13 @@ func (g *Generator) fillData(a *Access) {
 		dirty = 1
 	}
 	// Dirty bytes cluster in a contiguous region (distinct indices).
-	start := g.rng.Intn(64)
+	start := g.intnPow2(64)
 	for i := 0; i < dirty; i++ {
 		idx := (start + i) % 64
 		if dense {
 			// Dense rewrites replace whole bytes, the pattern that
 			// produces Fig. 9's rare 7-8-bit RESET slices for xalancbmk.
-			a.New[idx] = byte(g.rng.Intn(256))
+			a.New[idx] = byte(g.intnPow2(256))
 			continue
 		}
 		a.New[idx] ^= g.flipMask(b.BitsPerByte)
@@ -223,7 +233,7 @@ func (g *Generator) flipMask(mean float64) byte {
 	}
 	var m byte
 	for i := 0; i < n; i++ {
-		m |= 1 << g.rng.Intn(8)
+		m |= 1 << g.intnPow2(8)
 	}
 	if m == 0 {
 		m = 1

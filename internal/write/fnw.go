@@ -1,7 +1,7 @@
 package write
 
 import (
-	"fmt"
+	"encoding/binary"
 	"math/bits"
 )
 
@@ -48,54 +48,46 @@ func (lw *LineWrite) Totals() (resets, sets int) {
 	return resets, sets
 }
 
-// FlipNWrite computes the minimal cell-change vectors to turn the stored
-// physical line old into logical data new. Per 32-bit word it stores
-// either new or ^new, whichever flips fewer cells, guaranteeing at most
-// 16 of 32 cells change per word — the paper's "<= 50% cells written"
-// bound. It returns the change vectors and the new stored image (with
-// the chosen flip flags in LineWrite.Flip) so callers can maintain the
-// stored state.
-func FlipNWrite(old, new []byte) (LineWrite, [LineBytes]byte, error) {
-	if len(old) != LineBytes || len(new) != LineBytes {
-		return LineWrite{}, [LineBytes]byte{}, fmt.Errorf("write: line must be %d bytes, got %d/%d", LineBytes, len(old), len(new))
-	}
-	var lw LineWrite
-	var stored [LineBytes]byte
+// FlipNWrite fills lw with the minimal cell-change vectors that turn
+// the stored physical line old into logical data new. Per 32-bit word it
+// stores either new or ^new, whichever flips fewer cells, guaranteeing
+// at most 16 of 32 cells change per word — the paper's "<= 50% cells
+// written" bound. The chosen flip flags land in lw.Flip; the stored
+// image the write leaves is old with each array's Reset cleared and Set
+// raised.
+func FlipNWrite(lw *LineWrite, old, new *[LineBytes]byte) {
 	for w := 0; w < FNWWords; w++ {
 		base := w * FNWWordBytes
-		dPlain, dInv := 0, 0
-		for i := base; i < base+FNWWordBytes; i++ {
-			dPlain += bits.OnesCount8(old[i] ^ new[i])
-			dInv += bits.OnesCount8(old[i] ^ ^new[i])
+		o := binary.LittleEndian.Uint32(old[base:])
+		img := binary.LittleEndian.Uint32(new[base:])
+		// The inverted image differs from old in exactly the cells the
+		// plain one leaves alone.
+		flip := bits.OnesCount32(o^img) > FNWWordBytes*8/2
+		if flip {
+			img = ^img
 		}
-		flip := dInv < dPlain
 		lw.Flip[w] = flip
-		for i := base; i < base+FNWWordBytes; i++ {
-			img := new[i]
-			if flip {
-				img = ^new[i]
-			}
-			stored[i] = img
-			diff := old[i] ^ img
-			lw.Arrays[i] = ArrayWrite{
-				Reset: diff & old[i],  // 1 -> 0
-				Set:   diff &^ old[i], // 0 -> 1
-			}
-		}
+		diff := o ^ img
+		fillWord(lw, base, diff&o, diff&^o)
 	}
-	return lw, stored, nil
 }
 
-// RawWrite computes the change vectors without Flip-N-Write (every
+// RawWrite fills lw with the change vectors without Flip-N-Write (every
 // differing cell is written); used by the ablation benches.
-func RawWrite(old, new []byte) (LineWrite, error) {
-	if len(old) != LineBytes || len(new) != LineBytes {
-		return LineWrite{}, fmt.Errorf("write: line must be %d bytes, got %d/%d", LineBytes, len(old), len(new))
+func RawWrite(lw *LineWrite, old, new *[LineBytes]byte) {
+	lw.Flip = [FNWWords]bool{}
+	for base := 0; base < LineBytes; base += FNWWordBytes {
+		o := binary.LittleEndian.Uint32(old[base:])
+		diff := o ^ binary.LittleEndian.Uint32(new[base:])
+		fillWord(lw, base, diff&o, diff&^o)
 	}
-	var lw LineWrite
-	for i := 0; i < LineBytes; i++ {
-		diff := old[i] ^ new[i]
-		lw.Arrays[i] = ArrayWrite{Reset: diff & old[i], Set: diff &^ old[i]}
+}
+
+// fillWord stores one 32-bit word's RESET (1 -> 0) and SET (0 -> 1)
+// vectors as the ArrayWrites of its four bytes, from byte base on.
+func fillWord(lw *LineWrite, base int, reset, set uint32) {
+	a := lw.Arrays[base : base+FNWWordBytes : base+FNWWordBytes]
+	for i := range a {
+		a[i] = ArrayWrite{Reset: uint8(reset >> (8 * i)), Set: uint8(set >> (8 * i))}
 	}
-	return lw, nil
 }

@@ -7,23 +7,18 @@ import (
 	"testing/quick"
 )
 
-func randLine(rng *rand.Rand) []byte {
-	b := make([]byte, LineBytes)
-	rng.Read(b)
+func randLine(rng *rand.Rand) *[LineBytes]byte {
+	b := new([LineBytes]byte)
+	rng.Read(b[:])
 	return b
 }
 
-// applyWrite plays the change vectors onto the stored image and checks
-// they produce exactly the returned stored image.
-func applyWrite(t *testing.T, old []byte, lw LineWrite, stored [LineBytes]byte) {
+// applyWrite plays the change vectors onto the stored image old, checks
+// that each one changes only cells in the opposite state, and returns
+// the image the write leaves.
+func applyWrite(t *testing.T, old *[LineBytes]byte, lw *LineWrite) (stored [LineBytes]byte) {
 	t.Helper()
 	for i := 0; i < LineBytes; i++ {
-		img := old[i]
-		img &^= lw.Arrays[i].Reset
-		img |= lw.Arrays[i].Set
-		if img != stored[i] {
-			t.Fatalf("byte %d: applying vectors gives %08b, stored image %08b", i, img, stored[i])
-		}
 		if lw.Arrays[i].Reset&lw.Arrays[i].Set != 0 {
 			t.Fatalf("byte %d: overlapping RESET and SET masks", i)
 		}
@@ -33,18 +28,18 @@ func applyWrite(t *testing.T, old []byte, lw LineWrite, stored [LineBytes]byte) 
 		if lw.Arrays[i].Set&old[i] != 0 {
 			t.Fatalf("byte %d: SET of a cell already in LRS", i)
 		}
+		stored[i] = old[i]&^lw.Arrays[i].Reset | lw.Arrays[i].Set
 	}
+	return stored
 }
 
 func TestFlipNWriteRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	var lw LineWrite
 	for trial := 0; trial < 200; trial++ {
 		old, data := randLine(rng), randLine(rng)
-		lw, stored, err := FlipNWrite(old, data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		applyWrite(t, old, lw, stored)
+		FlipNWrite(&lw, old, data)
+		stored := applyWrite(t, old, &lw)
 		// Decoding the stored image with the flip flags recovers the data.
 		for i := 0; i < LineBytes; i++ {
 			got := stored[i]
@@ -58,14 +53,56 @@ func TestFlipNWriteRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFlipNWriteMatchesBytewise: the word-wide FlipNWrite and RawWrite
+// fill the same vectors and flags as a byte-at-a-time evaluation of the
+// definition, into a LineWrite that still holds an earlier write.
+func TestFlipNWriteMatchesBytewise(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var fnw, raw LineWrite
+	for trial := 0; trial < 500; trial++ {
+		old, data := randLine(rng), randLine(rng)
+		if trial%5 == 0 {
+			copy(data[:], old[:]) // some identical and near-identical words
+			data[rng.Intn(LineBytes)] ^= byte(rng.Intn(256))
+		}
+		var want, wantRaw LineWrite
+		for w := 0; w < FNWWords; w++ {
+			dPlain, dInv := 0, 0
+			for i := w * FNWWordBytes; i < (w+1)*FNWWordBytes; i++ {
+				dPlain += bits.OnesCount8(old[i] ^ data[i])
+				dInv += bits.OnesCount8(old[i] ^ ^data[i])
+			}
+			want.Flip[w] = dInv < dPlain
+			for i := w * FNWWordBytes; i < (w+1)*FNWWordBytes; i++ {
+				img := data[i]
+				if want.Flip[w] {
+					img = ^img
+				}
+				diff := old[i] ^ img
+				want.Arrays[i] = ArrayWrite{Reset: diff & old[i], Set: diff &^ old[i]}
+				diff = old[i] ^ data[i]
+				wantRaw.Arrays[i] = ArrayWrite{Reset: diff & old[i], Set: diff &^ old[i]}
+			}
+		}
+		FlipNWrite(&fnw, old, data)
+		RawWrite(&raw, old, data)
+		if fnw != want {
+			t.Fatalf("trial %d: FlipNWrite = %+v, want %+v", trial, fnw, want)
+		}
+		if raw != wantRaw {
+			t.Fatalf("trial %d: RawWrite = %+v, want %+v", trial, raw, wantRaw)
+		}
+		// Swap the buffers, so each call overwrites the other's result.
+		fnw, raw = raw, fnw
+	}
+}
+
 // TestFlipNWriteHalfBound: the defining guarantee — at most 16 of 32
 // cells change per flip word (and hence at most half the line).
 func TestFlipNWriteHalfBound(t *testing.T) {
 	f := func(old, data [LineBytes]byte) bool {
-		lw, _, err := FlipNWrite(old[:], data[:])
-		if err != nil {
-			return false
-		}
+		var lw LineWrite
+		FlipNWrite(&lw, &old, &data)
 		for w := 0; w < FNWWords; w++ {
 			changed := 0
 			for i := w * FNWWordBytes; i < (w+1)*FNWWordBytes; i++ {
@@ -87,14 +124,9 @@ func TestFlipNWriteHalfBound(t *testing.T) {
 // than the raw write.
 func TestFlipNWriteNeverWorseThanRaw(t *testing.T) {
 	f := func(old, data [LineBytes]byte) bool {
-		fnw, _, err := FlipNWrite(old[:], data[:])
-		if err != nil {
-			return false
-		}
-		raw, err := RawWrite(old[:], data[:])
-		if err != nil {
-			return false
-		}
+		var fnw, raw LineWrite
+		FlipNWrite(&fnw, &old, &data)
+		RawWrite(&raw, &old, &data)
 		fr, fs := fnw.Totals()
 		rr, rs := raw.Totals()
 		return fr+fs <= rr+rs
@@ -107,27 +139,16 @@ func TestFlipNWriteNeverWorseThanRaw(t *testing.T) {
 func TestFlipNWriteIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	old := randLine(rng)
-	lw, stored, err := FlipNWrite(old, old)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var lw LineWrite
+	FlipNWrite(&lw, old, old)
 	if r, s := lw.Totals(); r+s != 0 {
 		t.Errorf("rewriting identical data changed %d cells", r+s)
 	}
-	for i := range stored {
-		if stored[i] != old[i] {
-			t.Error("stored image changed on identical rewrite")
-			break
-		}
+	if lw.Flip != [FNWWords]bool{} {
+		t.Errorf("rewriting identical data set flip flags %v", lw.Flip)
 	}
-}
-
-func TestFlipNWriteLengthValidation(t *testing.T) {
-	if _, _, err := FlipNWrite(make([]byte, 10), make([]byte, LineBytes)); err == nil {
-		t.Error("short old line accepted")
-	}
-	if _, err := RawWrite(make([]byte, LineBytes), make([]byte, 10)); err == nil {
-		t.Error("short new line accepted")
+	if stored := applyWrite(t, old, &lw); stored != *old {
+		t.Error("stored image changed on identical rewrite")
 	}
 }
 

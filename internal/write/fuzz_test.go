@@ -15,27 +15,22 @@ func FuzzFlipNWrite(f *testing.F) {
 		if len(old) != LineBytes || len(data) != LineBytes {
 			t.Skip()
 		}
-		lw, stored, err := FlipNWrite(old, data)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var lw LineWrite
+		FlipNWrite(&lw, (*[LineBytes]byte)(old), (*[LineBytes]byte)(data))
 		for i := 0; i < LineBytes; i++ {
 			aw := lw.Arrays[i]
 			if aw.Reset&aw.Set != 0 {
 				t.Fatalf("byte %d: overlapping masks", i)
 			}
-			img := old[i]
-			img &^= aw.Reset
-			img |= aw.Set
-			if img != stored[i] {
-				t.Fatalf("byte %d: vectors do not produce the stored image", i)
+			if aw.Reset&^old[i] != 0 || aw.Set&old[i] != 0 {
+				t.Fatalf("byte %d: vectors change a cell already in the target state", i)
 			}
-			decoded := stored[i]
+			decoded := old[i]&^aw.Reset | aw.Set
 			if lw.Flip[i/FNWWordBytes] {
 				decoded = ^decoded
 			}
 			if decoded != data[i] {
-				t.Fatalf("byte %d: stored image does not decode to the data", i)
+				t.Fatalf("byte %d: the stored image the vectors leave does not decode to the data", i)
 			}
 		}
 		r, s := lw.Totals()
