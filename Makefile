@@ -131,23 +131,32 @@ bench-smoke:
 # byte. Takes about 6 s on 2 vCPUs.
 GRID_G = -scheme Base,Hard+Sys,UDRVR+PR -workload ast_m,mcf_m,mil_m,zeu_m -accesses 1200 -json -seed 1
 
-# Grid G's sweep JSON, clean and under the margin fault profile, hashed
-# against the digests it has had since the event loop and the cost
-# memo were rewritten for speed: any moved bit of a result fails. The
-# digests come from an amd64 host with FMA: math.Exp picks an FMA branch
-# at run time there, so a host without FMA or another GOARCH can differ
-# in the last bits. Takes about 4 s on 2 vCPUs.
+# A served session's 88 cells: the 8 non-oracle schemes on all 11
+# workloads, mixes included.
+SERVED_SESSION = -scheme Base,Static-3.70V,Hard,Hard+Sys,DRVR,DRVR+PR,UDRVR+PR,UDRVR-3.94 -workload ast_m,gem_m,lbm_m,mcf_m,mil_m,xal_m,zeu_m,mum_m,tig_m,mix_1,mix_2 -accesses 1200 -json -seed 1
+
+# Sweep JSON hashed against the digests it had before the event loop,
+# the cost memo and trace replay were rewritten for speed: grid G clean,
+# under the margin fault profile and through the caches, and a served
+# session's grid. Any moved bit of a result fails. The digests come
+# from an amd64 host with FMA: math.Exp picks an FMA branch at run time
+# there, so a host without FMA or another GOARCH can differ in the last
+# bits. Takes about 8 s on 2 vCPUs.
 GRID_G_SHA = 2be16ad214f38fe5de06a55dea8f5b302272e320b5f164e7a485238037569699
 GRID_G_MARGIN_SHA = 60eeb2adf54e6073e65b4b598d84ac542d31ee3762c9e5f09c2419fd383ef9a4
+GRID_G_CACHES_SHA = 6a0656ed8505caf56cfcfe77b1694c95672a36de5efcad79d639354e4e6f8aa2
+SERVED_SESSION_SHA = 1dbb61c809b608f4b9ebc698118de066cca44a5e3c2ee25f888f64e2dea940f5
 
 grid-digest-check:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/reramsim" ./cmd/reramsim; \
-	check() { name="$$1" want="$$2"; shift 2; got=$$("$$dir/reramsim" $(GRID_G) -jobs 2 "$$@" | sha256sum | cut -d' ' -f1); \
-		test "$$got" = "$$want" || { echo "grid-digest-check: grid G ($$name) hashes to $$got, want $$want"; exit 1; }; }; \
-	check clean $(GRID_G_SHA); \
-	check margin $(GRID_G_MARGIN_SHA) -fault-profile margin; \
-	echo "grid-digest-check: grid G hashes to its pinned digests, clean and under margin"
+	check() { name="$$1" want="$$2"; shift 2; got=$$("$$dir/reramsim" -jobs 2 "$$@" | sha256sum | cut -d' ' -f1); \
+		test "$$got" = "$$want" || { echo "grid-digest-check: $$name hashes to $$got, want $$want"; exit 1; }; }; \
+	check "grid G" $(GRID_G_SHA) $(GRID_G); \
+	check "grid G under margin" $(GRID_G_MARGIN_SHA) $(GRID_G) -fault-profile margin; \
+	check "grid G with caches" $(GRID_G_CACHES_SHA) $(GRID_G) -caches; \
+	check "the served session" $(SERVED_SESSION_SHA) $(SERVED_SESSION); \
+	echo "grid-digest-check: grid G (clean, margin, caches) and the served session hash to their pinned digests"
 
 solvecache-check:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
@@ -218,8 +227,9 @@ bench:
 # write priced with metrics off and with metrics on, a disabled span
 # with a child under it (StartSpan, the only span entry point), one
 # /metrics render and one ladder sweep must all stay at 0 allocs/op,
-# and a warm simulation may not allocate per access (its allocations
-# from 800 to 1,600 accesses per core grow by at most 64); the
-# benchmarks themselves fail otherwise. Run briefly as part of ci.
+# and a warm simulation, replaying a recorded trace or drawing its
+# stream live, may not allocate per access (its allocations from 800 to
+# 1,600 accesses per core grow by at most 64); the benchmarks
+# themselves fail otherwise. Run briefly as part of ci.
 bench-guard:
 	$(GO) test -run '^$$' -bench '$(GUARD_BENCH)' -benchtime 100x -benchmem $(GUARD_PKGS)

@@ -11,7 +11,8 @@ import (
 	"math"
 )
 
-// Config describes one chip's charge pump.
+// Config describes one chip's charge pump. Its methods take a pointer:
+// a write's pricing calls them once per line, and a copy is 96 bytes.
 type Config struct {
 	Vdd  float64 // supply voltage (V)
 	Vout float64 // boosted output voltage (V)
@@ -91,12 +92,13 @@ func ForVoltage(vout float64) (Config, error) {
 // Doubled returns a pump with twice the deliverable current, the variant
 // D-BL requires in the worst case (§III-B): twice the area and a
 // correspondingly larger leakage.
-func (c Config) Doubled() Config {
-	c.IResetMax *= 2
-	c.ISetMax *= 2
-	c.AreaMM2 *= 2
-	c.LeakageW *= 1.85 // slightly sub-linear: control logic is shared
-	return c
+func (c *Config) Doubled() Config {
+	d := *c
+	d.IResetMax *= 2
+	d.ISetMax *= 2
+	d.AreaMM2 *= 2
+	d.LeakageW *= 1.85 // slightly sub-linear: control logic is shared
+	return d
 }
 
 // budgetTolerance absorbs the rounding in the paper's two-significant-
@@ -106,7 +108,7 @@ const budgetTolerance = 1.005
 
 // MaxConcurrentResets returns how many cells the pump can RESET at once,
 // given the per-cell compliance current.
-func (c Config) MaxConcurrentResets(ion float64) int {
+func (c *Config) MaxConcurrentResets(ion float64) int {
 	if ion <= 0 {
 		return 0
 	}
@@ -114,7 +116,7 @@ func (c Config) MaxConcurrentResets(ion float64) int {
 }
 
 // MaxConcurrentSets is the SET-phase analogue.
-func (c Config) MaxConcurrentSets(iset float64) int {
+func (c *Config) MaxConcurrentSets(iset float64) int {
 	if iset <= 0 {
 		return 0
 	}
@@ -123,7 +125,7 @@ func (c Config) MaxConcurrentSets(iset float64) int {
 
 // Rounds returns how many pump iterations a phase needs to drive n cells
 // within the current budget perCell. Zero cells need zero rounds.
-func (c Config) Rounds(n int, perCell float64) int {
+func (c *Config) Rounds(n int, perCell float64) int {
 	if n <= 0 {
 		return 0
 	}
@@ -136,7 +138,7 @@ func (c Config) Rounds(n int, perCell float64) int {
 
 // PhaseOverheadLatency returns the pump latency added to one write phase
 // executed in the given number of rounds (each round recharges the pump).
-func (c Config) PhaseOverheadLatency(rounds int) float64 {
+func (c *Config) PhaseOverheadLatency(rounds int) float64 {
 	if rounds <= 0 {
 		return 0
 	}
@@ -144,7 +146,7 @@ func (c Config) PhaseOverheadLatency(rounds int) float64 {
 }
 
 // PhaseOverheadEnergy returns the pump energy added to one write phase.
-func (c Config) PhaseOverheadEnergy(rounds int) float64 {
+func (c *Config) PhaseOverheadEnergy(rounds int) float64 {
 	if rounds <= 0 {
 		return 0
 	}
@@ -153,7 +155,7 @@ func (c Config) PhaseOverheadEnergy(rounds int) float64 {
 
 // DeliveredEnergy converts energy delivered at the output into energy
 // drawn from Vdd through the pump's conversion efficiency.
-func (c Config) DeliveredEnergy(out float64) float64 {
+func (c *Config) DeliveredEnergy(out float64) float64 {
 	if c.Efficiency <= 0 {
 		return math.Inf(1)
 	}
@@ -161,7 +163,7 @@ func (c Config) DeliveredEnergy(out float64) float64 {
 }
 
 // Validate reports the first invalid field.
-func (c Config) Validate() error {
+func (c *Config) Validate() error {
 	switch {
 	case c.Vdd <= 0 || c.Vout <= 0 || c.Vout < c.Vdd:
 		return fmt.Errorf("chargepump: invalid voltages Vdd=%g Vout=%g", c.Vdd, c.Vout)

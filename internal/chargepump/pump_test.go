@@ -83,7 +83,8 @@ func TestRounds(t *testing.T) {
 	if got := c.Rounds(512, 90e-6); got != 2 {
 		t.Errorf("Rounds(512) = %d, want 2", got)
 	}
-	if got := c.Doubled().Rounds(512, 90e-6); got != 1 {
+	d := c.Doubled()
+	if got := d.Rounds(512, 90e-6); got != 1 {
 		t.Errorf("doubled Rounds(512) = %d, want 1", got)
 	}
 }

@@ -265,11 +265,13 @@ func TestDBLPumpPressure(t *testing.T) {
 	}
 	// 64 data + 448 dummy = 512 RESETs: two rounds on the doubled pump?
 	// No - D-BL doubles the pump precisely to keep this at one round.
-	if got := hard.Pump().MaxConcurrentResets(testConfig().Params.Ion); got < 512 {
+	hardPump := hard.Pump()
+	if got := hardPump.MaxConcurrentResets(testConfig().Params.Ion); got < 512 {
 		t.Errorf("D-BL pump supports %d concurrent RESETs, want >= 512", got)
 	}
 	base := mustScheme(t, Baseline)
-	if base.Pump().MaxConcurrentResets(testConfig().Params.Ion) >= 512 {
+	basePump := base.Pump()
+	if basePump.MaxConcurrentResets(testConfig().Params.Ion) >= 512 {
 		t.Error("baseline pump should NOT support 512 concurrent RESETs")
 	}
 	_ = c

@@ -15,8 +15,8 @@ import (
 // TestSweepSpanHierarchy runs a tiny sweep with a span sink installed
 // and checks the exported trace has the full nested chain:
 // experiments.sweep -> jobs.grid -> cell -> sim -> {scheme,
-// memsys.sim -> core.solve_op}, each child resolving to its parent
-// through the recorded ids.
+// memsys.trace, memsys.sim -> core.solve_op}, each child resolving to
+// its parent through the recorded ids.
 func TestSweepSpanHierarchy(t *testing.T) {
 	sink := &obs.MemorySpanSink{}
 	obs.SetSpanSink(sink)
@@ -75,7 +75,7 @@ func TestSweepSpanHierarchy(t *testing.T) {
 	if !contains(simChain, "experiments.sweep") {
 		t.Errorf("sim span does not descend from experiments.sweep: %v", simChain)
 	}
-	for _, name := range []string{"memsys.sim:Base/mcf_m", "scheme:Base"} {
+	for _, name := range []string{"memsys.sim:Base/mcf_m", "scheme:Base", "memsys.trace:mcf_m"} {
 		if chain := ancestry(name); len(chain) < 2 || chain[1] != "sim:Base/mcf_m" {
 			t.Errorf("%s does not nest under its sim: %v", name, chain)
 		}
@@ -99,9 +99,10 @@ func TestSweepSpanHierarchy(t *testing.T) {
 // context carries, so one grid gives one span tree at any worker count:
 // every span but the sweep root names a parent in the trace, and -jobs
 // 1 and -jobs 2 give the same multiset of (name, parent name) edges.
-// Each scheme gets one cell: two cells of one scheme share cold solves
-// through the scheme's flight, and the parent of a shared solve is the
-// sim that led it.
+// Each scheme and each workload gets one cell: two cells of one scheme
+// share cold solves through the scheme's flight, two cells of one
+// workload share its recorded trace through the suite's trace flight,
+// and the parent of a shared solve or recording is the sim that led it.
 func TestSweepSpanTreeIndependentOfJobs(t *testing.T) {
 	t.Cleanup(func() { par.SetJobs(0) })
 	edges := func(jobs int) map[[2]string]int {
@@ -113,7 +114,7 @@ func TestSweepSpanTreeIndependentOfJobs(t *testing.T) {
 		sink := &obs.MemorySpanSink{}
 		obs.SetSpanSink(sink)
 		defer obs.SetSpanSink(nil)
-		pairs := []SimPair{{"Base", "mcf_m"}, {"UDRVR+PR", "mcf_m"}}
+		pairs := []SimPair{{"Base", "mcf_m"}, {"UDRVR+PR", "mil_m"}}
 		if err := s.PrimeSims(pairs); err != nil {
 			t.Fatal(err)
 		}

@@ -18,12 +18,13 @@ import (
 	"reramsim/internal/xpoint"
 )
 
-// Suite owns a calibrated configuration plus lazily built schemes and
-// cached simulation results, so figures sharing inputs do not recompute
-// them. A Suite is safe for concurrent use: cache misses are deduplicated
-// per key (two callers racing on the same scheme or simulation share one
-// execution instead of running it twice), and every figure's grid fans
-// out as jobs cells on the internal/par worker pool.
+// Suite owns a calibrated configuration plus lazily built schemes,
+// recorded workload traces and cached simulation results, so figures
+// sharing inputs do not recompute them. A Suite is safe for concurrent
+// use: cache misses are deduplicated per key (two callers racing on the
+// same scheme, trace or simulation share one execution instead of
+// running it twice), and every figure's grid fans out as jobs cells on
+// the internal/par worker pool.
 type Suite struct {
 	Cfg    xpoint.Config // calibrated baseline array configuration
 	MemCfg memsys.Config
@@ -31,6 +32,7 @@ type Suite struct {
 	mu      sync.Mutex
 	ctx     context.Context // stops simulations; nil = Background
 	schemes map[schemeKey]*core.Scheme
+	traces  map[traceKey]*memsys.Trace
 	sims    map[cell]*memsys.Result
 
 	// engine, when attached, runs every grid of the suite as crash-safe
@@ -43,6 +45,7 @@ type Suite struct {
 	// while the first caller is still computing the same key waits for
 	// that result instead of running the computation twice.
 	schemeFlight par.Group[schemeKey, *core.Scheme]
+	traceFlight  par.Group[traceKey, *memsys.Trace]
 	simFlight    par.Group[cell, *memsys.Result]
 }
 
@@ -61,6 +64,15 @@ type cell struct {
 type schemeKey struct {
 	Array xpoint.Config
 	Name  string
+}
+
+// traceKey identifies one recorded access stream: a workload under the
+// memory-config fields its stream depends on.
+type traceKey struct {
+	Workload string
+	Cores    int
+	Seed     int64
+	Accesses int
 }
 
 // NewSuite calibrates the default configuration and prepares caches.
@@ -86,6 +98,7 @@ func newSuitePrecalibrated(cfg xpoint.Config, accessesPerCore int) *Suite {
 		Cfg:     cfg,
 		MemCfg:  mc,
 		schemes: make(map[schemeKey]*core.Scheme),
+		traces:  make(map[traceKey]*memsys.Trace),
 		sims:    make(map[cell]*memsys.Result),
 	}
 }
@@ -180,6 +193,44 @@ func (s *Suite) scheme(ctx context.Context, array xpoint.Config, name string) (*
 	return sc, err
 }
 
+// accessTrace returns (recording and keeping on first use) the access stream
+// of bench under mem. Every cell on the workload that shares mem's
+// Cores, Seed and AccessesPerCore replays it, whatever its scheme, array
+// config, fault profile or cache mode. Concurrent first uses share one
+// recording, under the span of the caller that records it. A recording
+// that fails or is stopped is not kept, and a caller whose shared
+// recording failed while its own context is alive records again.
+func (s *Suite) accessTrace(ctx context.Context, bench trace.Benchmark, mem memsys.Config) (*memsys.Trace, error) {
+	k := traceKey{bench.Name, mem.Cores, mem.Seed, mem.AccessesPerCore}
+	for {
+		s.mu.Lock()
+		t, ok := s.traces[k]
+		s.mu.Unlock()
+		if ok {
+			return t, nil
+		}
+		t, shared, err := s.traceFlight.Do(k, func() (*memsys.Trace, error) {
+			s.mu.Lock()
+			t, ok := s.traces[k]
+			s.mu.Unlock()
+			if ok {
+				return t, nil
+			}
+			t, err := memsys.RecordTrace(ctx, bench, mem)
+			if err != nil {
+				return nil, err
+			}
+			s.mu.Lock()
+			s.traces[k] = t
+			s.mu.Unlock()
+			return t, nil
+		})
+		if err == nil || !shared || ctx.Err() != nil {
+			return t, err
+		}
+	}
+}
+
 // Sim runs (and caches) a simulation of workload under scheme. Two
 // callers that both miss the cache for the same key share one execution:
 // the second waits for the first result instead of running the
@@ -248,7 +299,11 @@ func (s *Suite) runSim(ctx context.Context, c cell) (*memsys.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err = memsys.SimulateContext(ctx, sc, b, c.Mem)
+	t, err := s.accessTrace(ctx, b, c.Mem)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s on %s: %w", c.Scheme, c.Workload, err)
+	}
+	r, err = memsys.SimulateTrace(ctx, sc, t, c.Mem)
 	// The ops this run solved reach the solve cache before the caller
 	// (the jobs engine) can journal the cell, whether the run finished
 	// or stopped.

@@ -84,7 +84,7 @@ func DefaultConfig() Config {
 // Validate reports the first invalid field.
 func (c Config) Validate() error {
 	switch {
-	case c.Cores <= 0 || c.CoreIPC <= 0 || c.FreqHz <= 0 || c.Window <= 0 || c.MSHRs <= 0:
+	case c.Cores <= 0 || c.Cores > 1<<evCoreBits || c.CoreIPC <= 0 || c.FreqHz <= 0 || c.Window <= 0 || c.MSHRs <= 0:
 		return fmt.Errorf("memsys: invalid core parameters")
 	case c.Ranks <= 0 || c.BanksPerRank <= 0:
 		return fmt.Errorf("memsys: invalid memory geometry")

@@ -15,7 +15,7 @@ func (h refHeap) Less(i, j int) bool {
 	if h[i].t != h[j].t {
 		return h[i].t < h[j].t
 	}
-	return h[i].seq < h[j].seq
+	return h[i].key < h[j].key
 }
 func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *refHeap) Push(x any)   { *h = append(*h, x.(event)) }
@@ -28,9 +28,10 @@ func (h *refHeap) Pop() any {
 }
 
 // TestEventHeapMatchesContainerHeap: 10k random events, many sharing a
-// timestamp, pushed with unique sequence numbers and popped in bursts
-// between pushes, leave the typed heap in the same order as
-// container/heap: same pop sequence, same layout after every step.
+// timestamp, pushed with unique sequence numbers packed into their keys
+// above a random kind and core, and popped in bursts between pushes,
+// leave the typed heap in the same order as container/heap: same pop
+// sequence, same layout after every step.
 func TestEventHeapMatchesContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var got eventHeap
@@ -53,12 +54,13 @@ func TestEventHeapMatchesContainerHeap(t *testing.T) {
 	}
 	const n = 10000
 	for seq := uint64(1); seq <= n; seq++ {
+		kind, core := eventKind(rng.Intn(3)), rng.Intn(8)
 		e := event{
-			t:    float64(rng.Intn(64)) * 1e-9, // 64 distinct times: heavy ties
-			seq:  seq,
-			kind: eventKind(rng.Intn(3)),
-			core: rng.Intn(8),
-			bank: rng.Intn(16),
+			t:   float64(rng.Intn(64)) * 1e-9, // 64 distinct times: heavy ties
+			key: seq<<evSeqShift | uint64(kind)<<evCoreBits | uint64(core),
+		}
+		if e.kind() != kind || e.core() != core {
+			t.Fatalf("event %d unpacks to kind %d core %d, packed kind %d core %d", seq, e.kind(), e.core(), kind, core)
 		}
 		got.push(e)
 		heap.Push(&want, e)

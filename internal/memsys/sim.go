@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"reramsim/internal/cache"
 	"reramsim/internal/core"
@@ -61,62 +62,76 @@ const (
 	evBankFree
 )
 
+// An event's key packs its sequence number, kind and core into one word,
+// the sequence number in the high bits: every event gets a fresh one, so
+// ordering by (t, key) orders by (t, seq). An evBankFree names no core
+// and no bank: its handler only tries to issue more work.
 type event struct {
-	t    float64
-	seq  uint64
-	kind eventKind
-	core int
-	bank int
+	t   float64
+	key uint64
 }
 
-// eventHeap is a binary min-heap of events ordered by (t, seq). Every
-// event carries a unique seq, so the order is total and the pop sequence
-// is fixed whatever the heap's layout. push and pop sift exactly as the
-// standard library's heap package does, without boxing each event in an
-// interface.
+// The key's layout: core in the low evCoreBits bits (Validate caps
+// Cores at 1<<evCoreBits), kind above it, and the sequence number in the
+// remaining 42 bits, 4.4·10^12 events.
+const (
+	evCoreBits = 20
+	evKindBits = 2
+	evSeqShift = evCoreBits + evKindBits
+)
+
+func (e event) kind() eventKind { return eventKind(e.key >> evCoreBits & (1<<evKindBits - 1)) }
+func (e event) core() int       { return int(e.key & (1<<evCoreBits - 1)) }
+
+// before orders events by (t, key).
+func (e event) before(o event) bool { return e.t < o.t || e.t == o.t && e.key < o.key }
+
+// eventHeap is a binary min-heap of events ordered by (t, key). Every
+// event carries a unique key, so the order is total and the pop sequence
+// is fixed whatever the heap's layout. push and pop move a hole where
+// the standard library's heap package swaps, which leaves the same
+// layout, without boxing each event in an interface.
 type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
 
 func (h *eventHeap) push(e event) {
 	*h = append(*h, e)
 	q := *h
-	for j := len(q) - 1; j > 0; {
+	j := len(q) - 1
+	for j > 0 {
 		i := (j - 1) / 2 // parent
-		if !q.less(j, i) {
+		if !e.before(q[i]) {
 			break
 		}
-		q[i], q[j] = q[j], q[i]
+		q[j] = q[i]
 		j = i
 	}
+	q[j] = e
 }
 
 // pop removes and returns the earliest event; the heap must be non-empty.
 func (h *eventHeap) pop() event {
 	q := *h
+	top := q[0]
 	n := len(q) - 1
-	q[0], q[n] = q[n], q[0]
-	for i := 0; ; {
+	last := q[n] // sifts down from the root
+	i := 0
+	for {
 		j := 2*i + 1 // left child
 		if j >= n {
 			break
 		}
-		if r := j + 1; r < n && q.less(r, j) {
+		if r := j + 1; r < n && q[r].before(q[j]) {
 			j = r
 		}
-		if !q.less(j, i) {
+		if !q[j].before(last) {
 			break
 		}
-		q[i], q[j] = q[j], q[i]
+		q[i] = q[j]
 		i = j
 	}
+	q[i] = last
 	*h = q[:n]
-	return q[n]
+	return top
 }
 
 type readReq struct {
@@ -141,10 +156,10 @@ type writeReq struct {
 }
 
 type coreState struct {
-	gen     *trace.Generator
+	src     source
 	hier    *cache.Hierarchy
 	cpu     *cpu.Core
-	pending trace.Access
+	pending access
 	issued  int
 	instr   uint64
 	done    bool
@@ -225,22 +240,69 @@ func Simulate(s *core.Scheme, bench trace.Benchmark, cfg Config) (*Result, error
 // before its first event and every stopPollEvery events after, and a
 // stopped run returns no result and an error wrapping
 // context.Cause(ctx). The checks never influence the result of a run
-// that completes.
+// that completes. Each core draws its accesses from its generator as
+// it issues them.
 func SimulateContext(ctx context.Context, s *core.Scheme, bench trace.Benchmark, cfg Config) (*Result, error) {
-	if obs.SpansEnabled() {
-		var stop func()
-		ctx, stop = obs.StartSpan(ctx, "memsys.sim:"+s.Name()+"/"+bench.Name)
-		defer stop()
-	}
+	ctx, stop := simSpan(ctx, s, bench.Name)
+	defer stop()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	perCore, err := trace.PerCore(bench, cfg.Cores)
+	gens, err := newGenerators(bench, cfg)
 	if err != nil {
 		return nil, err
 	}
+	srcs := make([]source, len(gens))
+	for i, g := range gens {
+		srcs[i].gen = g
+	}
+	return simulate(ctx, s, bench.Name, cfg, srcs)
+}
 
+// SimulateTrace is SimulateContext replaying a recorded trace instead of
+// drawing the stream: each core takes its accesses from t, which must
+// have been recorded under cfg's Cores, Seed and AccessesPerCore. It
+// returns the Result SimulateContext returns for t's workload, bit for
+// bit.
+func SimulateTrace(ctx context.Context, s *core.Scheme, t *Trace, cfg Config) (*Result, error) {
+	ctx, stop := simSpan(ctx, s, t.workload)
+	defer stop()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := t.match(cfg); err != nil {
+		return nil, err
+	}
+	srcs := make([]source, len(t.cores))
+	for i := range srcs {
+		srcs[i].rec = &t.cores[i]
+	}
+	return simulate(ctx, s, t.workload, cfg, srcs)
+}
+
+// simSpan opens the memsys.sim span cold solves nest under, when spans
+// are on.
+func simSpan(ctx context.Context, s *core.Scheme, workload string) (context.Context, func()) {
+	if !obs.SpansEnabled() {
+		return ctx, func() {}
+	}
+	return obs.StartSpan(ctx, "memsys.sim:"+s.Name()+"/"+workload)
+}
+
+// lineWritesPool recycles the per-simulation write counts: a cleared
+// map keeps its buckets, so a simulation after the first does not regrow
+// one. The map is only looked up, never iterated, so its history cannot
+// show in a result.
+var lineWritesPool = sync.Pool{New: func() any { return make(map[uint64]uint64) }}
+
+// simulate runs the event loop over the cores' access sources.
+func simulate(ctx context.Context, s *core.Scheme, workload string, cfg Config, srcs []source) (*Result, error) {
 	arr := s.Array().Config()
+	lineWrites := lineWritesPool.Get().(map[uint64]uint64)
+	defer func() {
+		clear(lineWrites)
+		lineWritesPool.Put(lineWrites)
+	}()
 	sm := &sim{
 		ctx:        ctx,
 		cfg:        cfg,
@@ -253,15 +315,16 @@ func SimulateContext(ctx context.Context, s *core.Scheme, bench trace.Benchmark,
 		banks:      uint64(cfg.Banks()),
 		arrSize:    uint64(arr.Size),
 		muxW:       uint64(arr.MuxWidth()),
-		lineWrites: make(map[uint64]uint64),
+		lineWrites: lineWrites,
 		shifter:    wear.NewRowShifter(),
 	}
-	sm.res.Workload = bench.Name
+	sm.res.Workload = workload
 	sm.res.Scheme = s.Name()
 	if err := sm.initFaults(); err != nil {
 		return nil, err
 	}
 
+	var err error
 	if s.WearLevelingCompatible() {
 		sm.leveler, err = wear.NewSecurityRefresh(1<<30, 64, cfg.Seed)
 		if err != nil {
@@ -270,11 +333,7 @@ func SimulateContext(ctx context.Context, s *core.Scheme, bench trace.Benchmark,
 	}
 	coreCfg := cpu.Config{BaseIPC: cfg.CoreIPC, Window: cfg.Window, MSHRs: cfg.MSHRs, FreqHz: cfg.FreqHz}
 	for i := range sm.cores {
-		g, err := trace.NewGenerator(perCore[i], cfg.Seed+int64(i)*7919)
-		if err != nil {
-			return nil, err
-		}
-		sm.cores[i].gen = g
+		sm.cores[i].src = srcs[i]
 		sm.cores[i].cpu, err = cpu.New(coreCfg)
 		if err != nil {
 			return nil, err
@@ -297,15 +356,16 @@ func SimulateContext(ctx context.Context, s *core.Scheme, bench trace.Benchmark,
 	return &sm.res, nil
 }
 
-func (s *sim) push(e event) {
+// push schedules an event of the given kind for core at time t, after
+// every event already scheduled for t.
+func (s *sim) push(t float64, kind eventKind, core int) {
 	s.seq++
-	e.seq = s.seq
-	s.events.push(e)
+	s.events.push(event{t: t, key: s.seq<<evSeqShift | uint64(kind)<<evCoreBits | uint64(core)})
 }
 
-// scheduleNextAccess generates core i's next access and schedules its
-// arrival after the compute gap. Once the access budget is exhausted the
-// core retires.
+// scheduleNextAccess takes core i's next access from its source and
+// schedules its arrival after the compute gap. Once the access budget is
+// exhausted the core retires.
 func (s *sim) scheduleNextAccess(i int, from float64) {
 	c := &s.cores[i]
 	if c.issued >= s.cfg.AccessesPerCore {
@@ -313,10 +373,10 @@ func (s *sim) scheduleNextAccess(i int, from float64) {
 		return
 	}
 	c.issued++
-	c.gen.Next(&c.pending)
-	c.instr += c.pending.InstrGap
-	dt := c.cpu.Advance(c.pending.InstrGap)
-	s.push(event{t: from + dt, kind: evCoreAccess, core: i})
+	c.src.fill(&c.pending)
+	c.instr += c.pending.gap
+	dt := c.cpu.Advance(c.pending.gap)
+	s.push(from+dt, evCoreAccess, i)
 }
 
 // physLine resolves a logical line to the physical line its state is
@@ -376,13 +436,13 @@ func (s *sim) run() error {
 		if e.t > s.endTime {
 			s.endTime = e.t
 		}
-		switch e.kind {
+		switch e.kind() {
 		case evCoreAccess:
-			if err := s.onCoreAccess(e.t, e.core); err != nil {
+			if err := s.onCoreAccess(e.t, e.core()); err != nil {
 				return err
 			}
 		case evReadDone:
-			s.onReadDone(e.t, e.core)
+			s.onReadDone(e.t, e.core())
 		case evBankFree:
 			// State already advanced; just try to issue more work.
 		}
@@ -397,16 +457,16 @@ func (s *sim) run() error {
 func (s *sim) onCoreAccess(now float64, i int) error {
 	c := &s.cores[i]
 	if c.hier != nil {
-		// By value: dispatching can generate the core's next access
-		// into c.pending before the writeback it triggers is priced.
+		// By value: dispatching can take the core's next access into
+		// c.pending before the writeback it triggers is priced.
 		return s.dispatchCached(now, i, c.pending)
 	}
 	a := &c.pending
-	if a.Kind == trace.Read {
-		s.issueCoreRead(now, i, a.Line)
+	if a.kind == trace.Read {
+		s.issueCoreRead(now, i, a.line)
 		return nil
 	}
-	return s.submitWrite(now, i, a.Line, &a.Old, &a.New)
+	return s.submitWrite(now, i, a.line, &a.lw)
 }
 
 // issueCoreRead sends a demand read into the controller and lets the core
@@ -435,15 +495,20 @@ func (s *sim) onReadDone(now float64, i int) {
 }
 
 // dispatchCached runs the access through the core's cache hierarchy; only
-// misses and dirty writebacks reach the memory controller.
-func (s *sim) dispatchCached(now float64, i int, a trace.Access) error {
+// misses and dirty writebacks reach the memory controller. A writeback
+// is priced from the vectors of the access that triggered it: the
+// access's own for a write, none for a read, which carries no data.
+func (s *sim) dispatchCached(now float64, i int, a access) error {
 	c := &s.cores[i]
-	lat, mem := c.hier.Access(a.Line, a.Kind == trace.Write)
+	lat, mem := c.hier.Access(a.line, a.kind == trace.Write)
 	t := now + float64(lat)/s.cfg.FreqHz
 	demandRead := false
 	for _, m := range mem {
 		if m.IsWrite {
-			if err := s.submitWrite(t, i, m.Line, &a.Old, &a.New); err != nil {
+			if a.kind == trace.Read {
+				a.lw = write.LineWrite{}
+			}
+			if err := s.submitWrite(t, i, m.Line, &a.lw); err != nil {
 				return err
 			}
 		} else {
@@ -475,20 +540,18 @@ func (s *sim) submitRead(now float64, i int, line uint64) bool {
 	return true
 }
 
-// submitWrite prices core i's write of data new over the stored image
-// old of a logical line and enqueues it, or parks it at the core when
-// the write queue is full.
-func (s *sim) submitWrite(now float64, i int, line uint64, old, new *[write.LineBytes]byte) error {
-	var lw write.LineWrite
-	write.FlipNWrite(&lw, old, new)
+// submitWrite prices core i's write of Flip-N-Write vectors lw to a
+// logical line and enqueues it, or parks it at the core when the write
+// queue is full.
+func (s *sim) submitWrite(now float64, i int, line uint64, lw *write.LineWrite) error {
 	bank, rank, row, offset, phys := s.mapWrite(line)
-	cost, err := s.scheme.CostWrite(s.ctx, row, offset, lw)
+	cost, err := s.scheme.CostWrite(s.ctx, row, offset, *lw)
 	if err != nil {
 		return err
 	}
 	req := writeReq{bank: bank, rank: rank, arrival: now, cost: cost}
 	if s.inj != nil {
-		req.row, req.offset, req.phys, req.lw = row, offset, phys, lw
+		req.row, req.offset, req.phys, req.lw = row, offset, phys, *lw
 	}
 	if len(s.writeQ) >= s.cfg.WriteQueue {
 		c := &s.cores[i]
@@ -551,9 +614,9 @@ func (s *sim) issueReads(now float64) bool {
 		}
 		done := now + s.cfg.ReadBankTime
 		s.bankFreeAt[req.bank] = done
-		s.push(event{t: done, kind: evBankFree, bank: req.bank})
+		s.push(done, evBankFree, 0)
 		complete := now + s.cfg.MCOverhead + s.cfg.ReadBankTime + s.cfg.BusTime
-		s.push(event{t: complete, kind: evReadDone, core: req.core})
+		s.push(complete, evReadDone, req.core)
 
 		s.res.Reads++
 		s.readLatSum += complete - req.arrival
@@ -591,7 +654,7 @@ func (s *sim) issueWrites(now float64) (bool, error) {
 		done := now + busy
 		s.bankFreeAt[req.bank] = done
 		s.pumpFreeAt[req.rank] = done
-		s.push(event{t: done, kind: evBankFree, bank: req.bank})
+		s.push(done, evBankFree, 0)
 
 		s.res.Writes++
 		s.wrWaitSum += done - req.arrival
