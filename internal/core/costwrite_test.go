@@ -89,10 +89,10 @@ func refOpCost(ctx context.Context, s *Scheme, k opKey) (opCost, error) {
 	if !s.opt.ExactMasks {
 		k.mask = canonicalMask(k.mask)
 	}
-	if c := s.memo.load(k); c != nil {
+	if c := s.costs.table.load(k); c != nil {
 		return *c, nil
 	}
-	return s.coldCost(ctx, k)
+	return s.costs.cold(ctx, k)
 }
 
 // lineCostDiff names the first LineCost field in which got and want

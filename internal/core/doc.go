@@ -9,5 +9,7 @@
 // transformations of PR and D-BL, and a memoized RESET-phase cost model
 // built on the xpoint array solver. Costing a 64-byte line write is a
 // cheap table-driven operation after the first few hundred distinct
-// operations have been solved.
+// operations have been solved. Schemes built through one Solver share
+// its Array per array configuration, its DRVR calibrations and the cost
+// table of equal level tables.
 package core

@@ -111,12 +111,6 @@ func solveLevel(arr *xpoint.Array, row, col int, targetEff, start, lo, hi float6
 	return va, nil
 }
 
-// CalibrateDRVR computes the DRVR levels for arr with the default eight
-// sections; see CalibrateDRVRSections.
-func CalibrateDRVR(arr *xpoint.Array, maxV float64) (*LevelTable, error) {
-	return CalibrateDRVRSections(arr, Sections, maxV)
-}
-
 // CalibrateDRVRSections computes per-section DRVR levels: each section's
 // level makes its mid-row cell on the left-most bit-line match the
 // effective Vrst of the bottom section, compensating bit-line voltage

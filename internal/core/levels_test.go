@@ -22,7 +22,7 @@ func TestCalibrationDeterministicAcrossJobs(t *testing.T) {
 
 	calibrate := func(jobs int) (*LevelTable, *LevelTable) {
 		par.SetJobs(jobs)
-		drvr, err := CalibrateDRVR(arr, MaxLevel)
+		drvr, err := CalibrateDRVRSections(arr, Sections, MaxLevel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestCalibrationCountsSweeps(t *testing.T) {
 	})
 	cfg := testConfig()
 	minV := cfg.Params.VwriteMin + 0.3
-	drvr, err := CalibrateDRVR(xpoint.MustNew(cfg), MaxLevel)
+	drvr, err := CalibrateDRVRSections(xpoint.MustNew(cfg), Sections, MaxLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestCalibrationMatchesSerialReference(t *testing.T) {
 	}
 	minV := cfg.Params.VwriteMin + 0.3
 
-	drvr, err := CalibrateDRVR(arr, MaxLevel)
+	drvr, err := CalibrateDRVRSections(arr, Sections, MaxLevel)
 	if err != nil {
 		t.Fatal(err)
 	}

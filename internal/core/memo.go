@@ -13,11 +13,11 @@ const maskValues = 1 << 8
 // (opKey.esc is a uint8).
 const escalationPages = 1 << 8
 
-// costTable is a scheme's RESET cost memo. Every op key owns one slot
+// costTable is a pricer's RESET cost memo. Every op key owns one slot
 // holding an atomically published *opCost; slots live in one page per
 // escalation step, allocated on first use and dense over (section,
 // offset bucket, mask). A hit is two atomic loads and an index, so
-// simulations pricing on one scheme in parallel never share a lock.
+// simulations pricing on one table in parallel never share a lock.
 // Pricing never replaces a published cost, so a reader sees either
 // nothing or the final value.
 type costTable struct {

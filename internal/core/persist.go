@@ -9,13 +9,15 @@ import (
 	"sync"
 
 	"reramsim/internal/solvecache"
+	"reramsim/internal/xpoint"
 )
 
 // persistVersion versions the encoded payloads AND the solver algorithms
 // that produce them. It is folded into every cache key, so bumping it
 // after a change to calibration or solveOp semantics orphans all prior
-// entries instead of replaying stale numbers.
-const persistVersion = 1
+// entries instead of replaying stale numbers. Version 2 keys memo dumps
+// by cost table, not by scheme.
+const persistVersion = 2
 
 var (
 	cacheMu     sync.RWMutex
@@ -24,8 +26,8 @@ var (
 
 // SetSolveCache installs the process-wide persistent solve cache used by
 // schemes built from then on (nil disables it, the default). Schemes
-// capture the handle at construction, so flipping it mid-run does not
-// affect live schemes.
+// capture the handle at construction, and a shared cost table when it
+// is made, so flipping it mid-run does not affect live schemes.
 func SetSolveCache(c *solvecache.Cache) {
 	cacheMu.Lock()
 	sharedCache = c
@@ -38,34 +40,30 @@ func solveCacheHandle() *solvecache.Cache {
 	return sharedCache
 }
 
-// optionsDigest fingerprints everything that determines a scheme's solved
-// products: the full array config (device params included), every scheme
-// option, and the cost-model constants. %#v prints each field by name, so
-// adding a field to any of these structs changes the digest and retires
-// old entries automatically.
+// optionsDigest fingerprints everything that determines a scheme's
+// calibrated level table: the full array config (device params
+// included), every scheme option, and the calibration constants. %#v
+// prints each field by name, so adding a field to any of these structs
+// changes the digest and retires old entries automatically.
 func optionsDigest(opt Options) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "reramsim/core v%d\n", persistVersion)
 	fmt.Fprintf(h, "opt=%#v\n", opt)
-	fmt.Fprintf(h, "esc=%v,%v offB=%d sections=%d maxlevel=%v\n",
-		EscalationStep, EscalationCap, offsetBuckets, Sections, MaxLevel)
+	fmt.Fprintf(h, "sections=%d maxlevel=%v\n", Sections, MaxLevel)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// memoDigest keys the memo table: the options digest plus the exact bits
-// of the level table the ops are priced against (defensive — the table is
-// itself a function of the options, but tying the memo to its literal
-// contents makes a calibration change impossible to alias).
-func memoDigest(optDigest string, t *LevelTable) string {
+// memoDigest keys a cost table's dump by everything its costs depend on
+// (pricer.opForKey, costFromResult): the effective array config, the
+// exact bits of the level table, the op-key constants and
+// persistVersion. Schemes that share a cost table, such as DRVR and
+// DRVR+PR, share its dump.
+func memoDigest(cfg xpoint.Config, t *LevelTable) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "memo opt=%s dims=%dx%d\n", optDigest, t.Sections, t.Muxes)
-	var b [8]byte
-	for _, row := range t.V {
-		for _, v := range row {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-			h.Write(b[:])
-		}
-	}
+	fmt.Fprintf(h, "reramsim/core memo v%d\n", persistVersion)
+	fmt.Fprintf(h, "cfg=%#v\n", cfg)
+	fmt.Fprintf(h, "esc=%v,%v offB=%d\n", EscalationStep, EscalationCap, offsetBuckets)
+	h.Write(encodeLevels(t))
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -117,12 +115,12 @@ func cachedLevels(c *solvecache.Cache, optDigest string, sections, muxes int) (*
 // memo entry wire size: 4 key bytes + 4 float64s + 1 failed byte.
 const memoEntrySize = 4 + 4*8 + 1
 
-// encodeMemo dumps the scheme's memo table sorted by key, so identical
-// tables encode to identical bytes regardless of insertion order.
-func (s *Scheme) encodeMemo() []byte {
+// encode dumps the cost table sorted by key, so identical tables
+// encode to identical bytes regardless of insertion order.
+func (p *pricer) encode() []byte {
 	buf := make([]byte, 4) // entry count, filled in below
 	n := 0
-	s.memo.each(func(k opKey, c opCost) {
+	p.table.each(func(k opKey, c opCost) {
 		n++
 		buf = append(buf, k.section, k.offB, k.mask, k.esc)
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.latency))
@@ -139,12 +137,11 @@ func (s *Scheme) encodeMemo() []byte {
 	return buf
 }
 
-// preloadMemo seeds the memo table from an encoded dump. Malformed
-// payloads, including any key outside the scheme's table, load nothing
-// (the checksum layer below makes this unreachable short of a version
-// bug, and a partial table would still be correct — every entry is
-// independently keyed).
-func (s *Scheme) preloadMemo(b []byte) {
+// preload seeds the cost table from an encoded dump. Malformed payloads,
+// including any key outside the table, load nothing (the checksum layer
+// below makes this unreachable short of a version bug, and a partial
+// table would still be correct — every entry is independently keyed).
+func (p *pricer) preload(b []byte) {
 	if len(b) < 4 {
 		return
 	}
@@ -155,14 +152,14 @@ func (s *Scheme) preloadMemo(b []byte) {
 	entries := b[4:]
 	for i := 0; i < n; i++ {
 		e := entries[i*memoEntrySize:]
-		if !s.memo.inRange(opKey{section: e[0], offB: e[1]}) {
+		if !p.table.inRange(opKey{section: e[0], offB: e[1]}) {
 			return
 		}
 	}
 	for i := 0; i < n; i++ {
 		e := entries[i*memoEntrySize:]
 		k := opKey{section: e[0], offB: e[1], mask: e[2], esc: e[3]}
-		s.memo.store(k, opCost{
+		p.table.store(k, opCost{
 			latency: math.Float64frombits(binary.LittleEndian.Uint64(e[4:12])),
 			energy:  math.Float64frombits(binary.LittleEndian.Uint64(e[12:20])),
 			itotal:  math.Float64frombits(binary.LittleEndian.Uint64(e[20:28])),
@@ -172,24 +169,27 @@ func (s *Scheme) preloadMemo(b []byte) {
 	}
 }
 
-// FlushMemo writes the scheme's memo dump to the persistent solve cache
-// when live solves have added entries since its last write, and does
-// nothing otherwise or when no cache is installed. The caller flushes
-// once a batch of pricing ends: experiments.Suite after every
-// simulation, the CLIs at exit for ops priced outside one. Serialised
-// by flushMu; each write is the full sorted dump, and every solve
-// counted before the lock is in it, so the last flush after the last
-// solve leaves the complete table, whatever the flush order.
-func (s *Scheme) FlushMemo() {
-	if s.cache == nil {
+// FlushMemo writes the dump of the scheme's cost table to the persistent
+// solve cache when live solves have added entries since its last write,
+// and does nothing otherwise or when no cache is installed. The caller
+// flushes once a batch of pricing ends: experiments.Suite after every
+// simulation, the CLIs at exit for ops priced outside one (Solver.Flush).
+func (s *Scheme) FlushMemo() { s.costs.flush() }
+
+// flush is FlushMemo for one cost table. Serialised by flushMu; each
+// write is the full sorted dump, and every solve counted before the lock
+// is in it, so the last flush after the last solve leaves the complete
+// table, whatever the flush order.
+func (p *pricer) flush() {
+	if p.cache == nil {
 		return
 	}
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
-	n := s.solved.Load()
-	if n == s.flushed {
+	p.flushMu.Lock()
+	defer p.flushMu.Unlock()
+	n := p.solved.Load()
+	if n == p.flushed {
 		return
 	}
-	s.cache.Put(s.memoKey, s.encodeMemo())
-	s.flushed = n
+	p.cache.Put(p.key, p.encode())
+	p.flushed = n
 }

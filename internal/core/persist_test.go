@@ -112,6 +112,28 @@ func TestOptionsDigest(t *testing.T) {
 	}
 }
 
+// TestMemoDigest: a memo dump's key follows what its costs depend on,
+// the array config and the level table's exact bits, so equal tables on
+// one config share a key and a one-ulp level change does not.
+func TestMemoDigest(t *testing.T) {
+	cfg := persistCfg()
+	levels := FlatLevels(Sections, cfg.DataWidth, 3.0)
+	d := memoDigest(cfg, levels)
+	if memoDigest(cfg, FlatLevels(Sections, cfg.DataWidth, 3.0)) != d {
+		t.Error("equal level tables digest differently")
+	}
+	bumped := FlatLevels(Sections, cfg.DataWidth, 3.0)
+	bumped.V[3][5] = math.Nextafter(3.0, 4)
+	if memoDigest(cfg, bumped) == d {
+		t.Error("a one-ulp level change did not change the digest")
+	}
+	other := cfg
+	other.Rwire *= 1.0000001
+	if memoDigest(other, levels) == d {
+		t.Error("an array config change did not change the digest")
+	}
+}
+
 // TestSchemeCacheByteIdentity is the end-to-end contract: costs priced
 // with the cache off, cold, warm, and over a corrupted directory are all
 // bit-identical, a warm directory preloads the memo before any pricing,

@@ -5,13 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"reramsim/internal/chargepump"
-	"reramsim/internal/obs"
-	"reramsim/internal/par"
-	"reramsim/internal/solvecache"
 	"reramsim/internal/write"
 	"reramsim/internal/xpoint"
 )
@@ -57,7 +52,8 @@ type Options struct {
 
 // Scheme is one evaluated configuration: a calibrated level table, the
 // mask transformations, the charge pump, and a memoized RESET cost model.
-// Scheme is safe for concurrent use.
+// Its Array, a DRVR level table and its cost table may be shared with
+// other schemes of the same Solver. Scheme is safe for concurrent use.
 type Scheme struct {
 	name string
 	opt  Options
@@ -72,23 +68,10 @@ type Scheme struct {
 	// (maskTable); pricing a line reads one entry per written array.
 	masks [maskValues]maskEntry
 
-	// The RESET cost memo is the hot shared structure when simulations
-	// fan out: every write prices its ops here. Hits read the lock-free
-	// table; flight collapses concurrent cold misses of the same key onto
-	// one solve.
-	memo   costTable
-	flight par.Group[opKey, opCost]
-
-	// Persistent solve cache (nil when disabled). Captured from the
-	// process-wide handle at construction; memoKey addresses this
-	// scheme's memo dump and flushMu serialises its rewrites. solved
-	// counts live solves stored in the memo; flushed is its value at
-	// the last dump written (guarded by flushMu).
-	cache   *solvecache.Cache
-	memoKey string
-	flushMu sync.Mutex
-	solved  atomic.Uint64
-	flushed uint64
+	// costs is the RESET cost memo, shared with every scheme of the same
+	// Solver on this array configuration whose level table has the
+	// same bits.
+	costs *pricer
 }
 
 type opKey struct {
@@ -119,10 +102,16 @@ const (
 // bucket is represented by its worst (largest) offset.
 const offsetBuckets = 4
 
-// NewScheme builds and calibrates a scheme. Construction solves a few
-// dozen array operating points (DRVR/UDRVR calibration); reuse schemes
-// across simulations.
+// NewScheme builds and calibrates a scheme on a fresh, unshared Solver.
+// Construction solves a few dozen array operating points (DRVR/UDRVR
+// calibration); reuse schemes across simulations.
 func NewScheme(name string, opt Options) (*Scheme, error) {
+	return new(Solver).NewScheme(name, opt)
+}
+
+// NewScheme builds and calibrates a scheme on the solver's shared Array,
+// DRVR level table and cost table for its configuration.
+func (sv *Solver) NewScheme(name string, opt Options) (*Scheme, error) {
 	if opt.MaxLevel == 0 {
 		opt.MaxLevel = MaxLevel
 	}
@@ -142,15 +131,16 @@ func NewScheme(name string, opt Options) (*Scheme, error) {
 		// average half-LRS population.
 		cfg.LRSFrac = math.Min(cfg.LRSFrac, 0.5)
 	}
-	arr, err := xpoint.New(cfg)
+	arr, err := sv.array(cfg)
 	if err != nil {
 		return nil, err
 	}
 
 	// The persistent solve cache (when installed) serves the calibrated
-	// level tables and, below, the RESET cost memo. Keys are content
-	// digests of the options, so a cached table is exactly what the live
-	// calibration would compute — loading it changes no downstream bit.
+	// level tables and, through the cost table, the RESET cost memo.
+	// Keys are content digests of what each product depends on, so a
+	// cached table is exactly what the live calibration would compute —
+	// loading it changes no downstream bit.
 	cache := solveCacheHandle()
 	var optDigest string
 	if cache != nil {
@@ -181,7 +171,7 @@ func NewScheme(name string, opt Options) (*Scheme, error) {
 			levels = t
 			break
 		}
-		levels, err = CalibrateDRVRSections(arr, sections, opt.MaxLevel)
+		levels, err = sv.drvrLevels(arr, sections, opt.MaxLevel)
 		if err != nil {
 			return nil, err
 		}
@@ -203,7 +193,7 @@ func NewScheme(name string, opt Options) (*Scheme, error) {
 		pump = pump.Doubled()
 	}
 
-	s := &Scheme{
+	return &Scheme{
 		name:   name,
 		opt:    opt,
 		arr:    arr,
@@ -212,20 +202,8 @@ func NewScheme(name string, opt Options) (*Scheme, error) {
 		pump:   pump,
 		levels: levels,
 		masks:  maskTable(opt),
-		memo:   costTable{sections: levels.Sections},
-		cache:  cache,
-	}
-	if cache != nil {
-		// The memo dump is keyed by the level table's exact bits on top of
-		// the options digest; a warm directory seeds the whole cost table
-		// here, so a repeat sweep prices every op without touching the
-		// array solver.
-		s.memoKey = "memo-" + memoDigest(optDigest, levels)
-		if payload, ok := cache.Get(s.memoKey); ok {
-			s.preloadMemo(payload)
-		}
-	}
-	return s, nil
+		costs:  sv.pricerFor(arr, levels, cache),
+	}, nil
 }
 
 // Name returns the scheme's display name.
@@ -237,7 +215,8 @@ func (s *Scheme) Options() Options { return s.opt }
 // Pump returns the charge pump this scheme requires.
 func (s *Scheme) Pump() chargepump.Config { return s.pump }
 
-// Levels returns the calibrated voltage-level table.
+// Levels returns the calibrated voltage-level table. Schemes of one
+// Solver may share it, so callers must not modify it.
 func (s *Scheme) Levels() *LevelTable { return s.levels }
 
 // Array returns the underlying array model.
@@ -376,9 +355,9 @@ func (s *Scheme) costWrite(ctx context.Context, row, offset int, lw *write.LineW
 			continue
 		}
 		k.mask = e.key
-		c := s.memo.load(k)
+		c := s.costs.table.load(k)
 		if c == nil {
-			cold, err := s.coldCost(ctx, k)
+			cold, err := s.costs.cold(ctx, k)
 			if err != nil {
 				return LineCost{}, err
 			}
@@ -425,114 +404,7 @@ const (
 	setEnergyPerBit = 29.8e-12
 )
 
-// coldCost prices an op the cost table does not hold yet. Concurrent
-// cold misses of the same key collapse onto one solve via the scheme's
-// singleflight. A newly solved entry only bumps the scheme's solve
-// count; FlushMemo writes the entries to the persistent cache, once per
-// finished simulation, not once per solve.
-func (s *Scheme) coldCost(ctx context.Context, k opKey) (opCost, error) {
-	obsMemoMisses.Inc()
-	c, _, err := s.flight.Do(k, func() (opCost, error) {
-		// Re-check under the flight: a solve that completed between our
-		// miss and this call has already published the value.
-		if c := s.memo.load(k); c != nil {
-			return *c, nil
-		}
-		c, err := s.solveOp(ctx, k)
-		if err != nil {
-			return opCost{}, err
-		}
-		s.memo.store(k, c)
-		s.solved.Add(1)
-		return c, nil
-	})
-	if err != nil {
-		return opCost{}, err
-	}
-	return c, nil
-}
-
-// opForKey builds the representative (pessimistic) operation of key k:
-// the bucket's worst row and mux offset, with the mask's bits at their
-// escalated calibrated levels.
-func (s *Scheme) opForKey(k opKey) xpoint.ResetOp {
-	cfg := s.arr.Config()
-	muxW := cfg.MuxWidth()
-	sections := s.levels.Sections
-	row := int(k.section)*cfg.Size/sections + cfg.Size/sections - 1
-	offset := (int(k.offB)+1)*muxW/offsetBuckets - 1
-
-	var cols []int
-	var volts []float64
-	for b := 0; b < 8; b++ {
-		if k.mask&(1<<b) == 0 {
-			continue
-		}
-		cols = append(cols, cfg.ColumnOfBit(b, offset))
-		volts = append(volts, s.levels.Escalated(int(k.section), b, int(k.esc), EscalationStep, EscalationCap))
-	}
-	return xpoint.ResetOp{Row: row, Cols: cols, Volts: volts}
-}
-
-// costFromResult prices a solved representative op.
-func (s *Scheme) costFromResult(volts []float64, res *xpoint.ResetResult) opCost {
-	// Cell-side energy: each cell integrates its own current over its own
-	// completion time; the sneak surplus burns for the whole op.
-	p := s.arr.Config().Params
-	energy := 0.0
-	sumCell := 0.0
-	for i, v := range res.Veff {
-		lat := p.ResetLatency(v)
-		if math.IsInf(lat, 1) {
-			lat = res.Latency
-			if math.IsInf(lat, 1) {
-				lat = p.ResetLatency(p.VwriteMin) // bounded stand-in for energy
-			}
-		}
-		energy += volts[i] * res.Icell[i] * math.Min(lat, res.Latency)
-		sumCell += res.Icell[i]
-	}
-	if sneak := res.Itotal - sumCell; sneak > 0 {
-		lat := res.Latency
-		if math.IsInf(lat, 1) {
-			lat = p.ResetLatency(p.VwriteMin)
-		}
-		energy += sneak * volts[len(volts)-1] * lat
-	}
-	// A failed RESET (effective voltage below the write threshold) would
-	// formally take forever; the chip's write-verify logic bounds the
-	// pulse at the threshold latency and retries, so the op is priced at
-	// that finite worst latency and flagged. Schemes with failures show
-	// up as catastrophically slow rather than wedging the simulation.
-	lat := res.Latency
-	if math.IsInf(lat, 1) {
-		lat = p.ResetLatency(p.VwriteMin)
-	}
-	return opCost{
-		latency: lat,
-		energy:  energy,
-		itotal:  res.Itotal,
-		vmin:    res.MinVeff(),
-		failed:  res.Failed,
-	}
-}
-
-// solveOp runs the array model for the representative operation of key k.
-func (s *Scheme) solveOp(ctx context.Context, k opKey) (opCost, error) {
-	_, stop := obs.StartSpan(ctx, "core.solve_op")
-	defer stop()
-	op := s.opForKey(k)
-	res, err := s.arr.SimulateReset(op)
-	if err != nil {
-		return opCost{}, err
-	}
-	return s.costFromResult(op.Volts, res), nil
-}
-
-// MemoSize reports how many distinct operations the cost table holds
+// MemoSize reports how many distinct operations the scheme's cost table
+// holds, counting the ops every scheme sharing the table has priced
 // (exported for the LUT ablation bench).
-func (s *Scheme) MemoSize() int {
-	n := 0
-	s.memo.each(func(opKey, opCost) { n++ })
-	return n
-}
+func (s *Scheme) MemoSize() int { return s.costs.size() }

@@ -39,7 +39,7 @@ func TestUDRVR394Scheme(t *testing.T) {
 // TestPRWorstEff: the UDRVR calibration target sits between the write
 // threshold and the nominal voltage.
 func TestPRWorstEff(t *testing.T) {
-	target, err := PRWorstEff(testConfig(), MaxLevel)
+	target, err := new(Solver).PRWorstEff(testConfig(), MaxLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestSchemeConcurrentCosting(t *testing.T) {
 	if g, w := conc.MemoSize(), serial.MemoSize(); g != w {
 		t.Errorf("concurrent memo holds %d ops, serial %d", g, w)
 	}
-	if !bytes.Equal(conc.encodeMemo(), serial.encodeMemo()) {
+	if !bytes.Equal(conc.costs.encode(), serial.costs.encode()) {
 		t.Error("concurrent memo dump differs from the serial scheme's")
 	}
 }

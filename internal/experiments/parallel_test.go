@@ -130,6 +130,94 @@ func TestSimSingleflight(t *testing.T) {
 	}
 }
 
+// TestSharedSolverFirstUse: eight goroutines make first use of DRVR,
+// DRVR+PR, UDRVR+PR and UDRVR-3.94 in one suite, two cells each. The
+// four builds race for the suite's solver state and must share it: one
+// Array on the default configuration, one DRVR calibration (DRVR and
+// DRVR+PR hold one level table, and the run solves exactly as many
+// RESET ops as a serial run, which calibrates once), and every cell's
+// Result bytes equal to the serial run's. Run under -race (make
+// race-par) it checks the solver's maps and flights.
+func TestSharedSolverFirstUse(t *testing.T) {
+	obs.SetEnabled(true)
+	core.SetSolveCache(nil)
+	t.Cleanup(func() {
+		obs.SetEnabled(false)
+		obs.Default().ResetValues()
+	})
+	schemes := []string{"DRVR", "DRVR+PR", "UDRVR+PR", "UDRVR-3.94"}
+	workloads := []string{"mcf_m", "mil_m"}
+	cellOf := func(g int) SimPair { return SimPair{schemes[g%len(schemes)], workloads[g/len(schemes)]} }
+	const cells = 8
+
+	// run simulates every cell on a fresh suite, serially or from one
+	// goroutine per cell, and returns the Result bytes and RESET solves.
+	run := func(concurrent bool) (*Suite, [cells][]byte, uint64) {
+		s, err := NewSuite(200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [cells][]byte
+		sim := func(g int) {
+			c := cellOf(g)
+			r, err := s.Sim(c.Scheme, c.Workload)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if out[g], err = json.Marshal(r); err != nil {
+				t.Error(err)
+			}
+		}
+		before := obs.Default().Snapshot()
+		if concurrent {
+			var wg sync.WaitGroup
+			for g := 0; g < cells; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					sim(g)
+				}()
+			}
+			wg.Wait()
+		} else {
+			for g := 0; g < cells; g++ {
+				sim(g)
+			}
+		}
+		return s, out, obs.Default().Snapshot().Delta(before).Counters["xpoint.reset.solves"]
+	}
+
+	_, want, serialSolves := run(false)
+	s, got, solves := run(true)
+	if t.Failed() {
+		t.FailNow()
+	}
+	for g := range got {
+		if string(got[g]) != string(want[g]) {
+			c := cellOf(g)
+			t.Errorf("%s/%s: concurrent first use differs from serial:\n got  %s\n want %s", c.Scheme, c.Workload, got[g], want[g])
+		}
+	}
+	if solves != serialSolves {
+		t.Errorf("concurrent first use solved %d RESET ops, serial %d: a shared build ran twice", solves, serialSolves)
+	}
+	built := make([]*core.Scheme, len(schemes))
+	for i, name := range schemes {
+		sc, err := s.Scheme(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built[i] = sc
+		if sc.Array() != built[0].Array() {
+			t.Errorf("%s has an Array of its own; the four schemes share one", name)
+		}
+	}
+	if built[0].Levels() != built[1].Levels() {
+		t.Error("DRVR and DRVR+PR hold two DRVR level tables; the suite calibrates one")
+	}
+}
+
 // TestSuiteParallelHammer drives Sim/Scheme and a scheme on a 256x256
 // sweep config from many goroutines at once with observability on; run
 // under -race (make race-par) it is the suite's data-race detector. The

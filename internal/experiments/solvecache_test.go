@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"path/filepath"
 	"testing"
 
 	"reramsim/internal/core"
@@ -15,10 +16,11 @@ var (
 )
 
 // cacheTest turns metrics on, installs a solve cache on a fresh
-// directory and restores both when the test ends.
-func cacheTest(t *testing.T) {
+// directory, returned, and restores both when the test ends.
+func cacheTest(t *testing.T) string {
 	t.Helper()
-	sc, err := solvecache.Open(t.TempDir())
+	dir := t.TempDir()
+	sc, err := solvecache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,13 +30,14 @@ func cacheTest(t *testing.T) {
 		core.SetSolveCache(nil)
 		obs.SetEnabled(false)
 	})
+	return dir
 }
 
 // preloaded builds a fresh scheme on the installed cache and reports
 // how many memo entries it starts with.
 func preloaded(t *testing.T, s *Suite, name string) int {
 	t.Helper()
-	fresh, err := schemeBuilders[name](s.Cfg)
+	fresh, err := schemeBuilders[name](new(core.Solver), s.Cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +48,13 @@ func preloaded(t *testing.T, s *Suite, name string) int {
 // as JSON, in grid order.
 func cacheGridResults(t *testing.T, s *Suite) [][]byte {
 	t.Helper()
-	pairs := crossPairs(cacheSchemes, cacheWorkloads)
+	return gridResults(t, s, crossPairs(cacheSchemes, cacheWorkloads))
+}
+
+// gridResults primes pairs and returns each cell's result as JSON, in
+// grid order.
+func gridResults(t *testing.T, s *Suite, pairs []SimPair) [][]byte {
+	t.Helper()
 	if err := s.PrimeSims(pairs); err != nil {
 		t.Fatal(err)
 	}
@@ -151,5 +160,36 @@ func TestFlushSolveCacheOutsideSims(t *testing.T) {
 	}
 	if got, want := preloaded(t, s, "Base"), sc.MemoSize(); got != want || want == 0 {
 		t.Errorf("after FlushSolveCache a fresh scheme preloads %d entries, the live memo holds %d", got, want)
+	}
+}
+
+// TestSharedCostTableOneDump: DRVR and DRVR+PR price against one cost
+// table, so a fill of their cells writes one memo dump, and a second
+// suite on the filled directory prices both schemes' cells with no
+// solve and no memo miss, in the fill's bytes.
+func TestSharedCostTableOneDump(t *testing.T) {
+	dir := cacheTest(t)
+	pairs := crossPairs([]string{"DRVR", "DRVR+PR"}, cacheWorkloads)
+	cold := freshSuite(t)
+	coldOut := gridResults(t, cold, pairs)
+	if memos, err := filepath.Glob(filepath.Join(dir, "memo-*")); err != nil || len(memos) != 1 {
+		t.Errorf("the fill left memo dumps %v (err %v), want one shared by DRVR and DRVR+PR", memos, err)
+	}
+
+	warm := newSuitePrecalibrated(cold.Cfg, 0)
+	warm.MemCfg = cold.MemCfg
+	before := obs.Default().Snapshot()
+	warmOut := gridResults(t, warm, pairs)
+	d := obs.Default().Snapshot().Delta(before)
+	for _, c := range []string{"xpoint.reset.solves", "core.memo.misses"} {
+		if n := d.Counters[c]; n != 0 {
+			t.Errorf("second suite on the filled directory: %s = %d, want 0", c, n)
+		}
+	}
+	for i := range coldOut {
+		if string(warmOut[i]) != string(coldOut[i]) {
+			t.Errorf("%s/%s: warm result differs from the fill:\n cold %s\n warm %s",
+				pairs[i].Scheme, pairs[i].Workload, coldOut[i], warmOut[i])
+		}
 	}
 }

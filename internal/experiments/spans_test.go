@@ -100,7 +100,7 @@ func TestSweepSpanHierarchy(t *testing.T) {
 // every span but the sweep root names a parent in the trace, and -jobs
 // 1 and -jobs 2 give the same multiset of (name, parent name) edges.
 // Each scheme and each workload gets one cell: two cells of one scheme
-// share cold solves through the scheme's flight, two cells of one
+// share cold solves through their cost table's flight, two cells of one
 // workload share its recorded trace through the suite's trace flight,
 // and the parent of a shared solve or recording is the sim that led it.
 func TestSweepSpanTreeIndependentOfJobs(t *testing.T) {

@@ -20,20 +20,24 @@ import (
 
 // Suite owns a calibrated configuration plus lazily built schemes,
 // recorded workload traces and cached simulation results, so figures
-// sharing inputs do not recompute them. A Suite is safe for concurrent
-// use: cache misses are deduplicated per key (two callers racing on the
-// same scheme, trace or simulation share one execution instead of
-// running it twice), and every figure's grid fans out as jobs cells on
-// the internal/par worker pool.
+// sharing inputs do not recompute them. Its schemes share one
+// core.Solver: one Array per array configuration, one DRVR calibration
+// and one cost table per level table, all freed with the Suite. A Suite
+// is safe for concurrent use: cache misses are deduplicated per key
+// (two callers racing on the same scheme, trace or simulation share one
+// execution instead of running it twice), and every figure's grid fans
+// out as jobs cells on the internal/par worker pool.
 type Suite struct {
 	Cfg    xpoint.Config // calibrated baseline array configuration
 	MemCfg memsys.Config
 
-	mu      sync.Mutex
-	ctx     context.Context // stops simulations; nil = Background
-	schemes map[schemeKey]*core.Scheme
-	traces  map[traceKey]*memsys.Trace
-	sims    map[cell]*memsys.Result
+	solver  core.Solver
+	schemes par.Memo[schemeKey, *core.Scheme]
+
+	mu     sync.Mutex
+	ctx    context.Context // stops simulations; nil = Background
+	traces map[traceKey]*memsys.Trace
+	sims   map[cell]*memsys.Result
 
 	// engine, when attached, runs every grid of the suite as crash-safe
 	// journaled jobs (internal/jobs): completed cells are checkpointed,
@@ -44,9 +48,8 @@ type Suite struct {
 	// Per-key in-flight tracking: a second caller that misses a cache
 	// while the first caller is still computing the same key waits for
 	// that result instead of running the computation twice.
-	schemeFlight par.Group[schemeKey, *core.Scheme]
-	traceFlight  par.Group[traceKey, *memsys.Trace]
-	simFlight    par.Group[cell, *memsys.Result]
+	traceFlight par.Group[traceKey, *memsys.Trace]
+	simFlight   par.Group[cell, *memsys.Result]
 }
 
 // cell identifies one simulation: a scheme on a workload, under an
@@ -95,11 +98,10 @@ func newSuitePrecalibrated(cfg xpoint.Config, accessesPerCore int) *Suite {
 		mc.AccessesPerCore = accessesPerCore
 	}
 	return &Suite{
-		Cfg:     cfg,
-		MemCfg:  mc,
-		schemes: make(map[schemeKey]*core.Scheme),
-		traces:  make(map[traceKey]*memsys.Trace),
-		sims:    make(map[cell]*memsys.Result),
+		Cfg:    cfg,
+		MemCfg: mc,
+		traces: make(map[traceKey]*memsys.Trace),
+		sims:   make(map[cell]*memsys.Result),
 	}
 }
 
@@ -123,19 +125,22 @@ func (s *Suite) Context() context.Context {
 	return s.ctx
 }
 
-// schemeBuilders maps the §VI configuration names to constructors.
-var schemeBuilders = map[string]func(xpoint.Config) (*core.Scheme, error){
-	"Base":         core.Baseline,
-	"Static-3.70V": func(c xpoint.Config) (*core.Scheme, error) { return core.StaticOverdrive(c, 3.7) },
-	"Hard":         core.Hard,
-	"Hard+Sys":     core.HardSys,
-	"DRVR":         core.DRVROnly,
-	"DRVR+PR":      core.DRVRPR,
-	"UDRVR+PR":     core.UDRVRPR,
-	"UDRVR-3.94":   core.UDRVR394,
-	"ora-64x64":    func(c xpoint.Config) (*core.Scheme, error) { return core.Oracle(c, 64) },
-	"ora-128x128":  func(c xpoint.Config) (*core.Scheme, error) { return core.Oracle(c, 128) },
-	"ora-256x256":  func(c xpoint.Config) (*core.Scheme, error) { return core.Oracle(c, 256) },
+// schemeBuilders maps the §VI configuration names to their presets,
+// each built on a solver's shared state.
+var schemeBuilders = map[string]func(*core.Solver, xpoint.Config) (*core.Scheme, error){
+	"Base": (*core.Solver).Baseline,
+	"Static-3.70V": func(sv *core.Solver, c xpoint.Config) (*core.Scheme, error) {
+		return sv.StaticOverdrive(c, 3.7)
+	},
+	"Hard":        (*core.Solver).Hard,
+	"Hard+Sys":    (*core.Solver).HardSys,
+	"DRVR":        (*core.Solver).DRVROnly,
+	"DRVR+PR":     (*core.Solver).DRVRPR,
+	"UDRVR+PR":    (*core.Solver).UDRVRPR,
+	"UDRVR-3.94":  (*core.Solver).UDRVR394,
+	"ora-64x64":   func(sv *core.Solver, c xpoint.Config) (*core.Scheme, error) { return sv.Oracle(c, 64) },
+	"ora-128x128": func(sv *core.Solver, c xpoint.Config) (*core.Scheme, error) { return sv.Oracle(c, 128) },
+	"ora-256x256": func(sv *core.Solver, c xpoint.Config) (*core.Scheme, error) { return sv.Oracle(c, 256) },
 }
 
 // SchemeNames lists the available configurations in evaluation order.
@@ -157,22 +162,7 @@ func (s *Suite) Scheme(name string) (*core.Scheme, error) {
 // one calibration, under the span of the caller that builds it: ctx
 // carries only that span.
 func (s *Suite) scheme(ctx context.Context, array xpoint.Config, name string) (*core.Scheme, error) {
-	k := schemeKey{array, name}
-	s.mu.Lock()
-	sc, ok := s.schemes[k]
-	s.mu.Unlock()
-	if ok {
-		return sc, nil
-	}
-	sc, _, err := s.schemeFlight.Do(k, func() (*core.Scheme, error) {
-		// Re-check: this flight may start after a previous one for the
-		// same key already stored its result.
-		s.mu.Lock()
-		sc, ok := s.schemes[k]
-		s.mu.Unlock()
-		if ok {
-			return sc, nil
-		}
+	return s.schemes.Get(schemeKey{array, name}, func() (*core.Scheme, error) {
 		build, ok := schemeBuilders[name]
 		if !ok {
 			return nil, fmt.Errorf("experiments: unknown scheme %q", name)
@@ -181,16 +171,12 @@ func (s *Suite) scheme(ctx context.Context, array xpoint.Config, name string) (*
 			_, stop := obs.StartSpan(ctx, "scheme:"+name)
 			defer stop()
 		}
-		sc, err := build(array)
+		sc, err := build(&s.solver, array)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: building %s: %w", name, err)
 		}
-		s.mu.Lock()
-		s.schemes[k] = sc
-		s.mu.Unlock()
 		return sc, nil
 	})
-	return sc, err
 }
 
 // accessTrace returns (recording and keeping on first use) the access stream
@@ -317,23 +303,13 @@ func (s *Suite) runSim(ctx context.Context, c cell) (*memsys.Result, error) {
 	return r, nil
 }
 
-// FlushSolveCache writes the memo dump of every scheme the suite has
-// built whose memo grew since its last write (core.Scheme.FlushMemo).
-// Simulations flush their own ops; this covers ops priced outside any
-// simulation, such as WorstWriteCost under Fig. 5b, the lifetime
-// estimate and the worst-write column of Figs. 18-20. The CLIs call it
-// on every exit path.
-func (s *Suite) FlushSolveCache() {
-	s.mu.Lock()
-	scs := make([]*core.Scheme, 0, len(s.schemes))
-	for _, sc := range s.schemes {
-		scs = append(scs, sc)
-	}
-	s.mu.Unlock()
-	for _, sc := range scs {
-		sc.FlushMemo()
-	}
-}
+// FlushSolveCache writes the dump of every cost table the suite's
+// schemes share whose memo grew since its last write, each table once
+// (core.Solver.Flush). Simulations flush their own ops; this covers ops
+// priced outside any simulation, such as WorstWriteCost under Fig. 5b,
+// the lifetime estimate and the worst-write column of Figs. 18-20. The
+// CLIs call it on every exit path.
+func (s *Suite) FlushSolveCache() { s.solver.Flush() }
 
 // SimPair identifies one (scheme, workload) simulation of a sweep on
 // the suite's own configs.

@@ -1,6 +1,6 @@
 // Package par is the simulator's bounded parallel-execution layer: a
-// GOMAXPROCS-sized, context-aware worker pool (ForEach) and a per-key
-// in-flight deduplicator (Group).
+// GOMAXPROCS-sized, context-aware worker pool (ForEach), a per-key
+// in-flight deduplicator (Group) and a per-key cache built on it (Memo).
 //
 // Every use site in the repository fans out work whose items are
 // independent and whose results are collected by index — never by map
@@ -222,4 +222,57 @@ func (g *Group[K, V]) Do(key K, fn func() (V, error)) (V, bool, error) {
 	g.mu.Unlock()
 	close(f.done)
 	return f.v, false, f.err
+}
+
+// Memo holds one value per key, built on first use: concurrent first
+// uses of a key share one build through a Group, and a failed build is
+// not kept, so a later Get builds again. The zero Memo is ready to use.
+type Memo[K comparable, V any] struct {
+	mu     sync.Mutex
+	m      map[K]V
+	flight Group[K, V]
+}
+
+func (c *Memo[K, V]) load(k K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, ok := c.m[k]
+	return v, ok
+}
+
+// Get returns k's value, building it with build on first use.
+func (c *Memo[K, V]) Get(k K, build func() (V, error)) (V, error) {
+	if v, ok := c.load(k); ok {
+		return v, nil
+	}
+	v, _, err := c.flight.Do(k, func() (V, error) {
+		// Re-check: this flight may start after a previous one for the
+		// same key already stored its value.
+		if v, ok := c.load(k); ok {
+			return v, nil
+		}
+		v, err := build()
+		if err != nil {
+			return v, err
+		}
+		c.mu.Lock()
+		if c.m == nil {
+			c.m = make(map[K]V)
+		}
+		c.m[k] = v
+		c.mu.Unlock()
+		return v, nil
+	})
+	return v, err
+}
+
+// Values returns every stored value, in no particular order.
+func (c *Memo[K, V]) Values() []V {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]V, 0, len(c.m))
+	for _, v := range c.m {
+		out = append(out, v)
+	}
+	return out
 }

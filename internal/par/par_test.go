@@ -227,6 +227,35 @@ func TestGroupPropagatesError(t *testing.T) {
 	}
 }
 
+// TestMemoKeepsValuesNotErrors: a Memo builds a key once and keeps the
+// value, while a failed build is returned and built again next time.
+func TestMemoKeepsValuesNotErrors(t *testing.T) {
+	var m Memo[string, int]
+	boom := errors.New("boom")
+	builds := 0
+	build := func() (int, error) {
+		builds++
+		if builds == 1 {
+			return 0, boom
+		}
+		return builds, nil
+	}
+	if _, err := m.Get("k", build); !errors.Is(err, boom) {
+		t.Fatalf("first Get: err = %v, want boom", err)
+	}
+	for i := 0; i < 2; i++ {
+		if v, err := m.Get("k", build); err != nil || v != 2 {
+			t.Fatalf("Get after a failed build = %d, %v; want 2, nil", v, err)
+		}
+	}
+	if builds != 2 {
+		t.Errorf("%d builds, want 2: one failed, one kept", builds)
+	}
+	if vs := m.Values(); len(vs) != 1 || vs[0] != 2 {
+		t.Errorf("Values() = %v, want [2]", vs)
+	}
+}
+
 // TestForEachPanicBecomesError: a panicking task must surface as a typed
 // *PanicError (with the item index and a captured stack) instead of
 // crashing the process, at any worker count.
